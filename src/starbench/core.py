@@ -31,8 +31,9 @@ class Transformation:
         n = len(self.image)
         if n == 0:
             raise ValueError("degree must be positive")
-        for i, t in enumerate(self.image):
-            _check_state(n, t, f"image[{i}] =")
+        if min(self.image) < 0 or max(self.image) >= n:
+            for i, t in enumerate(self.image):
+                _check_state(n, t, f"image[{i}] =")
 
     @property
     def degree(self) -> int:
@@ -144,8 +145,9 @@ class Dfa:
                     f"letter {x!r} has degree {t.degree}, expected {self.size}"
                 )
         _check_state(self.size, self.initial, "initial state")
-        for f in self.finals:
-            _check_state(self.size, f, "final state")
+        if self.finals and (min(self.finals) < 0 or max(self.finals) >= self.size):
+            for f in self.finals:
+                _check_state(self.size, f, "final state")
 
     def step(self, s: int, x: str) -> int:
         if x not in self.delta:

@@ -5,12 +5,22 @@ cell is the size of minimize(determinize(nfa)). Subsets live in Python ints
 used as bit vectors; the NFAs here stay small (tens of states) while the
 subset frontier can reach hundreds of thousands, so the hot path is the
 per-subset successor computation and the partition refinement.
+
+The subset construction reads successors from 8-bit chunk tables, so a
+subset costs ceil(n/8) lookups whatever its size, and keeps only the bit
+mask of each subset; `SubsetDfa.labels` decodes them when asked. Partition
+refinement is Hopcroft's algorithm on a refinable partition held in flat
+lists (Valmari, "Fast brief practical DFA minimization", IPL 2012), with
+Moore's algorithm kept as the cross-check.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, compress, count, filterfalse
 
 from .core import Dfa, EpsNfa, Transformation
 from .ops import BooleanOp, product_dfa
@@ -27,13 +37,28 @@ class SubsetCapExceeded(RuntimeError):
         self.cap = cap
 
 
+def _decode(mask: int) -> frozenset[int]:
+    """The NFA states whose bits are set in a subset mask."""
+    states = []
+    while mask:
+        low = mask & -mask
+        states.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(states)
+
+
 @dataclass(frozen=True)
 class SubsetDfa:
-    """A determinization result: the DFA plus, per DFA state, the set of
-    NFA states it denotes (the empty label is the explicit dead state)."""
+    """A determinization result: the DFA plus, per DFA state, the bit mask
+    of the NFA states it denotes (mask 0 is the explicit dead state)."""
 
     dfa: Dfa
-    labels: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+    @property
+    def labels(self) -> tuple[frozenset[int], ...]:
+        """The subset of each DFA state as a set, decoded from its mask."""
+        return tuple(map(_decode, self.masks))
 
 
 def _closure_masks(nfa: EpsNfa) -> list[int]:
@@ -60,27 +85,45 @@ def _closure_masks(nfa: EpsNfa) -> list[int]:
     return closure
 
 
+def _chunk_tables(succ: list[int]) -> list[list[int]]:
+    """tab[c][b] = OR of succ[8c+i] over the set bits i of byte b.
+
+    The last table is short when 8 does not divide the state count; the
+    bytes of a subset mask never index past it.
+    """
+    tables = []
+    for base in range(0, len(succ), 8):
+        tab = [0]
+        for target in succ[base:base + 8]:
+            tab += [t | target for t in tab]
+        tables.append(tab)
+    return tables
+
+
 def determinize(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     """Subset construction with epsilon closure.
 
     BFS over closed subsets from closure(initials), letters expanded in
     alphabet order (canonical numbering). The empty subset, if reached,
     becomes an ordinary dead state, keeping the result complete.
+
+    Successors come from 8-bit chunk tables: a subset's moves on all
+    letters at once are the OR of one table entry per byte of its mask,
+    ceil(n/8) lookups whatever the subset's size, and each letter's
+    successor mask is then a shifted slice of that word.
     """
     n = nfa.size
     alphabet = nfa.alphabet
     closure = _closure_masks(nfa)
-    # succ[letter][q] = epsilon-closed successor mask; closure distributes
-    # over unions, so subset moves are plain ORs of these.
-    succ: list[list[int]] = []
-    for x in alphabet:
-        col = [0] * n
+    # succ[q] packs q's epsilon-closed successor masks, letter li at bits
+    # li*n .. li*n+n-1; closure distributes over unions, so a subset's
+    # moves are the OR of its states' words
+    succ = [0] * n
+    for li, x in enumerate(alphabet):
         for q in range(n):
-            acc = 0
             for t in nfa.moves.get((q, x), ()):
-                acc |= closure[t]
-            col[q] = acc
-        succ.append(col)
+                succ[q] |= closure[t] << li * n
+    tables = _chunk_tables(succ)
 
     start = 0
     for q in nfa.initials:
@@ -89,23 +132,18 @@ def determinize(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     for q in nfa.finals:
         finals_mask |= 1 << q
 
+    nbytes = (n + 7) // 8
+    full = (1 << n) - 1
     index: dict[int, int] = {start: 0}
     order = [start]
-    rows: list[list[int]] = []
-    head = 0
-    nletters = len(alphabet)
-    while head < len(order):
-        mask = order[head]
-        head += 1
-        row = []
-        for li in range(nletters):
-            col = succ[li]
-            target = 0
-            m = mask
-            while m:
-                low = m & -m
-                target |= col[low.bit_length() - 1]
-                m ^= low
+    columns: list[list[int]] = [[] for _ in alphabet]
+    letters = [(li * n, column) for li, column in enumerate(columns)]
+    for mask in order:  # grows as new subsets are discovered
+        moves = 0
+        for tab, byte in zip(tables, mask.to_bytes(nbytes, "little")):
+            moves |= tab[byte]
+        for shift, column in letters:
+            target = moves >> shift & full
             ti = index.get(target)
             if ti is None:
                 ti = len(order)
@@ -113,164 +151,165 @@ def determinize(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> SubsetDfa:
                     raise SubsetCapExceeded(ti + 1, cap)
                 index[target] = ti
                 order.append(target)
-            row.append(ti)
-        rows.append(row)
+            column.append(ti)
 
-    size = len(order)
-    delta = {
-        x: Transformation(tuple(rows[s][li] for s in range(size)))
-        for li, x in enumerate(alphabet)
-    }
+    delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
     finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
-    labels = tuple(
-        frozenset(q for q in range(n) if mask >> q & 1) for mask in order
-    )
-    return SubsetDfa(Dfa(size, alphabet, delta, 0, finals), labels)
+    return SubsetDfa(Dfa(len(order), alphabet, delta, 0, finals), tuple(order))
 
 
-def _reachable(d: Dfa) -> tuple[list[list[int]], list[bool], int]:
-    """Restrict to states reachable from the initial one (BFS order).
+def _bfs_numbering(
+    trans: list[list[int]], final: list[bool], initial: int
+) -> tuple[list[list[int]], list[bool]]:
+    """Keep the states reachable from `initial`, renumbered in BFS order
+    with alphabet-ordered expansion (so `initial` becomes 0).
 
-    Returns (transitions per letter, finality flags, new initial index).
+    Returns (transitions per letter, finality flags); already-canonical
+    input comes back as it is.
     """
-    trans = [d.delta[x].image for x in d.alphabet]
-    index = {d.initial: 0}
-    order = [d.initial]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
+    index = [-1] * len(final)
+    index[initial] = 0
+    order = [initial]
+    for s in order:  # grows as new states are reached
         for col in trans:
             t = col[s]
-            if t not in index:
+            if index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
-    rtrans = [[index[col[s]] for s in order] for col in trans]
-    rfinal = [s in d.finals for s in order]
-    return rtrans, rfinal, 0
+    if order == list(range(len(final))):
+        return trans, final
+    return (
+        [list(map(index.__getitem__, map(col.__getitem__, order))) for col in trans],
+        list(map(final.__getitem__, order)),
+    )
 
 
-def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> list[int]:
-    """Partition refinement with a worklist (Hopcroft's algorithm).
+def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]:
+    """Hopcroft's algorithm on a refinable partition (Valmari 2012).
 
-    Returns block_of: state -> block id. Splits keep the old id on the
-    remainder and assign a fresh id to the carved-out part; a split block
-    whose id sits in the worklist contributes both halves, otherwise the
-    smaller half is queued.
+    Returns block_of: state -> block id, ids 0..k-1. Each block is a range
+    [first, end) of the permutation `elems` of the states, and `loc` is its
+    inverse. Refining by a splitter and a letter marks each predecessor by
+    swapping it into its block's marked prefix [first, mid). A block marked
+    only in part is cut at mid; the smaller side becomes a new block and
+    joins the worklist. If the old block is still waiting there, both
+    halves now are; if not, the larger half need not be. So a state joins
+    the worklist O(log n) times, and the work stays O(kn log n).
     """
     n = len(final)
-    nletters = len(trans)
-    inv: list[list[list[int]]] = [
-        [[] for _ in range(n)] for _ in range(nletters)
-    ]
-    for li in range(nletters):
-        col = trans[li]
-        icol = inv[li]
-        for s in range(n):
-            icol[col[s]].append(s)
+    elems = list(compress(range(n), final))
+    nfinal = len(elems)
+    if nfinal in (0, n):
+        return [0] * n
+    elems = array("I", elems + list(filterfalse(final.__getitem__, range(n))))
+    loc = array("I", sorted(range(n), key=elems.__getitem__))
+    block_of = array("I", [0 if f else 1 for f in final])
+    first, mid, end = [0, nfinal], [0, nfinal], [nfinal, n]
+    # one of the two initial blocks suffices, as stability under a set
+    # and the whole state set gives stability under its complement
+    work = [0 if nfinal <= n - nfinal else 1]
 
-    finals = {s for s in range(n) if final[s]}
-    nonfinals = {s for s in range(n) if not final[s]}
-    blocks: dict[int, set[int]] = {}
-    block_of = [0] * n
-    for group in (finals, nonfinals):
-        if group:
-            bid = len(blocks)
-            blocks[bid] = group
-            for s in group:
-                block_of[s] = bid
-    worklist = set(blocks)
+    inverse = []  # per letter, CSR: pre[start[q]:start[q + 1]] enter q
+    for col in trans:
+        start = [0] * (n + 1)
+        for t in col:
+            start[t + 1] += 1
+        pre = array("I", sorted(range(n), key=col.__getitem__))
+        inverse.append((array("I", accumulate(start)), pre))
 
-    while worklist:
-        a = worklist.pop()
-        splitter = list(blocks[a])  # snapshot: a may split below
-        for li in range(nletters):
-            icol = inv[li]
-            preimage: set[int] = set()
+    while work:
+        a = work.pop()
+        splitter = elems[first[a]:end[a]]  # snapshot: a may split below
+        for start, pre in inverse:
+            touched = []
             for q in splitter:
-                preimage.update(icol[q])
-            touched: dict[int, list[int]] = {}
-            for s in preimage:
-                touched.setdefault(block_of[s], []).append(s)
-            for bid, hit in touched.items():
-                block = blocks[bid]
-                if len(hit) == len(block):
+                for p in pre[start[q]:start[q + 1]]:
+                    b = block_of[p]
+                    m = mid[b]
+                    if m == first[b]:
+                        if m + 1 == end[b]:
+                            continue  # a singleton cannot split
+                        touched.append(b)
+                    i = loc[p]
+                    r = elems[m]
+                    elems[i] = r
+                    loc[r] = i
+                    elems[m] = p
+                    loc[p] = m
+                    mid[b] = m + 1
+            for b in touched:
+                f, m, e = first[b], mid[b], end[b]
+                if m == e:
+                    mid[b] = f
                     continue
-                new_id = len(blocks)
-                carved = set(hit)
-                blocks[new_id] = carved
-                block -= carved
-                for s in carved:
-                    block_of[s] = new_id
-                if bid in worklist:
-                    worklist.add(new_id)
+                new = len(first)
+                if m - f <= e - m:
+                    first.append(f)
+                    end.append(m)
+                    first[b] = mid[b] = m
+                    lo, hi = f, m
                 else:
-                    worklist.add(new_id if len(carved) <= len(block) else bid)
+                    first.append(m)
+                    end.append(e)
+                    end[b] = m
+                    mid[b] = f
+                    lo, hi = m, e
+                mid.append(lo)
+                for s in elems[lo:hi]:
+                    block_of[s] = new
+                work.append(new)
     return block_of
 
 
 def _moore_blocks(trans: list[list[int]], final: list[bool]) -> list[int]:
-    """Moore's quadratic refinement; cross-check for the Hopcroft path."""
-    n = len(final)
-    block_of = [1 if final[s] else 0 for s in range(n)]
+    """Moore's quadratic refinement; cross-check for the Hopcroft path.
+
+    Each round renames every state by its block and its successors' blocks,
+    numbered in order of first appearance, until no block splits.
+    """
+    block_of = [1 if f else 0 for f in final]
     nblocks = len(set(block_of))
     while True:
-        signature = {}
-        new_block_of = [0] * n
-        for s in range(n):
-            sig = (block_of[s], tuple(block_of[col[s]] for col in trans))
-            bid = signature.get(sig)
-            if bid is None:
-                bid = len(signature)
-                signature[sig] = bid
-            new_block_of[s] = bid
-        if len(signature) == nblocks:
-            return new_block_of
-        nblocks = len(signature)
-        block_of = new_block_of
+        successors = (map(block_of.__getitem__, col) for col in trans)
+        signatures = list(zip(block_of, *successors))
+        ids = dict(zip(dict.fromkeys(signatures), count()))
+        block_of = list(map(ids.__getitem__, signatures))
+        if len(ids) == nblocks:
+            return block_of
+        nblocks = len(ids)
 
 
 def minimize(d: Dfa, refine=_hopcroft_blocks) -> Dfa:
     """The minimal complete DFA for L(d), canonically numbered.
 
-    Unreachable states are dropped, indistinguishable ones merged by
-    partition refinement, and the quotient renumbered by BFS from the
-    initial state with alphabet-ordered expansion, so two equivalent DFAs
-    over the same alphabet minimize to field-identical values.
+    Unreachable states are dropped and the rest renumbered by BFS from the
+    initial state with alphabet-ordered expansion; `refine` then merges
+    indistinguishable states into blocks, and the quotient keeps that BFS
+    numbering. So two equivalent DFAs over the same alphabet minimize to
+    field-identical values.
     """
-    trans, final, initial = _reachable(d)
+    trans, final = _bfs_numbering(
+        [d.delta[x].image for x in d.alphabet],
+        list(map(d.finals.__contains__, range(d.size))),
+        d.initial,
+    )
     block_of = refine(trans, final)
-
-    rep: dict[int, int] = {}
-    for s, bid in enumerate(block_of):
-        rep.setdefault(bid, s)
-
-    index = {block_of[initial]: 0}
-    order = [block_of[initial]]
-    rows: list[list[int]] = []
-    head = 0
-    while head < len(order):
-        bid = order[head]
-        head += 1
-        s = rep[bid]
-        row = []
-        for col in trans:
-            tb = block_of[col[s]]
-            ti = index.get(tb)
-            if ti is None:
-                ti = len(order)
-                index[tb] = ti
-                order.append(tb)
-            row.append(ti)
-        rows.append(row)
-
-    size = len(order)
+    # Number the blocks by their least state. The input is BFS-numbered,
+    # and then so is this quotient: the first edge into a block, in
+    # (source, letter) order, is the first edge into its least state.
+    number = [-1] * len(block_of)
+    reps = []  # the least state of each block, in block number order
+    for s, b in enumerate(block_of):
+        if number[b] < 0:
+            number[b] = len(reps)
+            reps.append(s)
+    quotient = list(map(number.__getitem__, block_of))
     delta = {
-        x: Transformation(tuple(rows[s][li] for s in range(size)))
-        for li, x in enumerate(d.alphabet)
+        x: Transformation(tuple(map(quotient.__getitem__, map(col.__getitem__, reps))))
+        for x, col in zip(d.alphabet, trans)
     }
-    finals = frozenset(i for i, bid in enumerate(order) if final[rep[bid]])
-    return Dfa(size, d.alphabet, delta, 0, finals)
+    finals = frozenset(compress(count(), map(final.__getitem__, reps)))
+    return Dfa(len(reps), d.alphabet, delta, 0, finals)
 
 
 def minimal_dfa(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> Dfa:

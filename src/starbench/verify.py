@@ -25,6 +25,7 @@ from .core import Dfa, EpsNfa, write_dfa
 from .minimize import (
     DEFAULT_SUBSET_CAP,
     SubsetCapExceeded,
+    SubsetDfa,
     determinize,
     minimal_dfa,
     minimize,
@@ -129,22 +130,22 @@ def _dialect_star_nfa(d: Dfa) -> EpsNfa:
 
 def run_pipeline(
     op: str, left: Dfa | None, right: Dfa, cap: int | None = DEFAULT_SUBSET_CAP
-) -> tuple[Dfa, tuple[frozenset[int], ...] | None]:
+) -> tuple[Dfa, SubsetDfa | None]:
     """The construction for one operation, ending in a minimal DFA.
 
-    Also returns the subset labels of the last determinization (None when
-    the pipeline ends in a plain product), for mismatch audits.
+    Also returns the last determinization (None when the pipeline ends in
+    a plain product), whose subset labels a mismatch audit decodes.
     """
     if op == "star":
         sd = determinize(star_nfa(right), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op == "reversal":
         sd = determinize(reverse_nfa(right), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op == "product":
         assert left is not None
         sd = determinize(concat_nfa(dfa_to_nfa(left), dfa_to_nfa(right)), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
 
     boolean = BooleanOp(BOOLEAN_OF[op]) if op in BOOLEAN_OF else None
     if op.startswith("bool-"):
@@ -158,25 +159,25 @@ def run_pipeline(
             prod = product_dfa(lstar, left, boolean)
         else:
             prod = product_dfa(left, lstar, boolean)
-        return minimize(prod), sd.labels
+        return minimize(prod), sd
     if op in ("K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"):
         assert left is not None and boolean is not None
         kstar = minimal_dfa(_dialect_star_nfa(left), cap)
         sd = determinize(_dialect_star_nfa(right), cap)
         lstar = minimize(sd.dfa)
-        return minimize(product_dfa(kstar, lstar, boolean)), sd.labels
+        return minimize(product_dfa(kstar, lstar, boolean)), sd
     if op == "KL*":
         assert left is not None
         sd = determinize(concat_nfa(dfa_to_nfa(left), star_nfa(right)), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op == "K*L":
         assert left is not None
         sd = determinize(concat_nfa(star_nfa(left), dfa_to_nfa(right)), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op == "K*L*":
         assert left is not None
         sd = determinize(concat_nfa(star_nfa(left), star_nfa(right)), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op == "(KL)*":
         # star the m+n-state concatenation NFA directly: starring the
         # determinized KL DFA instead sends the subset frontier past any
@@ -184,16 +185,16 @@ def run_pipeline(
         assert left is not None
         inner = concat_nfa(dfa_to_nfa(left), dfa_to_nfa(right))
         sd = determinize(star_eps_nfa(inner), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op == "(K∪L)*":
         assert left is not None
         sd = determinize(star_eps_nfa(_union_nfa(left, right)), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     if op in _STAR_OF_BOOLEAN:
         assert left is not None and boolean is not None
         prod = minimize(product_dfa(left, right, boolean))
         sd = determinize(star_nfa(prod), cap)
-        return minimize(sd.dfa), sd.labels
+        return minimize(sd.dfa), sd
     raise bounds.UnknownOperation(f"unknown operation {op!r}")
 
 
@@ -252,7 +253,7 @@ def verify_cell(
 
     try:
         left, right = build_operands(rec)
-        final, labels = run_pipeline(op, left, right, cap)
+        final, sd = run_pipeline(op, left, right, cap)
         measured: int | None = final.size
     except SubsetCapExceeded as e:
         millis = int((time.perf_counter() - start) * 1000)
@@ -275,11 +276,11 @@ def verify_cell(
             if entry.status == "conjecture"
             else "witnesses fell short of the proved bound"
         )
-        diagnostics = _diagnostics(final, labels)
     else:
         verdict = "ABOVE-BOUND"
         note = "measured size exceeds a proved upper bound: pipeline bug or refuted claim"
-        diagnostics = _diagnostics(final, labels)
+    if verdict in ("below-bound", "ABOVE-BOUND"):
+        diagnostics = _diagnostics(final, None if sd is None else sd.labels)
     return VerificationCell(
         op, entry.status, cell_m, n, expected, measured, verdict, millis,
         names, note, diagnostics,
@@ -415,7 +416,7 @@ def membership_oracle(
     """Sample seeded random words; compare pipeline DFA vs direct semantics."""
     op = bounds.resolve_op(op)
     left, right, _ = _operands_for(op, m, n)
-    final, _labels = run_pipeline(op, left, right, cap)
+    final, _ = run_pipeline(op, left, right, cap)
     oracle = SemanticOracle(op, left, right)
     rng = random.Random(seed)
     alphabet = right.alphabet
@@ -442,7 +443,7 @@ def exhaustive_oracle(
     """Compare pipeline vs semantics on every word up to maxlen."""
     op = bounds.resolve_op(op)
     left, right, _ = _operands_for(op, m, n)
-    final, _labels = run_pipeline(op, left, right, cap)
+    final, _ = run_pipeline(op, left, right, cap)
     oracle = SemanticOracle(op, left, right)
     alphabet = right.alphabet
     disagreements = 0

@@ -4,6 +4,7 @@ import pytest
 
 from starbench.core import Dfa, EpsNfa, Transformation
 from starbench.minimize import (
+    DEFAULT_SUBSET_CAP,
     SubsetCapExceeded,
     _hopcroft_blocks,
     _moore_blocks,
@@ -14,7 +15,15 @@ from starbench.minimize import (
     minimize,
     state_complexity,
 )
-from starbench.ops import BooleanOp, concat_nfa, dfa_to_nfa, product_dfa, reverse_nfa, star_nfa
+from starbench.ops import (
+    BooleanOp,
+    concat_nfa,
+    dfa_to_nfa,
+    product_dfa,
+    reverse_nfa,
+    star_eps_nfa,
+    star_nfa,
+)
 from starbench.witnesses import WitnessSpec, build
 
 
@@ -25,6 +34,26 @@ def random_dfa(rng, size, alphabet=("a", "b")):
     }
     finals = frozenset(s for s in range(size) if rng.random() < 0.4)
     return Dfa(size, alphabet, delta, rng.randrange(size), finals)
+
+
+def random_nfa(rng, size, alphabet=("a", "b")):
+    """Mostly one move per (state, letter), some none, a few two; a few
+    epsilon edges; two initial states."""
+    moves = {}
+    for q in range(size):
+        for x in alphabet:
+            targets = frozenset(
+                rng.randrange(size) for _ in range(rng.choice((0, 1, 1, 1, 2)))
+            )
+            if targets:
+                moves[(q, x)] = targets
+    epsilon = {
+        q: frozenset((rng.randrange(size),))
+        for q in range(size) if rng.random() < 0.1
+    }
+    initials = frozenset(rng.sample(range(size), min(size, 2)))
+    finals = frozenset(q for q in range(size) if rng.random() < 0.3)
+    return EpsNfa(size, alphabet, moves, epsilon, initials, finals)
 
 
 def relabel_states(d, perm):
@@ -139,6 +168,57 @@ def test_moore_and_hopcroft_agree():
         assert minimize(d, refine=_hopcroft_blocks) == minimize(d, refine=_moore_blocks)
 
 
+def _chain(n):
+    """One letter, 0 -> 1 -> ... -> n-1 -> n-1, only n-1 final: every
+    state is distinguished, by its distance to the end."""
+    step = Transformation(tuple(min(s + 1, n - 1) for s in range(n)))
+    return Dfa(n, ("a",), {"a": step}, 0, frozenset((n - 1,)))
+
+
+def _with_finals(d, finals):
+    return Dfa(d.size, d.alphabet, d.delta, d.initial, frozenset(finals))
+
+
+def _with_unreachable(rng):
+    """A random DFA on states 0..8 plus states 9..13 that nothing enters."""
+    core, extra = 9, 5
+    delta = {
+        x: Transformation(tuple(rng.randrange(core) for _ in range(core + extra)))
+        for x in ("a", "b")
+    }
+    finals = frozenset(s for s in range(core + extra) if rng.random() < 0.5)
+    return Dfa(core + extra, ("a", "b"), delta, 0, finals)
+
+
+def _conjecture_subset_dfa(m, n):
+    """The subset DFA of the (K∩L)* conjecture cell, before minimization."""
+    from starbench.bounds import recipe
+    from starbench.verify import build_operands, run_pipeline
+
+    op = "(K∩L)*-conjecture"
+    _, sd = run_pipeline(op, *build_operands(recipe(op, m, n)))
+    return sd.dfa
+
+
+@pytest.mark.parametrize("make, minimal_size", [
+    (lambda: _chain(1500), 1500),
+    (lambda: _with_finals(random_dfa(random.Random(1), 30), range(30)), 1),
+    (lambda: _with_finals(random_dfa(random.Random(2), 30), ()), 1),
+    (lambda: _with_unreachable(random.Random(3)), None),
+    (lambda: Dfa(1, ("a", "b"), {x: Transformation((0,)) for x in "ab"}, 0,
+                 frozenset((0,))), 1),
+    (lambda: _conjecture_subset_dfa(3, 3), 384),
+    (lambda: _conjecture_subset_dfa(3, 4), 3072),
+], ids=["chain", "all-final", "no-final", "unreachable", "one-state",
+        "conjecture-3-3", "conjecture-3-4"])
+def test_moore_and_hopcroft_agree_on_edge_cases(make, minimal_size):
+    d = make()
+    hopcroft = minimize(d, refine=_hopcroft_blocks)
+    assert hopcroft == minimize(d, refine=_moore_blocks)
+    if minimal_size is not None:
+        assert hopcroft.size == minimal_size
+
+
 def test_minimized_states_all_reachable_and_distinguishable():
     rng = random.Random(3)
     for _ in range(40):
@@ -218,3 +298,116 @@ def test_permutational_pair_not_equivalent(witness):
     assert word is not None and d1.run(word) != d2.run(word)
     assert word == ("a", "a", "a")
     assert d1.run("aaa") and not d2.run("aaa")
+
+
+def _reference_determinize(nfa, cap=DEFAULT_SUBSET_CAP):
+    """The bit-by-bit subset loop that the chunk tables replaced, with the
+    epsilon closures taken from EpsNfa.eps_closure. Returns the DFA and the
+    subset labels built eagerly."""
+    n = nfa.size
+    alphabet = nfa.alphabet
+    closure = [sum(1 << t for t in nfa.eps_closure((q,))) for q in range(n)]
+    succ = []
+    for x in alphabet:
+        col = [0] * n
+        for q in range(n):
+            acc = 0
+            for t in nfa.moves.get((q, x), ()):
+                acc |= closure[t]
+            col[q] = acc
+        succ.append(col)
+
+    start = 0
+    for q in nfa.initials:
+        start |= closure[q]
+    finals_mask = 0
+    for q in nfa.finals:
+        finals_mask |= 1 << q
+
+    index = {start: 0}
+    order = [start]
+    rows = []
+    head = 0
+    while head < len(order):
+        mask = order[head]
+        head += 1
+        row = []
+        for col in succ:
+            target = 0
+            m = mask
+            while m:
+                low = m & -m
+                target |= col[low.bit_length() - 1]
+                m ^= low
+            ti = index.get(target)
+            if ti is None:
+                ti = len(order)
+                if cap is not None and ti >= cap:
+                    raise SubsetCapExceeded(ti + 1, cap)
+                index[target] = ti
+                order.append(target)
+            row.append(ti)
+        rows.append(row)
+
+    size = len(order)
+    delta = {
+        x: Transformation(tuple(rows[s][li] for s in range(size)))
+        for li, x in enumerate(alphabet)
+    }
+    finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
+    labels = tuple(
+        frozenset(q for q in range(n) if mask >> q & 1) for mask in order
+    )
+    return Dfa(size, alphabet, delta, 0, finals), labels
+
+
+def _assert_same_determinization(nfa, cap=DEFAULT_SUBSET_CAP):
+    """Both constructions give the same DFA and labels, or both stop at
+    the cap having discovered the same number of subsets."""
+    try:
+        ref_dfa, ref_labels = _reference_determinize(nfa, cap)
+    except SubsetCapExceeded as ref:
+        with pytest.raises(SubsetCapExceeded) as got:
+            determinize(nfa, cap)
+        assert (got.value.discovered, got.value.cap) == (ref.discovered, ref.cap)
+        return False
+    sd = determinize(nfa, cap)
+    assert sd.dfa == ref_dfa
+    assert sd.labels == ref_labels
+    return True
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 70])
+def test_determinize_matches_reference_on_random_nfas(size):
+    # the sizes straddle the 8-bit chunks and the 64-bit word
+    rng = random.Random(size)
+    for _ in range(8):
+        _assert_same_determinization(random_nfa(rng, size), cap=400)
+
+
+def test_determinize_matches_reference_past_64_bits(witness):
+    # 70 states: a 69-state cycle with its star's epsilon loop-back
+    nfa = star_nfa(witness("U3", 69).restrict("a"))
+    assert nfa.size == 70
+    assert _assert_same_determinization(nfa)
+    assert _assert_same_determinization(reverse_nfa(witness("U3", 70)), cap=2000) is False
+    assert _assert_same_determinization(dfa_to_nfa(witness("U3", 70)))
+
+
+def test_determinize_matches_reference_on_constructions(witness):
+    k, l = witness("U3", 4), witness("U3", 5, "bac")
+    cases = [
+        EpsNfa(4, ("a",), {(3, "a"): frozenset((3,))},
+               {0: frozenset((1,)), 1: frozenset((2,))},
+               frozenset((0,)), frozenset((2,))),
+        EpsNfa(1, ("a",), {}, {}, frozenset((0,)), frozenset((0,))),
+        star_nfa(k),
+        star_nfa(l.restrict("ab")),
+        concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l)),
+        concat_nfa(star_nfa(k), star_nfa(l)),
+        star_eps_nfa(concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l))),
+    ]
+    for nfa in cases:
+        assert _assert_same_determinization(nfa)
+    # the empty subset is reached, and decodes to the empty label
+    assert frozenset() in determinize(cases[1]).labels

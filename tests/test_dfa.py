@@ -98,6 +98,14 @@ def test_dfa_validation():
         Dfa(3, ("a",), {"a": a}, 0, frozenset((3,)))
 
 
+def test_dfa_validation_names_the_bad_final():
+    a = Transformation.cycle(3)
+    with pytest.raises(ValueError, match=r"final state 7 out of range \[0, 3\)"):
+        Dfa(3, ("a",), {"a": a}, 0, frozenset((0, 2, 7)))
+    with pytest.raises(ValueError, match=r"final state -1 out of range \[0, 3\)"):
+        Dfa(3, ("a",), {"a": a}, 0, frozenset((-1, 1)))
+
+
 def test_write_u4_exact_block(witness):
     assert write_dfa(witness("U3", 4)) == U4_TEXT
 

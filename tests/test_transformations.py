@@ -79,3 +79,10 @@ def test_identity_laws():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose(Transformation.cycle(3), Transformation.cycle(4))
+
+
+def test_validation_names_the_first_bad_index():
+    with pytest.raises(ValueError, match=r"image\[1\] = 5 out of range \[0, 3\)"):
+        Transformation((0, 5, 1))
+    with pytest.raises(ValueError, match=r"image\[2\] = -1 out of range \[0, 4\)"):
+        Transformation((0, 1, -1, 9))
