@@ -1,8 +1,12 @@
-"""Closed-form state-complexity bounds and the witness recipes that meet them.
+"""The operation registry: one entry per operation, holding its closed-form
+bound, the witness pair claimed to meet it, its shell-safe alias, and the
+shape and boolean operation that the pipeline (verify.run_pipeline) and the
+membership oracle (oracle.SemanticOracle) dispatch on.
 
 Each operation carries a status: theorem bounds are asserted exactly,
 the conjecture entry is evaluated but mismatches are findings rather than
-failures, and the open entry has no formula at all. All arithmetic is
+failures, and the open entry has no formula at all; its witness pair is a
+candidate that is measured but never asserted. All arithmetic is
 integer-exact.
 """
 
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .witnesses import WitnessSpec, format_witness
@@ -27,14 +31,12 @@ class UnknownOperation(ValueError):
 @dataclass(frozen=True)
 class Recipe:
     """The exact operands of a verification cell: witness specs plus the
-    operand-level transforms (complement, alphabet restriction) and a
-    human-readable pipeline description."""
+    operand-level transforms (complement, alphabet restriction)."""
 
     left: WitnessSpec | None
     right: WitnessSpec
     complement_right: bool = False
     restrict_right: tuple[str, ...] | None = None
-    pipeline: str = ""
 
     def witness_names(self) -> str:
         right = format_witness(self.right)
@@ -47,273 +49,136 @@ class Recipe:
         return f"{format_witness(self.left)}, {right}"
 
 
+def _compile(text: str) -> Callable[[int, int], int]:
+    """The bound formula as a function of (m, n): `^` is power, and no name
+    but m and n may appear, so the text cannot reach anything else."""
+    code = compile(text.replace("^", "**"), text, "eval")
+    if not set(code.co_names) <= {"m", "n"}:
+        raise ValueError(f"formula {text!r} may use only m and n")
+    return lambda m, n: eval(code, {"__builtins__": {}}, {"m": m, "n": n})
+
+
+def _witness(text: str, n: int) -> WitnessSpec:
+    family, _, order = text.partition(":")
+    return WitnessSpec(family, n, tuple(order) or None)
+
+
 @dataclass(frozen=True)
 class BoundEntry:
+    """One operation.
+
+    `left` and `right` name the witness pair as FAMILY or FAMILY:ORDER, the
+    order giving the letters that perform the family's roles; a unary
+    operation has no left witness. `shape` selects the construction and the
+    oracle semantics; `boolean` is the BooleanOp value the operation embeds,
+    if any. `formula` is compiled from `formula_text`, its only spelling.
+    """
+
     op: str
+    alias: str | None
     status: str  # theorem | conjecture | open
-    arity: int
+    shape: str
     formula_text: str | None
-    formula: Callable[[int, int], int] | None
-    recipe: Callable[[int, int], Recipe] | None
+    left: str | None
+    right: str
+    boolean: str | None = None
     symmetric: bool = False
+    complement_right: bool = False
+    restrict_right: tuple[str, ...] | None = None
+    formula: Callable[[int, int], int] | None = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        text = self.formula_text
+        object.__setattr__(self, "formula", text and _compile(text))
+
+    @property
+    def arity(self) -> int:
+        return 1 if self.left is None else 2
+
+    def check_range(self, m: int | None, n: int, what: str) -> None:
+        if n < 3 or (self.arity == 2 and m < 3):
+            raise ValueError(f"{what} require m, n >= 3, got m={m}, n={n}")
+
+    def witnesses(self, m: int | None, n: int) -> Recipe:
+        """The witness pair at (m, n); for the open operation, its candidate
+        pair. m is ignored by unary operations."""
+        self.check_range(m, n, "witnesses")
+        left = None if self.left is None else _witness(self.left, m)
+        return Recipe(left, _witness(self.right, n), self.complement_right,
+                      self.restrict_right)
 
 
-def _unary_star(m: int, n: int) -> int:
-    return 2 ** (n - 1) + 2 ** (n - 2)
-
-
-def _k_circ_lstar(m: int, n: int) -> int:
-    return m * (2 ** (n - 1) + 2 ** (n - 2) - 1) + 1
-
-
-def _kstar_circ_lstar(m: int, n: int) -> int:
-    return (2 ** (m - 1) + 2 ** (m - 2) - 1) * (2 ** (n - 1) + 2 ** (n - 2) - 1) + 1
-
-
-def _u3(n: int, order: str | None = None) -> WitnessSpec:
-    return WitnessSpec("U3", n, tuple(order) if order else None)
-
-
-def _u03(n: int) -> WitnessSpec:
-    return WitnessSpec("U0_3", n)
-
-
-def _t3(n: int, order: str | None = None) -> WitnessSpec:
-    return WitnessSpec("T3", n, tuple(order) if order else None)
-
-
-def _w4(n: int, order: str | None = None) -> WitnessSpec:
-    return WitnessSpec("W4", n, tuple(order) if order else None)
-
-
-def _u4(n: int, order: str | None = None) -> WitnessSpec:
-    return WitnessSpec("U4", n, tuple(order) if order else None)
-
-
-def _u5(n: int, order: str | None = None) -> WitnessSpec:
-    return WitnessSpec("U5", n, tuple(order) if order else None)
-
-
-def _s2(n: int, order: str | None = None) -> WitnessSpec:
-    return WitnessSpec("S2", n, tuple(order) if order else None)
-
-
-def _boolean_recipe(boolean: str) -> Callable[[int, int], Recipe]:
-    def make(m: int, n: int) -> Recipe:
-        return Recipe(
-            _u3(m), _u3(n, "bac"),
-            pipeline=f"minimize(product_dfa(K, L, {boolean}))",
-        )
-    return make
-
-
-def _k_circ_lstar_recipe(boolean: str, zero_dialect: bool,
-                         swap: bool = False) -> Callable[[int, int], Recipe]:
-    def make(m: int, n: int) -> Recipe:
-        left = _u03(m) if zero_dialect else _u3(m)
-        inner = "L*, K" if swap else "K, L*"
-        return Recipe(
-            left, _u3(n, "bac"),
-            pipeline=(
-                "L* = det-min(star_nfa(L)); "
-                f"minimize(product_dfa({inner}, {boolean}))"
-            ),
-        )
-    return make
-
-
-def _kstar_circ_lstar_recipe(boolean: str,
-                             zero_dialect: bool) -> Callable[[int, int], Recipe]:
-    def make(m: int, n: int) -> Recipe:
-        left = WitnessSpec("W0_4", m) if zero_dialect else _w4(m)
-        return Recipe(
-            left, _w4(n, "dcba"),
-            pipeline=(
-                "K* = det-min(star_nfa(K)); L* = det-min(star_nfa(L)); "
-                f"minimize(product_dfa(K*, L*, {boolean}))"
-            ),
-        )
-    return make
-
-
-def _star_of_product_recipe(boolean: str, left: Callable[[int], WitnessSpec],
-                            right: Callable[[int], WitnessSpec],
-                            complement_right: bool = False,
-                            ) -> Callable[[int, int], Recipe]:
-    def make(m: int, n: int) -> Recipe:
-        return Recipe(
-            left(m), right(n), complement_right=complement_right,
-            pipeline=(
-                f"P = minimize(product_dfa(K, L, {boolean})); "
-                "det-min(star_nfa(P))"
-            ),
-        )
-    return make
-
+_K_CIRC_LSTAR = "m*(2^(n-1) + 2^(n-2) - 1) + 1"
+_KSTAR_CIRC_LSTAR = "(2^(m-1) + 2^(m-2) - 1)*(2^(n-1) + 2^(n-2) - 1) + 1"
+_MN_STAR = "2^(m*n-1) + 2^(m*n-2)"
 
 _ENTRIES = (
-    BoundEntry(
-        "star", "theorem", 1,
-        "2^(n-1) + 2^(n-2)", _unary_star,
-        lambda m, n: Recipe(
-            None, _u3(n), restrict_right=("a", "b"),
-            pipeline="det-min(star_nfa(U_n(a,b,_)))",
-        ),
-    ),
-    BoundEntry(
-        "reversal", "theorem", 1,
-        "2^n", lambda m, n: 2 ** n,
-        lambda m, n: Recipe(None, _u3(n),
-                            pipeline="det-min(reverse_nfa(L))"),
-    ),
-    BoundEntry(
-        "product", "theorem", 2,
-        "(m-1)*2^n + 2^(n-1)",
-        lambda m, n: (m - 1) * 2 ** n + 2 ** (n - 1),
-        lambda m, n: Recipe(
-            _u3(m), _u3(n),
-            pipeline="det-min(concat_nfa(dfa_to_nfa(K), dfa_to_nfa(L)))",
-        ),
-    ),
-    BoundEntry("bool-union", "theorem", 2, "m*n",
-               lambda m, n: m * n, _boolean_recipe("union"), symmetric=True),
-    BoundEntry("bool-intersection", "theorem", 2, "m*n",
-               lambda m, n: m * n, _boolean_recipe("intersection"),
+    BoundEntry("star", None, "theorem", "star", "2^(n-1) + 2^(n-2)",
+               None, "U3", restrict_right=("a", "b")),
+    BoundEntry("reversal", None, "theorem", "reversal", "2^n", None, "U3"),
+    BoundEntry("product", None, "theorem", "product", "(m-1)*2^n + 2^(n-1)",
+               "U3", "U3"),
+    BoundEntry("bool-union", None, "theorem", "boolean", "m*n",
+               "U3", "U3:bac", "union", symmetric=True),
+    BoundEntry("bool-intersection", None, "theorem", "boolean", "m*n",
+               "U3", "U3:bac", "intersection", symmetric=True),
+    BoundEntry("bool-difference", None, "theorem", "boolean", "m*n",
+               "U3", "U3:bac", "difference"),
+    BoundEntry("bool-symdiff", None, "theorem", "boolean", "m*n",
+               "U3", "U3:bac", "symmetric-difference", symmetric=True),
+    BoundEntry("K∪L*", "KuLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
+               "U3", "U3:bac", "union"),
+    BoundEntry("K∩L*", "KiLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
+               "U0_3", "U3:bac", "intersection"),
+    BoundEntry("K⊕L*", "KxLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
+               "U3", "U3:bac", "symmetric-difference"),
+    BoundEntry("K\\L*", "KdLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
+               "U0_3", "U3:bac", "difference"),
+    BoundEntry("L*\\K", "LsdK", "theorem", "lstar_circ_k", _K_CIRC_LSTAR,
+               "U3", "U3:bac", "difference"),
+    BoundEntry("K*∪L*", "KsuLs", "theorem", "kstar_circ_lstar",
+               _KSTAR_CIRC_LSTAR, "W4", "W4:dcba", "union", symmetric=True),
+    BoundEntry("K*∩L*", "KsiLs", "theorem", "kstar_circ_lstar",
+               _KSTAR_CIRC_LSTAR, "W4", "W4:dcba", "intersection",
                symmetric=True),
-    BoundEntry("bool-difference", "theorem", 2, "m*n",
-               lambda m, n: m * n, _boolean_recipe("difference")),
-    BoundEntry("bool-symdiff", "theorem", 2, "m*n",
-               lambda m, n: m * n, _boolean_recipe("symmetric-difference"),
+    BoundEntry("K*\\L*", "KsdLs", "theorem", "kstar_circ_lstar",
+               _KSTAR_CIRC_LSTAR, "W0_4", "W4:dcba", "difference"),
+    BoundEntry("K*⊕L*", "KsxLs", "theorem", "kstar_circ_lstar",
+               _KSTAR_CIRC_LSTAR, "W0_4", "W4:dcba", "symmetric-difference",
                symmetric=True),
-    BoundEntry("K∪L*", "theorem", 2, "m*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _k_circ_lstar, _k_circ_lstar_recipe("union", False)),
-    BoundEntry("K∩L*", "theorem", 2, "m*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _k_circ_lstar, _k_circ_lstar_recipe("intersection", True)),
-    BoundEntry("K⊕L*", "theorem", 2, "m*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _k_circ_lstar,
-               _k_circ_lstar_recipe("symmetric-difference", False)),
-    BoundEntry("K\\L*", "theorem", 2, "m*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _k_circ_lstar, _k_circ_lstar_recipe("difference", True)),
-    BoundEntry("L*\\K", "theorem", 2, "m*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _k_circ_lstar,
-               _k_circ_lstar_recipe("difference", False, swap=True)),
-    BoundEntry("K*∪L*", "theorem", 2,
-               "(2^(m-1) + 2^(m-2) - 1)*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _kstar_circ_lstar, _kstar_circ_lstar_recipe("union", False),
+    BoundEntry("KL*", "KLs", "theorem", "k_lstar",
+               "m*(2^(n-1) + 2^(n-2)) - 2^(n-2)", "T3", "T3:bac"),
+    BoundEntry("K*L", "KsL", "theorem", "kstar_l",
+               "5*2^(m+n-3) - 2^(m-1) - 2^n + 1", "U4", "U4:dcba"),
+    BoundEntry("K*L*", "KsLs", "theorem", "kstar_lstar",
+               "2^(m+n-1) - 2^(m-1) - 3*2^(n-2) + 2", "U4", "U4:dcba"),
+    BoundEntry("(KL)*", "KL-s", "theorem", "product_star",
+               "2^(m+n-1) + 2^(m+n-4) - (2^(m-1) + 2^(n-1) - m - 1)",
+               "W4", "W4:dcba"),
+    BoundEntry("(K∪L)*", "KuL-s", "theorem", "union_star",
+               "2^(m+n-1) - (2^(m-1) + 2^(n-1) - 1)", "S2", "S2:ba", "union",
                symmetric=True),
-    BoundEntry("K*∩L*", "theorem", 2,
-               "(2^(m-1) + 2^(m-2) - 1)*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _kstar_circ_lstar,
-               _kstar_circ_lstar_recipe("intersection", False),
-               symmetric=True),
-    BoundEntry("K*\\L*", "theorem", 2,
-               "(2^(m-1) + 2^(m-2) - 1)*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _kstar_circ_lstar,
-               _kstar_circ_lstar_recipe("difference", True)),
-    BoundEntry("K*⊕L*", "theorem", 2,
-               "(2^(m-1) + 2^(m-2) - 1)*(2^(n-1) + 2^(n-2) - 1) + 1",
-               _kstar_circ_lstar,
-               _kstar_circ_lstar_recipe("symmetric-difference", True),
-               symmetric=True),
-    BoundEntry(
-        "KL*", "theorem", 2,
-        "m*(2^(n-1) + 2^(n-2)) - 2^(n-2)",
-        lambda m, n: m * (2 ** (n - 1) + 2 ** (n - 2)) - 2 ** (n - 2),
-        lambda m, n: Recipe(
-            _t3(m), _t3(n, "bac"),
-            pipeline="det-min(concat_nfa(dfa_to_nfa(K), star_nfa(L)))",
-        ),
-    ),
-    BoundEntry(
-        "K*L", "theorem", 2,
-        "5*2^(m+n-3) - 2^(m-1) - 2^n + 1",
-        lambda m, n: 5 * 2 ** (m + n - 3) - 2 ** (m - 1) - 2 ** n + 1,
-        lambda m, n: Recipe(
-            _u4(m), _u4(n, "dcba"),
-            pipeline="det-min(concat_nfa(star_nfa(K), dfa_to_nfa(L)))",
-        ),
-    ),
-    BoundEntry(
-        "K*L*", "theorem", 2,
-        "2^(m+n-1) - 2^(m-1) - 3*2^(n-2) + 2",
-        lambda m, n: 2 ** (m + n - 1) - 2 ** (m - 1) - 3 * 2 ** (n - 2) + 2,
-        lambda m, n: Recipe(
-            _u4(m), _u4(n, "dcba"),
-            pipeline="det-min(concat_nfa(star_nfa(K), star_nfa(L)))",
-        ),
-    ),
-    BoundEntry(
-        "(KL)*", "theorem", 2,
-        "2^(m+n-1) + 2^(m+n-4) - (2^(m-1) + 2^(n-1) - m - 1)",
-        lambda m, n: (2 ** (m + n - 1) + 2 ** (m + n - 4)
-                      - (2 ** (m - 1) + 2 ** (n - 1) - m - 1)),
-        lambda m, n: Recipe(
-            _w4(m), _w4(n, "dcba"),
-            pipeline=("KL = det-min(concat_nfa(dfa_to_nfa(K), dfa_to_nfa(L))); "
-                      "det-min(star_nfa(KL))"),
-        ),
-    ),
-    BoundEntry(
-        "(K∪L)*", "theorem", 2,
-        "2^(m+n-1) - (2^(m-1) + 2^(n-1) - 1)",
-        lambda m, n: 2 ** (m + n - 1) - (2 ** (m - 1) + 2 ** (n - 1) - 1),
-        _star_of_product_recipe("union", _s2, lambda n: _s2(n, "ba")),
-        symmetric=True,
-    ),
-    BoundEntry(
-        "(K∩L)*-conjecture", "conjecture", 2,
-        "2^(m*n-1) + 2^(m*n-2)",
-        lambda m, n: 2 ** (m * n - 1) + 2 ** (m * n - 2),
-        _star_of_product_recipe("intersection", _u5,
-                                lambda n: _u5(n, "ecbad")),
-        symmetric=True,
-    ),
-    BoundEntry(
-        "(K\\L)*", "theorem", 2,
-        "2^(m*n-1) + 2^(m*n-2)",
-        lambda m, n: 2 ** (m * n - 1) + 2 ** (m * n - 2),
-        _star_of_product_recipe(
-            "difference",
-            lambda n: WitnessSpec("JO6_K", n),
-            lambda n: WitnessSpec("JO6_L", n),
-            complement_right=True,
-        ),
-    ),
-    BoundEntry("(K⊕L)*-open", "open", 2, None, None, None),
+    BoundEntry("(K∩L)*-conjecture", "KiL-s", "conjecture", "boolean_star",
+               _MN_STAR, "U5", "U5:ecbad", "intersection", symmetric=True),
+    BoundEntry("(K\\L)*", "KdL-s", "theorem", "boolean_star", _MN_STAR,
+               "JO6_K", "JO6_L", "difference", complement_right=True),
+    BoundEntry("(K⊕L)*-open", "KxL-s", "open", "boolean_star", None,
+               "U5", "U5:ecbad", "symmetric-difference"),
 )
 
 TABLE: dict[str, BoundEntry] = {e.op: e for e in _ENTRIES}
 
-# Which boolean operation an operation tag embeds, where it embeds one.
-BOOLEAN_OF: dict[str, str] = {
-    "bool-union": "union",
-    "bool-intersection": "intersection",
-    "bool-difference": "difference",
-    "bool-symdiff": "symmetric-difference",
-    "K∪L*": "union",
-    "K∩L*": "intersection",
-    "K⊕L*": "symmetric-difference",
-    "K\\L*": "difference",
-    "L*\\K": "difference",
-    "K*∪L*": "union",
-    "K*∩L*": "intersection",
-    "K*\\L*": "difference",
-    "K*⊕L*": "symmetric-difference",
-    "(K∪L)*": "union",
-    "(K∩L)*-conjecture": "intersection",
-    "(K\\L)*": "difference",
-    "(K⊕L)*-open": "symmetric-difference",
-}
-
 # Shell-safe spellings accepted by the CLI alongside the canonical tags.
-ALIASES: dict[str, str] = {
-    "KuLs": "K∪L*", "KiLs": "K∩L*", "KxLs": "K⊕L*", "KdLs": "K\\L*",
-    "LsdK": "L*\\K",
-    "KsuLs": "K*∪L*", "KsiLs": "K*∩L*", "KsdLs": "K*\\L*", "KsxLs": "K*⊕L*",
-    "KLs": "KL*", "KsL": "K*L", "KsLs": "K*L*",
-    "KL-s": "(KL)*", "KuL-s": "(K∪L)*", "KiL-s": "(K∩L)*-conjecture",
-    "KdL-s": "(K\\L)*", "KxL-s": "(K⊕L)*-open",
-}
+ALIASES: dict[str, str] = {e.alias: e.op for e in _ENTRIES if e.alias}
+
+
+def lookup(op: str) -> BoundEntry:
+    """The registry entry of a canonical operation tag."""
+    entry = TABLE.get(op)
+    if entry is None:
+        raise UnknownOperation(f"unknown operation {op!r}")
+    return entry
 
 
 def resolve_op(name: str) -> str:
@@ -329,26 +194,19 @@ def resolve_op(name: str) -> str:
 
 def evaluate(op: str, m: int, n: int) -> int:
     """Exact integer value of the bound formula at (m, n)."""
-    entry = TABLE.get(op)
-    if entry is None:
-        raise UnknownOperation(f"unknown operation {op!r}")
+    entry = lookup(op)
     if entry.formula is None:
         raise NoKnownBound(f"no known bound for {op}")
-    if n < 3 or (entry.arity == 2 and m < 3):
-        raise ValueError(f"bounds require m, n >= 3, got m={m}, n={n}")
+    entry.check_range(m, n, "bounds")
     return entry.formula(m, n)
 
 
 def recipe(op: str, m: int, n: int) -> Recipe:
-    """The witness pair and pipeline claimed to meet this bound."""
-    entry = TABLE.get(op)
-    if entry is None:
-        raise UnknownOperation(f"unknown operation {op!r}")
-    if entry.recipe is None:
+    """The witness pair claimed to meet this bound."""
+    entry = lookup(op)
+    if entry.status == "open":
         raise NoKnownBound(f"no witness recipe for open operation {op}")
-    if n < 3 or (entry.arity == 2 and m < 3):
-        raise ValueError(f"witnesses require m, n >= 3, got m={m}, n={n}")
-    return entry.recipe(m, n)
+    return entry.witnesses(m, n)
 
 
 def table_csv(ms: list[int], ns: list[int]) -> str:

@@ -9,6 +9,7 @@ letter is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterable, Iterator, Mapping
 
 
@@ -173,15 +174,14 @@ class Dfa:
             t = t.compose(self.delta[x])
         return t
 
+    def with_finals(self, finals: Iterable[int]) -> "Dfa":
+        """The same transitions with another final set."""
+        return Dfa(self.size, self.alphabet, dict(self.delta), self.initial,
+                   frozenset(finals))
+
     def complement(self) -> "Dfa":
         """Flip final and non-final states; complete DFAs make this exact."""
-        return Dfa(
-            self.size,
-            self.alphabet,
-            dict(self.delta),
-            self.initial,
-            frozenset(range(self.size)) - self.finals,
-        )
+        return self.with_finals(frozenset(range(self.size)) - self.finals)
 
     def permute_letters(self, pi: Mapping[str, str]) -> "Dfa":
         """Rename letters by the bijection pi: new delta[pi(x)] = delta[x]."""
@@ -212,10 +212,8 @@ class Dfa:
 
     def words(self, max_len: int) -> Iterator[tuple[str, ...]]:
         """All words over the alphabet up to max_len, shortlex order."""
-        from itertools import product
-
-        for length in range(max_len + 1):
-            yield from product(self.alphabet, repeat=length)
+        return chain.from_iterable(product(self.alphabet, repeat=length)
+                                   for length in range(max_len + 1))
 
 
 @dataclass(frozen=True)

@@ -47,35 +47,17 @@ def dfa_to_nfa(d: Dfa) -> EpsNfa:
 
 
 def star_nfa(d: Dfa) -> EpsNfa:
-    """NFA for L(d)*: new sole-initial final state s with the initial
-    state's outgoing transitions, plus an epsilon edge from every original
-    final state back to the initial state.
-    """
-    s = d.size
-    moves = {
-        (p, x): frozenset((t.image[p],))
-        for x, t in d.delta.items()
-        for p in range(d.size)
-    }
-    for x, t in d.delta.items():
-        moves[(s, x)] = frozenset((t.image[d.initial],))
-    epsilon = {f: frozenset((d.initial,)) for f in d.finals}
-    return EpsNfa(
-        size=d.size + 1,
-        alphabet=d.alphabet,
-        moves=moves,
-        epsilon=epsilon,
-        initials=frozenset((s,)),
-        finals=d.finals | {s},
-    )
+    """NFA for L(d)*: star_eps_nfa of d's embedding, so the new state copies
+    the initial state's moves."""
+    return star_eps_nfa(dfa_to_nfa(d))
 
 
 def star_eps_nfa(base: EpsNfa) -> EpsNfa:
-    """Star construction on an NFA operand: same shape as star_nfa, with the
-    new state copying the moves of all initials and epsilon edges from every
-    final back to the initials. Keeps the state count at base.size + 1, which
-    matters when the operand is itself a construction (starring its
-    determinized DFA instead can explode the subset space).
+    """NFA for L(base)*: a new sole-initial final state s with the moves of
+    all initials, plus epsilon edges from every final back to the initials.
+    Keeps the state count at base.size + 1, which matters when the operand
+    is itself a construction (starring its determinized DFA instead can
+    explode the subset space).
     """
     s = base.size
     start = base.eps_closure(base.initials)
@@ -99,10 +81,15 @@ def star_eps_nfa(base: EpsNfa) -> EpsNfa:
     )
 
 
-def concat_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
-    """NFA for L(left)·L(right): disjoint union with epsilon edges from the
-    finals of left to the initials of right; left finals become non-final.
-    """
+def _shift(states: frozenset[int], off: int) -> frozenset[int]:
+    return frozenset(s + off for s in states)
+
+
+def _side_by_side(
+    left: EpsNfa, right: EpsNfa
+) -> tuple[dict[tuple[int, str], frozenset[int]], dict[int, frozenset[int]], int]:
+    """Moves and epsilon edges of the disjoint union, right's states shifted
+    past left's; returns them with the shift."""
     if left.alphabet != right.alphabet:
         raise ValueError(
             f"alphabet mismatch: {left.alphabet} vs {right.alphabet}"
@@ -110,21 +97,42 @@ def concat_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
     off = left.size
     moves = dict(left.moves)
     for (s, x), targets in right.moves.items():
-        moves[(s + off, x)] = frozenset(t + off for t in targets)
-    epsilon = {s: targets for s, targets in left.epsilon.items()}
-    shifted_initials = frozenset(i + off for i in right.initials)
+        moves[(s + off, x)] = _shift(targets, off)
+    epsilon = dict(left.epsilon)
+    for s, targets in right.epsilon.items():
+        epsilon[s + off] = _shift(targets, off)
+    return moves, epsilon, off
+
+
+def concat_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
+    """NFA for L(left)·L(right): disjoint union with epsilon edges from the
+    finals of left to the initials of right; left finals become non-final.
+    """
+    moves, epsilon, off = _side_by_side(left, right)
+    shifted_initials = _shift(right.initials, off)
     for f in left.finals:
         epsilon[f] = epsilon.get(f, frozenset()) | shifted_initials
-    for s, targets in right.epsilon.items():
-        shifted = frozenset(t + off for t in targets)
-        epsilon[s + off] = epsilon.get(s + off, frozenset()) | shifted
     return EpsNfa(
         size=left.size + right.size,
         alphabet=left.alphabet,
         moves=moves,
         epsilon=epsilon,
         initials=left.initials,
-        finals=frozenset(f + off for f in right.finals),
+        finals=_shift(right.finals, off),
+    )
+
+
+def union_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
+    """NFA for L(left) ∪ L(right): disjoint union, initials and finals of
+    both sides kept."""
+    moves, epsilon, off = _side_by_side(left, right)
+    return EpsNfa(
+        size=left.size + right.size,
+        alphabet=left.alphabet,
+        moves=moves,
+        epsilon=epsilon,
+        initials=left.initials | _shift(right.initials, off),
+        finals=left.finals | _shift(right.finals, off),
     )
 
 

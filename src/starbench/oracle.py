@@ -12,16 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .bounds import BOOLEAN_OF
+from .bounds import lookup
 from .core import Dfa
 
 Word = Sequence[str]
-
-
-def _with_last_final(d: Dfa) -> Dfa:
-    """The same automaton with final set {n-1} (a witness family's base)."""
-    return Dfa(d.size, d.alphabet, dict(d.delta), d.initial,
-               frozenset((d.size - 1,)))
 
 
 class _Runner:
@@ -64,37 +58,33 @@ class _Runner:
         return rows
 
 
-def _star_reach(rows: list[int], length: int) -> int:
-    """Positions i with w[:i] decomposable into chunks from the rows'
-    language; bit 0 (the empty prefix) is always set. Single ascending
-    pass: rows[i] only carries bits >= i."""
-    reach = 1
+def _star_reach(rows: list[int], length: int, reach: int = 1) -> int:
+    """Positions i with w[:i] reachable from the seed positions `reach` by
+    zero or more chunks from the rows' language; the default seed is the
+    empty prefix (bit 0). Single ascending pass: rows[i] only carries bits
+    >= i."""
     for i in range(length + 1):
         if reach >> i & 1:
             reach |= rows[i]
     return reach
 
 
-def _extend_reach(reach: int, rows: list[int], length: int) -> int:
-    """Extend already-reached positions by zero or more row-chunks."""
+def _ends_in(reach: int, rows: list[int], length: int) -> bool:
+    """Whether some reached position i starts a suffix w[i:] in the rows'
+    language."""
     for i in range(length + 1):
-        if reach >> i & 1:
-            reach |= rows[i]
-    return reach
+        if reach >> i & 1 and rows[i] >> length & 1:
+            return True
+    return False
 
 
+# Boolean operations on bit masks of positions; on single bools they give
+# the boolean result (True & ~False == 1).
 _ROW_COMBINE: dict[str, Callable[[int, int], int]] = {
     "union": lambda a, b: a | b,
     "intersection": lambda a, b: a & b,
     "difference": lambda a, b: a & ~b,
     "symmetric-difference": lambda a, b: a ^ b,
-}
-
-_BOOL_COMBINE: dict[str, Callable[[bool, bool], bool]] = {
-    "union": lambda a, b: a or b,
-    "intersection": lambda a, b: a and b,
-    "difference": lambda a, b: a and not b,
-    "symmetric-difference": lambda a, b: a != b,
 }
 
 
@@ -103,26 +93,24 @@ class SemanticOracle:
 
     The operands are the actual DFAs fed to the pipeline (already
     complemented/restricted where the recipe says so), so oracle and
-    pipeline answer the exact same question by different routes.
+    pipeline answer the exact same question by different routes. The
+    operation's registry shape names the method that decides membership.
     """
 
     def __init__(self, op: str, left: Dfa | None, right: Dfa):
+        entry = lookup(op)
         self.op = op
         self.left = _Runner(left) if left is not None else None
         self.right = _Runner(right)
+        self.combine = _ROW_COMBINE.get(entry.boolean)
         # the doubly-starred boolean family stars witnesses whose final set
         # may be the {0} dialect; chunks before the last follow the
-        # {n-1}-final base shape (see verify._dialect_star_nfa)
-        self.left_base = None
-        self.right_base = None
-        if op in ("K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"):
+        # {n-1}-final base shape, as in the pipeline
+        if entry.shape == "kstar_circ_lstar":
             assert left is not None
-            self.left_base = _Runner(_with_last_final(left))
-            self.right_base = _Runner(_with_last_final(right))
-        method = _METHODS.get(op)
-        if method is None:
-            raise ValueError(f"no oracle for operation {op!r}")
-        self.member: Callable[[Word], bool] = getattr(self, "_" + method)
+            self.left_base = _Runner(left.with_finals({left.size - 1}))
+            self.right_base = _Runner(right.with_finals({right.size - 1}))
+        self.member: Callable[[Word], bool] = getattr(self, "_" + entry.shape)
 
     # -- unary -----------------------------------------------------------
     def _star(self, w: Word) -> bool:
@@ -139,19 +127,14 @@ class SemanticOracle:
         enc = self.right.encode(w)
         length = len(enc)
         k_row = self.left.substring_rows(enc)[0]
-        l_rows = self.right.substring_rows(enc)
-        ends = 0
-        for j in range(length + 1):
-            if l_rows[j] >> length & 1:
-                ends |= 1 << j
-        return bool(k_row & ends)
+        return _ends_in(k_row, self.right.substring_rows(enc), length)
 
-    def _kl_star(self, w: Word) -> bool:
+    def _k_lstar(self, w: Word) -> bool:
         assert self.left is not None
         enc = self.right.encode(w)
         length = len(enc)
         reach = self.left.substring_rows(enc)[0]
-        reach = _extend_reach(reach, self.right.substring_rows(enc), length)
+        reach = _star_reach(self.right.substring_rows(enc), length, reach)
         return bool(reach >> length & 1)
 
     def _kstar_l(self, w: Word) -> bool:
@@ -159,18 +142,14 @@ class SemanticOracle:
         enc = self.right.encode(w)
         length = len(enc)
         reach = _star_reach(self.left.substring_rows(enc), length)
-        l_rows = self.right.substring_rows(enc)
-        for i in range(length + 1):
-            if reach >> i & 1 and l_rows[i] >> length & 1:
-                return True
-        return False
+        return _ends_in(reach, self.right.substring_rows(enc), length)
 
     def _kstar_lstar(self, w: Word) -> bool:
         assert self.left is not None
         enc = self.right.encode(w)
         length = len(enc)
         reach = _star_reach(self.left.substring_rows(enc), length)
-        reach = _extend_reach(reach, self.right.substring_rows(enc), length)
+        reach = _star_reach(self.right.substring_rows(enc), length, reach)
         return bool(reach >> length & 1)
 
     def _product_star(self, w: Word) -> bool:
@@ -194,17 +173,15 @@ class SemanticOracle:
     # -- boolean families --------------------------------------------------
     def _boolean(self, w: Word) -> bool:
         assert self.left is not None
-        combine = _BOOL_COMBINE[BOOLEAN_OF[self.op]]
-        return combine(self.left.accepts(w), self.right.accepts(w))
+        return bool(self.combine(self.left.accepts(w), self.right.accepts(w)))
 
     def _k_circ_lstar(self, w: Word) -> bool:
         assert self.left is not None
-        combine = _BOOL_COMBINE[BOOLEAN_OF[self.op]]
-        return combine(self.left.accepts(w), self._star(w))
+        return bool(self.combine(self.left.accepts(w), self._star(w)))
 
-    def _lstar_minus_k(self, w: Word) -> bool:
+    def _lstar_circ_k(self, w: Word) -> bool:
         assert self.left is not None
-        return self._star(w) and not self.left.accepts(w)
+        return bool(self.combine(self._star(w), self.left.accepts(w)))
 
     def _dialect_star_member(self, runner: "_Runner", base: "_Runner",
                              enc: list[int], length: int) -> bool:
@@ -215,11 +192,7 @@ class SemanticOracle:
         if length == 0:
             return True
         reach = _star_reach(base.substring_rows(enc), length)
-        rows = runner.substring_rows(enc)
-        for i in range(length + 1):
-            if reach >> i & 1 and rows[i] >> length & 1:
-                return True
-        return False
+        return _ends_in(reach, runner.substring_rows(enc), length)
 
     def _kstar_circ_lstar(self, w: Word) -> bool:
         assert self.left is not None and self.left_base is not None
@@ -228,7 +201,7 @@ class SemanticOracle:
         length = len(enc)
         in_kstar = self._dialect_star_member(self.left, self.left_base, enc, length)
         in_lstar = self._dialect_star_member(self.right, self.right_base, enc, length)
-        return _BOOL_COMBINE[BOOLEAN_OF[self.op]](in_kstar, in_lstar)
+        return bool(self.combine(in_kstar, in_lstar))
 
     def _boolean_star(self, w: Word) -> bool:
         assert self.left is not None
@@ -236,36 +209,13 @@ class SemanticOracle:
         length = len(enc)
         k_rows = self.left.substring_rows(enc)
         l_rows = self.right.substring_rows(enc)
-        combine = _ROW_COMBINE[BOOLEAN_OF[self.op]]
+        combine = self.combine
         # difference's a & ~b stays inside a's bits, so every combiner
         # yields masks over valid positions only
         rows = [combine(k_rows[i], l_rows[i]) for i in range(length + 1)]
         return bool(_star_reach(rows, length) >> length & 1)
 
+    # (K∪L)* is built from an NFA union rather than a product; its
+    # semantics are the starred boolean ones
+    _union_star = _boolean_star
 
-_METHODS = {
-    "star": "star",
-    "reversal": "reversal",
-    "product": "product",
-    "bool-union": "boolean",
-    "bool-intersection": "boolean",
-    "bool-difference": "boolean",
-    "bool-symdiff": "boolean",
-    "K∪L*": "k_circ_lstar",
-    "K∩L*": "k_circ_lstar",
-    "K⊕L*": "k_circ_lstar",
-    "K\\L*": "k_circ_lstar",
-    "L*\\K": "lstar_minus_k",
-    "K*∪L*": "kstar_circ_lstar",
-    "K*∩L*": "kstar_circ_lstar",
-    "K*\\L*": "kstar_circ_lstar",
-    "K*⊕L*": "kstar_circ_lstar",
-    "KL*": "kl_star",
-    "K*L": "kstar_l",
-    "K*L*": "kstar_lstar",
-    "(KL)*": "product_star",
-    "(K∪L)*": "boolean_star",
-    "(K∩L)*-conjecture": "boolean_star",
-    "(K\\L)*": "boolean_star",
-    "(K⊕L)*-open": "boolean_star",
-}

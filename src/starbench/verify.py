@@ -17,10 +17,11 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Iterable
 
 from . import bounds
-from .bounds import BOOLEAN_OF, Recipe, TABLE
+from .bounds import Recipe, TABLE
 from .core import Dfa, EpsNfa, write_dfa
 from .minimize import (
     DEFAULT_SUBSET_CAP,
@@ -38,9 +39,10 @@ from .ops import (
     reverse_nfa,
     star_eps_nfa,
     star_nfa,
+    union_nfa,
 )
 from .oracle import SemanticOracle
-from .witnesses import WitnessSpec, build
+from .witnesses import build
 
 DEFAULT_BIT_CAP = 26
 _DIAG_DFA_LIMIT = 2000
@@ -85,117 +87,68 @@ def build_operands(rec: Recipe) -> tuple[Dfa | None, Dfa]:
     return left, right
 
 
-_STAR_OF_BOOLEAN = {"(K∪L)*", "(K∩L)*-conjecture", "(K\\L)*", "(K⊕L)*-open"}
-
-
-def _union_nfa(d1: Dfa, d2: Dfa) -> EpsNfa:
-    """Disjoint union with both initial states initial: an (m+n)-state NFA
-    for K ∪ L. Starring this stays in an m+n+1-bit subset space, where
-    starring the mn-state union product blows past the cap already for
-    medium sizes (union products have many final pairs, so the star's
-    loop-backs fan out)."""
-    off = d1.size
-    moves: dict[tuple[int, str], frozenset[int]] = {
-        (s, x): frozenset((t.image[s],))
-        for x, t in d1.delta.items()
-        for s in range(d1.size)
-    }
-    for x, t in d2.delta.items():
-        for s in range(d2.size):
-            moves[(s + off, x)] = frozenset((t.image[s] + off,))
-    return EpsNfa(
-        size=d1.size + d2.size,
-        alphabet=d1.alphabet,
-        moves=moves,
-        epsilon={},
-        initials=frozenset((d1.initial, d2.initial + off)),
-        finals=d1.finals | frozenset(f + off for f in d2.finals),
-    )
-
-
-def _dialect_star_nfa(d: Dfa) -> EpsNfa:
-    """Star shape for a witness operand, loop-backs hung from the family's
-    canonical final state n-1 and acceptance at d's own finals plus the new
-    state. For an {n-1}-final operand this IS star_nfa(d). A {0}-final
-    dialect needs this shape: its language contains the empty word and is
-    closed under concatenation, so its literal star is itself (m states) and
-    the starred-difference/symmetric-difference bounds would be unreachable.
-    """
-    base = Dfa(d.size, d.alphabet, dict(d.delta), d.initial,
-               frozenset((d.size - 1,)))
-    nfa = star_nfa(base)
-    return EpsNfa(nfa.size, nfa.alphabet, nfa.moves, nfa.epsilon,
-                  nfa.initials, d.finals | {d.size})
+# The shapes whose construction is one NFA, measured by det-min, as
+# functions of the operands K, L and the entry's boolean operation.
+_NFA_SHAPES: dict[str, Callable[[Dfa, Dfa, BooleanOp | None], EpsNfa]] = {
+    "star": lambda k, l, b: star_nfa(l),
+    "reversal": lambda k, l, b: reverse_nfa(l),
+    "product": lambda k, l, b: concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l)),
+    "k_lstar": lambda k, l, b: concat_nfa(dfa_to_nfa(k), star_nfa(l)),
+    "kstar_l": lambda k, l, b: concat_nfa(star_nfa(k), dfa_to_nfa(l)),
+    "kstar_lstar": lambda k, l, b: concat_nfa(star_nfa(k), star_nfa(l)),
+    # star the m+n-state concatenation NFA directly: starring the
+    # determinized KL DFA instead sends the subset frontier past any
+    # reasonable cap already at small sizes
+    "product_star": lambda k, l, b: star_eps_nfa(
+        concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l))),
+    # likewise the (m+n)-state union NFA stays in an m+n+1-bit subset
+    # space, where starring the mn-state union product blows past the cap
+    # already for medium sizes (union products have many final pairs, so
+    # the star's loop-backs fan out)
+    "union_star": lambda k, l, b: star_eps_nfa(
+        union_nfa(dfa_to_nfa(k), dfa_to_nfa(l))),
+    "boolean_star": lambda k, l, b: star_nfa(minimize(product_dfa(k, l, b))),
+}
 
 
 def run_pipeline(
     op: str, left: Dfa | None, right: Dfa, cap: int | None = DEFAULT_SUBSET_CAP
 ) -> tuple[Dfa, SubsetDfa | None]:
-    """The construction for one operation, ending in a minimal DFA.
+    """The construction for one operation, chosen by its registry shape,
+    ending in a minimal DFA.
 
     Also returns the last determinization (None when the pipeline ends in
     a plain product), whose subset labels a mismatch audit decodes.
     """
-    if op == "star":
-        sd = determinize(star_nfa(right), cap)
-        return minimize(sd.dfa), sd
-    if op == "reversal":
-        sd = determinize(reverse_nfa(right), cap)
-        return minimize(sd.dfa), sd
-    if op == "product":
-        assert left is not None
-        sd = determinize(concat_nfa(dfa_to_nfa(left), dfa_to_nfa(right)), cap)
-        return minimize(sd.dfa), sd
-
-    boolean = BooleanOp(BOOLEAN_OF[op]) if op in BOOLEAN_OF else None
-    if op.startswith("bool-"):
-        assert left is not None and boolean is not None
+    entry = bounds.lookup(op)
+    boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
+    if entry.shape == "boolean":
         return minimize(product_dfa(left, right, boolean)), None
-    if op in ("K∪L*", "K∩L*", "K⊕L*", "K\\L*", "L*\\K"):
-        assert left is not None and boolean is not None
+    if entry.shape in ("k_circ_lstar", "lstar_circ_k"):
         sd = determinize(star_nfa(right), cap)
         lstar = minimize(sd.dfa)
-        if op == "L*\\K":
-            prod = product_dfa(lstar, left, boolean)
-        else:
-            prod = product_dfa(left, lstar, boolean)
-        return minimize(prod), sd
-    if op in ("K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"):
-        assert left is not None and boolean is not None
-        kstar = minimal_dfa(_dialect_star_nfa(left), cap)
-        sd = determinize(_dialect_star_nfa(right), cap)
+        if entry.shape == "lstar_circ_k":
+            return minimize(product_dfa(lstar, left, boolean)), sd
+        return minimize(product_dfa(left, lstar, boolean)), sd
+    if entry.shape == "kstar_circ_lstar":
+        # Each operand is starred in the shape of its {n-1}-final base, the
+        # family's canonical final state, with acceptance at its own finals
+        # plus the new state; for an {n-1}-final operand that is its star.
+        # A {0}-final dialect needs this shape: its language contains the
+        # empty word and is closed under concatenation, so its literal star
+        # is itself (m states) and the starred-difference/symmetric-
+        # difference bounds would be unreachable.
+        kstar_nfa, lstar_nfa = (
+            replace(star_nfa(d.with_finals({d.size - 1})),
+                    finals=d.finals | {d.size})
+            for d in (left, right)
+        )
+        kstar = minimal_dfa(kstar_nfa, cap)
+        sd = determinize(lstar_nfa, cap)
         lstar = minimize(sd.dfa)
         return minimize(product_dfa(kstar, lstar, boolean)), sd
-    if op == "KL*":
-        assert left is not None
-        sd = determinize(concat_nfa(dfa_to_nfa(left), star_nfa(right)), cap)
-        return minimize(sd.dfa), sd
-    if op == "K*L":
-        assert left is not None
-        sd = determinize(concat_nfa(star_nfa(left), dfa_to_nfa(right)), cap)
-        return minimize(sd.dfa), sd
-    if op == "K*L*":
-        assert left is not None
-        sd = determinize(concat_nfa(star_nfa(left), star_nfa(right)), cap)
-        return minimize(sd.dfa), sd
-    if op == "(KL)*":
-        # star the m+n-state concatenation NFA directly: starring the
-        # determinized KL DFA instead sends the subset frontier past any
-        # reasonable cap already at small sizes
-        assert left is not None
-        inner = concat_nfa(dfa_to_nfa(left), dfa_to_nfa(right))
-        sd = determinize(star_eps_nfa(inner), cap)
-        return minimize(sd.dfa), sd
-    if op == "(K∪L)*":
-        assert left is not None
-        sd = determinize(star_eps_nfa(_union_nfa(left, right)), cap)
-        return minimize(sd.dfa), sd
-    if op in _STAR_OF_BOOLEAN:
-        assert left is not None and boolean is not None
-        prod = minimize(product_dfa(left, right, boolean))
-        sd = determinize(star_nfa(prod), cap)
-        return minimize(sd.dfa), sd
-    raise bounds.UnknownOperation(f"unknown operation {op!r}")
+    sd = determinize(_NFA_SHAPES[entry.shape](left, right, boolean), cap)
+    return minimize(sd.dfa), sd
 
 
 def measure_operands(
@@ -204,16 +157,6 @@ def measure_operands(
     """Measured state complexity of the operation on given operands."""
     final, _ = run_pipeline(op, left, right, cap)
     return final.size
-
-
-def _open_candidate(m: int, n: int) -> Recipe:
-    """Witness candidates for the open operation: the five-letter pair.
-    Measured only; nothing is asserted."""
-    return Recipe(
-        WitnessSpec("U5", m), WitnessSpec("U5", n, tuple("ecbad")),
-        pipeline=("P = minimize(product_dfa(K, L, symmetric-difference)); "
-                  "det-min(star_nfa(P))"),
-    )
 
 
 def _diagnostics(final: Dfa, labels: tuple[frozenset[int], ...] | None) -> str:
@@ -235,24 +178,14 @@ def verify_cell(
     op: str, m: int | None, n: int, cap: int | None = DEFAULT_SUBSET_CAP
 ) -> VerificationCell:
     """Execute one (operation, m, n) check against its bound."""
-    entry = TABLE.get(op)
-    if entry is None:
-        raise bounds.UnknownOperation(f"unknown operation {op!r}")
+    entry = bounds.lookup(op)
     cell_m = None if entry.arity == 1 else m
-    if entry.arity == 2 and m is None:
-        raise ValueError(f"operation {op} needs m")
     start = time.perf_counter()
-
-    if entry.status == "open":
-        rec = _open_candidate(m or n, n)
-        expected = None
-    else:
-        rec = bounds.recipe(op, m if m is not None else n, n)
-        expected = bounds.evaluate(op, m if m is not None else n, n)
-    names = rec.witness_names()
+    left, right, names = _operands_for(op, m, n)
+    expected = (None if entry.status == "open"
+                else bounds.evaluate(op, m if m is not None else n, n))
 
     try:
-        left, right = build_operands(rec)
         final, sd = run_pipeline(op, left, right, cap)
         measured: int | None = final.size
     except SubsetCapExceeded as e:
@@ -393,15 +326,52 @@ def render_json(cells: list[VerificationCell]) -> str:
 
 
 def _operands_for(op: str, m: int | None, n: int) -> tuple[Dfa | None, Dfa, str]:
-    entry = TABLE[op]
+    """The operand DFAs of a cell and their witness names; the open
+    operation gets its candidate pair, under the same range checks."""
+    entry = bounds.lookup(op)
     if entry.arity == 2 and m is None:
         raise ValueError(f"operation {op} needs m")
-    if entry.status == "open":
-        rec = _open_candidate(m or n, n)
-    else:
-        rec = bounds.recipe(op, m if m is not None else n, n)
+    rec = entry.witnesses(m, n)
     left, right = build_operands(rec)
     return left, right, rec.witness_names()
+
+
+def _sampled_words(
+    alphabet: tuple[str, ...], count: int, maxlen: int, seed: int
+) -> Iterable[tuple[str, ...]]:
+    rng = random.Random(seed)
+    for _ in range(count):
+        length = rng.randint(0, maxlen)
+        yield tuple(rng.choice(alphabet) for _ in range(length))
+
+
+def _oracle(
+    op: str, m: int | None, n: int, maxlen: int, seed: int | None,
+    count: int | None, cap: int | None,
+) -> OracleReport:
+    """Compare the pipeline DFA with the direct semantics on `count`
+    seeded random words, or on every word up to maxlen when count is None."""
+    if count is not None and count < 1:
+        raise ValueError(f"the word count must be at least 1, got {count}")
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
+    op = bounds.resolve_op(op)
+    left, right, _ = _operands_for(op, m, n)
+    final, _ = run_pipeline(op, left, right, cap)
+    oracle = SemanticOracle(op, left, right)
+    words = (right.words(maxlen) if count is None
+             else _sampled_words(right.alphabet, count, maxlen, seed))
+    checked = disagreements = 0
+    example: tuple[str, ...] | None = None
+    for word in words:
+        checked += 1
+        if final.run(word) != oracle.member(word):
+            disagreements += 1
+            if example is None:
+                example = word
+    cell_m = None if TABLE[op].arity == 1 else m
+    return OracleReport(op, cell_m, n, checked, maxlen, seed, disagreements,
+                        example)
 
 
 def membership_oracle(
@@ -414,23 +384,7 @@ def membership_oracle(
     cap: int | None = DEFAULT_SUBSET_CAP,
 ) -> OracleReport:
     """Sample seeded random words; compare pipeline DFA vs direct semantics."""
-    op = bounds.resolve_op(op)
-    left, right, _ = _operands_for(op, m, n)
-    final, _ = run_pipeline(op, left, right, cap)
-    oracle = SemanticOracle(op, left, right)
-    rng = random.Random(seed)
-    alphabet = right.alphabet
-    disagreements = 0
-    example: tuple[str, ...] | None = None
-    for _ in range(count):
-        length = rng.randint(0, maxlen)
-        word = tuple(rng.choice(alphabet) for _ in range(length))
-        if final.run(word) != oracle.member(word):
-            disagreements += 1
-            if example is None:
-                example = word
-    cell_m = None if TABLE[op].arity == 1 else m
-    return OracleReport(op, cell_m, n, count, maxlen, seed, disagreements, example)
+    return _oracle(op, m, n, maxlen, seed, count, cap)
 
 
 def exhaustive_oracle(
@@ -441,23 +395,7 @@ def exhaustive_oracle(
     cap: int | None = DEFAULT_SUBSET_CAP,
 ) -> OracleReport:
     """Compare pipeline vs semantics on every word up to maxlen."""
-    op = bounds.resolve_op(op)
-    left, right, _ = _operands_for(op, m, n)
-    final, _ = run_pipeline(op, left, right, cap)
-    oracle = SemanticOracle(op, left, right)
-    alphabet = right.alphabet
-    disagreements = 0
-    words = 0
-    example: tuple[str, ...] | None = None
-    for length in range(maxlen + 1):
-        for word in itertools.product(alphabet, repeat=length):
-            words += 1
-            if final.run(word) != oracle.member(word):
-                disagreements += 1
-                if example is None:
-                    example = word
-    cell_m = None if TABLE[op].arity == 1 else m
-    return OracleReport(op, cell_m, n, words, maxlen, None, disagreements, example)
+    return _oracle(op, m, n, maxlen, None, None, cap)
 
 
 def conjecture_scan(

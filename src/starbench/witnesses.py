@@ -30,7 +30,11 @@ def _zero(n: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Family:
+    """A witness family. `cli_name` is its CLI spelling; families sharing
+    one differ in arity, and the smallest arity is the default."""
+
     name: str
+    cli_name: str
     arity: int
     roles: Callable[[int], tuple[Transformation, ...]]
     finals: Callable[[int], frozenset[int]]
@@ -40,54 +44,54 @@ FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
         # n-cycle, (0,1) transposition, n-1 -> 0
-        Family("U3", 3,
+        Family("U3", "U", 3,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, n - 1, 0)),
                _last),
-        Family("U0_3", 3,
+        Family("U0_3", "U0", 3,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, n - 1, 0)),
                _zero),
         # like U but the singular sends 1 -> 0
-        Family("T3", 3,
+        Family("T3", "T", 3,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, 1, 0)),
                _last),
         # transposition moved to (n-2, n-1), singular 1 -> 0, plus identity
-        Family("W4", 4,
+        Family("W4", "W", 4,
                lambda n: (_T.cycle(n), _T.transposition(n, n - 2, n - 1),
                           _T.singular(n, 1, 0), _T.identity(n)),
                _last),
-        Family("W0_4", 4,
+        Family("W0_4", "W0", 4,
                lambda n: (_T.cycle(n), _T.transposition(n, n - 2, n - 1),
                           _T.singular(n, 1, 0), _T.identity(n)),
                _zero),
         # U plus an identity letter
-        Family("U4", 4,
+        Family("U4", "U", 4,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, n - 1, 0), _T.identity(n)),
                _last),
-        Family("U0_4", 4,
+        Family("U0_4", "U0", 4,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, n - 1, 0), _T.identity(n)),
                _zero),
         # U4 plus the subcycle on 1..n-1
-        Family("U5", 5,
+        Family("U5", "U5L", 5,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, n - 1, 0), _T.identity(n),
                           _T.subcycle(n, 1, n - 1)),
                _last),
         # binary: cycle and 0 -> 1, final {0}
-        Family("S2", 2,
+        Family("S2", "S", 2,
                lambda n: (_T.cycle(n), _T.singular(n, 0, 1)),
                _zero),
         # the six-letter intersection pair
-        Family("JO6_K", 6,
+        Family("JO6_K", "JO6K", 6,
                lambda n: (_T.cycle(n), _T.identity(n),
                           _T.subcycle(n, 1, n - 1), _T.identity(n),
                           _T.singular(n, 1, 0), _T.identity(n)),
                _last),
-        Family("JO6_L", 6,
+        Family("JO6_L", "JO6L", 6,
                lambda n: (_T.cycle(n), _T.cycle(n),
                           _T.identity(n), _T.subcycle(n, 1, n - 1),
                           _T.identity(n), _T.singular(n, 1, 0)),
@@ -176,33 +180,19 @@ def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
     return len(seen)
 
 
-# CLI spellings: family prefix, n, optional role order, e.g. U:n=5:order=dcba.
-_CLI_FAMILIES = {
-    ("U", 3): "U3",
-    ("U", 4): "U4",
-    ("U0", 3): "U0_3",
-    ("U0", 4): "U0_4",
-    ("T", 3): "T3",
-    ("W", 4): "W4",
-    ("W0", 4): "W0_4",
-    ("S", 2): "S2",
-    ("U5L", 5): "U5",
-    ("JO6K", 6): "JO6_K",
-    ("JO6L", 6): "JO6_L",
-}
-_CLI_NAMES = {v: k for (k, _), v in _CLI_FAMILIES.items()}
-_DEFAULT_ARITY = {"U": 3, "U0": 3, "T": 3, "W": 4, "W0": 4, "S": 2,
-                  "U5L": 5, "JO6K": 6, "JO6L": 6}
+def _cli_arities(name: str) -> dict[int, str]:
+    """Arity -> family for one CLI family name."""
+    return {f.arity: f.name for f in FAMILIES.values() if f.cli_name == name}
 
 
 def parse_witness(text: str) -> WitnessSpec:
     """Parse a CLI witness name like `U:n=5:order=dcba` or `JO6K:n=4`."""
     parts = text.split(":")
     name = parts[0]
-    if name not in _DEFAULT_ARITY:
-        raise ValueError(
-            f"unknown witness family {name!r}; known: {sorted(_DEFAULT_ARITY)}"
-        )
+    arities = _cli_arities(name)
+    if not arities:
+        known = sorted({f.cli_name for f in FAMILIES.values()})
+        raise ValueError(f"unknown witness family {name!r}; known: {known}")
     n = None
     order: tuple[str, ...] | None = None
     for part in parts[1:]:
@@ -220,8 +210,8 @@ def parse_witness(text: str) -> WitnessSpec:
             raise ValueError(f"unknown witness field {key!r}")
     if n is None:
         raise ValueError(f"witness {text!r} is missing n=<size>")
-    arity = len(order) if order is not None else _DEFAULT_ARITY[name]
-    family = _CLI_FAMILIES.get((name, arity))
+    arity = len(order) if order is not None else min(arities)
+    family = arities.get(arity)
     if family is None:
         raise ValueError(
             f"family {name!r} does not come with {arity} letters"
@@ -232,9 +222,9 @@ def parse_witness(text: str) -> WitnessSpec:
 def format_witness(spec: WitnessSpec) -> str:
     """Inverse of parse_witness; order spelled out whenever it carries
     information (non-canonical, or arity above the CLI default)."""
-    name = _CLI_NAMES[spec.family]
-    text = f"{name}:n={spec.n}"
-    arity = FAMILIES[spec.family].arity
-    if spec.order != spec.canonical_order() or arity != _DEFAULT_ARITY[name]:
+    fam = FAMILIES[spec.family]
+    text = f"{fam.cli_name}:n={spec.n}"
+    if (spec.order != spec.canonical_order()
+            or fam.arity != min(_cli_arities(fam.cli_name))):
         text += ":order=" + "".join(spec.order)
     return text

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from starbench.bounds import (
@@ -10,7 +13,11 @@ from starbench.bounds import (
     resolve_op,
     table_csv,
 )
+from starbench.oracle import SemanticOracle
+from starbench.verify import _operands_for, run_pipeline
 from starbench.witnesses import WitnessSpec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_operation_present_once():
@@ -115,7 +122,8 @@ def test_recipe_witness_pairs():
     r = recipe("K⊕L*", 4, 5)
     assert r.left == WitnessSpec("U3", 4)
     assert r.right == WitnessSpec("U3", 5, tuple("bac"))
-    assert "star_nfa(L)" in r.pipeline and "symmetric-difference" in r.pipeline
+    assert TABLE["K⊕L*"].shape == "k_circ_lstar"  # K x det-min(star_nfa(L))
+    assert TABLE["K⊕L*"].boolean == "symmetric-difference"
 
     r = recipe("K∩L*", 4, 5)
     assert r.left == WitnessSpec("U0_3", 4)
@@ -148,7 +156,7 @@ def test_recipe_witness_pairs():
     assert r.restrict_right == ("a", "b")
 
     r = recipe("L*\\K", 4, 5)
-    assert "L*, K" in r.pipeline  # the starred side is the left product factor
+    assert TABLE["L*\\K"].shape == "lstar_circ_k"  # the starred side is the left product factor
 
 
 def test_resolve_aliases():
@@ -169,3 +177,43 @@ def test_table_csv_shape():
     assert len(lines) - 1 == 2 * 2 + 22 * 4
     assert any(line.startswith("star,theorem,") for line in lines)
     assert any(",open,open," in line and line.endswith(",open") for line in lines)
+
+
+def test_every_shape_has_a_pipeline_and_an_oracle():
+    for shape in {e.shape for e in TABLE.values()}:
+        op = next(op for op, e in TABLE.items() if e.shape == shape)
+        left, right, _ = _operands_for(op, 3, 3)
+        final, _ = run_pipeline(op, left, right)
+        assert final.size >= 1, shape
+        assert hasattr(SemanticOracle, "_" + shape), shape
+        SemanticOracle(op, left, right).member(())
+
+
+def test_aliases_unique_and_never_canonical():
+    aliases = [e.alias for e in TABLE.values() if e.alias]
+    assert len(aliases) == len(set(aliases))
+    assert not set(aliases) & set(TABLE)
+    assert list(ALIASES.values()) == [e.op for e in TABLE.values() if e.alias]
+
+
+def test_formula_text_names_only_m_and_n():
+    from starbench.bounds import _compile
+
+    assert _compile("2^(m*n-1) + 2^(m*n-2)")(3, 3) == 384
+    with pytest.raises(ValueError, match="only m and n"):
+        _compile("2^n + len(str(m))")
+
+
+def test_readme_operations_table_matches_registry():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Operations", 1)[1].split("###", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    listed = []
+    for row in rows:
+        names, aliases, status = (c.strip() for c in row.strip("|").split("|"))
+        names = re.findall(r"`([^`]*)`", names)
+        aliases = ([None] * len(names) if aliases == "same"
+                   else re.findall(r"`([^`]*)`", aliases))
+        assert len(aliases) == len(names), row
+        listed += [(op, alias, status) for op, alias in zip(names, aliases)]
+    assert listed == [(e.op, e.alias, e.status) for e in TABLE.values()]

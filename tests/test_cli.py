@@ -164,3 +164,24 @@ def test_missing_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--words", "-5"),
+    ("--words", "0"),
+    ("--words", "all", "--maxlen", "-2"),
+    ("--words", "20", "--maxlen", "-1"),
+])
+def test_oracle_rejects_nonsense_sizes(capsys, argv):
+    code, out, err = run_cli(capsys, "oracle", "KsL", "--m", "3", "--n", "3",
+                             *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_open_operation_checks_m(capsys):
+    code, out, err = run_cli(capsys, "complexity", "KxL-s", "--m", "0", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "m, n >= 3" in err
