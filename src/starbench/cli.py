@@ -32,6 +32,14 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(","):
@@ -68,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("op")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP)
 
     p = sub.add_parser("bound", help="bound formula value (or 'all' as CSV)")
     p.add_argument("op")
@@ -80,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_parse_range, default=[3, 4, 5, 6])
     p.add_argument("--n", type=_parse_range, default=[3, 4, 5, 6])
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("oracle", help="pipeline vs split-point semantics")
     p.add_argument("op")
@@ -95,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="starred-intersection scan")
     p.add_argument("--pairs", type=_parse_pairs, required=True,
                    help="comma-separated M:N pairs, e.g. 3:3,3:4")
-    p.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP)
-    p.add_argument("--bit-cap", type=int, default=verify.DEFAULT_BIT_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--bit-cap", type=_positive_int,
+                   default=verify.DEFAULT_BIT_CAP)
     p.add_argument("--jo6", action="store_true",
                    help="also run the six-letter starred-difference cells")
 

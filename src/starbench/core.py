@@ -236,16 +236,22 @@ class EpsNfa:
             raise ValueError("size must be positive")
         _check_alphabet(self.alphabet)
         letters = set(self.alphabet)
-        for (s, x), targets in self.moves.items():
-            _check_state(self.size, s, "move source")
-            if x not in letters:
-                raise ValueError(f"move on unknown letter {x!r}")
-            for t in targets:
-                _check_state(self.size, t, "move target")
-        for s, targets in self.epsilon.items():
-            _check_state(self.size, s, "epsilon source")
-            for t in targets:
-                _check_state(self.size, t, "epsilon target")
+        sources, used = zip(*self.moves) if self.moves else ((), ())
+        states = set(sources).union(self.epsilon, *self.moves.values(),
+                                    *self.epsilon.values())
+        if not letters.issuperset(used) or states and (
+                min(states) < 0 or max(states) >= self.size):
+            # the per-item checks name the first offender
+            for (s, x), targets in self.moves.items():
+                _check_state(self.size, s, "move source")
+                if x not in letters:
+                    raise ValueError(f"move on unknown letter {x!r}")
+                for t in targets:
+                    _check_state(self.size, t, "move target")
+            for s, targets in self.epsilon.items():
+                _check_state(self.size, s, "epsilon source")
+                for t in targets:
+                    _check_state(self.size, t, "epsilon target")
         for s in self.initials:
             _check_state(self.size, s, "initial state")
         for s in self.finals:

@@ -2,80 +2,69 @@
 
 The measured pipeline goes through epsilon constructions and the subset
 construction; this module never does. Membership is decided directly from
-the operand DFAs with split-point dynamic programming: per word, a table
-rows[i] holds (as a bit mask over end positions j) which substrings w[i:j]
-the operand accepts, and star/product memberships are reachability passes
-over those masks. Disagreement with the pipeline is data, never tolerated.
+the operand DFAs with split-point dynamic programming, one letter at a
+time: after reading w[:j], an operand carries one bit mask per state, the
+start positions i <= j whose substring w[i:j] leads there. The column of
+positions i with w[i:j] accepted is the OR over the final states, and star
+and product memberships are reach masks over positions, each extended by
+at most one bit per letter. A letter costs O(|Q|) big-int operations, and
+the exhaustive walk shares every prefix's work with all its extensions.
+Disagreement with the pipeline is data, never tolerated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bounds import lookup
 from .core import Dfa
 
 Word = Sequence[str]
+# The state after a prefix: (membership of the prefix, left operand's
+# masks, right operand's masks, reach mask a, reach mask b).
+Node = tuple
+Result = tuple[int, int, "tuple[str, ...] | None"]
+
+
+def _lambda(args: str, body: str) -> Callable:
+    """A mask function compiled from an expression over m[state]; bodies
+    are built from state numbers only."""
+    return eval(f"lambda {args}: {body}", {"__builtins__": {}})
+
+
+def _ors(states: Iterable[int]) -> str:
+    return " | ".join(f"m[{s}]" for s in states) or "0"
 
 
 class _Runner:
-    """Pre-indexed DFA for fast repeated word work."""
+    """An operand DFA read from every start position at once, its letters
+    indexed by position in the oracle's alphabet. moves[li](masks, bit) is
+    the masks one letter on, where `bit` is the new position, which starts
+    at the initial state; each letter's is compiled to one tuple
+    expression, as the step is the oracle's inner loop.
 
-    def __init__(self, d: Dfa):
-        self.letter_index = {x: i for i, x in enumerate(d.alphabet)}
-        self.trans = [d.delta[x].image for x in d.alphabet]
-        self.is_final = tuple(s in d.finals for s in range(d.size))
+    For reversal (`reverse`), the operand carries q -> final(δ(q, reversed
+    prefix)) instead; reading x prepends x to the reversed word.
+    """
+
+    def __init__(self, d: Dfa, alphabet: tuple[str, ...], reverse: bool = False):
         self.initial = d.initial
-
-    def encode(self, w: Word) -> list[int]:
-        try:
-            return [self.letter_index[x] for x in w]
-        except KeyError as e:
-            raise ValueError(f"unknown letter {e.args[0]!r}") from None
-
-    def accepts(self, w: Word) -> bool:
-        s = self.initial
-        trans = self.trans
-        for li in self.encode(w):
-            s = trans[li][s]
-        return self.is_final[s]
-
-    def substring_rows(self, encoded: list[int]) -> list[int]:
-        """rows[i] has bit j set iff w[i:j] is accepted (i <= j <= len)."""
-        length = len(encoded)
-        trans = self.trans
-        is_final = self.is_final
-        initial = self.initial
-        rows = []
-        for i in range(length + 1):
-            s = initial
-            mask = 1 << i if is_final[s] else 0
-            for j in range(i, length):
-                s = trans[encoded[j]][s]
-                if is_final[s]:
-                    mask |= 1 << (j + 1)
-            rows.append(mask)
-        return rows
-
-
-def _star_reach(rows: list[int], length: int, reach: int = 1) -> int:
-    """Positions i with w[:i] reachable from the seed positions `reach` by
-    zero or more chunks from the rows' language; the default seed is the
-    empty prefix (bit 0). Single ascending pass: rows[i] only carries bits
-    >= i."""
-    for i in range(length + 1):
-        if reach >> i & 1:
-            reach |= rows[i]
-    return reach
-
-
-def _ends_in(reach: int, rows: list[int], length: int) -> bool:
-    """Whether some reached position i starts a suffix w[i:] in the rows'
-    language."""
-    for i in range(length + 1):
-        if reach >> i & 1 and rows[i] >> length & 1:
-            return True
-    return False
+        self.moves = []
+        for x in alphabet:
+            image = d.delta[x].image
+            if reverse:
+                cells = [f"m[{t}]" for t in image]
+            else:
+                cells = [_ors(s for s in range(d.size) if image[s] == t)
+                         for t in range(d.size)]
+                cells[d.initial] += " | b"
+            self.moves.append(_lambda("m, b", f"({', '.join(cells)},)"))
+        self.start = tuple(s in d.finals if reverse else int(s == d.initial)
+                           for s in range(d.size))
+        # the start positions whose substring up to here is accepted, and
+        # those whose substring ends in the last state
+        self.column = _lambda("m", _ors(sorted(d.finals)))
+        self.last_column = _lambda("m", _ors([d.size - 1]))
 
 
 # Boolean operations on bit masks of positions; on single bools they give
@@ -93,129 +82,170 @@ class SemanticOracle:
 
     The operands are the actual DFAs fed to the pipeline (already
     complemented/restricted where the recipe says so), so oracle and
-    pipeline answer the exact same question by different routes. The
-    operation's registry shape names the method that decides membership.
+    pipeline answer the exact same question by different routes. Words are
+    over the right operand's alphabet. The operation's registry shape names
+    the method that makes a node from the operands' masks after a letter,
+    the reach masks a and b before it, and the new position `bit`. Its
+    defaults are the reach masks before position 0, so on the start masks
+    it makes the node of the empty word.
     """
 
     def __init__(self, op: str, left: Dfa | None, right: Dfa):
         entry = lookup(op)
         self.op = op
-        self.left = _Runner(left) if left is not None else None
-        self.right = _Runner(right)
+        self.alphabet = right.alphabet
+        self.letter_index = {x: i for i, x in enumerate(self.alphabet)}
+        k = self.left = None if left is None else _Runner(left, self.alphabet)
+        l = self.right = _Runner(right, self.alphabet, entry.shape == "reversal")
         self.combine = _ROW_COMBINE.get(entry.boolean)
-        # the doubly-starred boolean family stars witnesses whose final set
-        # may be the {0} dialect; chunks before the last follow the
-        # {n-1}-final base shape, as in the pipeline
-        if entry.shape == "kstar_circ_lstar":
-            assert left is not None
-            self.left_base = _Runner(left.with_finals({left.size - 1}))
-            self.right_base = _Runner(right.with_finals({right.size - 1}))
-        self.member: Callable[[Word], bool] = getattr(self, "_" + entry.shape)
+        self.kc, self.lc = k and k.column, l.column  # the operands' columns
+        logic = getattr(self, "_" + entry.shape)
+        k_moves = k.moves if k else [lambda m, b: None] * len(self.alphabet)
+        l_moves = l.moves
+
+        def step(node: Node, li: int, bit: int) -> Node:
+            _, km, lm, a, b = node
+            return logic(k_moves[li](km, bit), l_moves[li](lm, bit), a, b, bit)
+
+        self.step: Callable[[Node, int, int], Node] = step
+        self.start: Node = logic(k and k.start, l.start)
+
+    def encode(self, w: Word) -> list[int]:
+        try:
+            return [self.letter_index[x] for x in w]
+        except KeyError as e:
+            raise ValueError(f"unknown letter {e.args[0]!r}") from None
+
+    def member(self, w: Word) -> bool:
+        node, step = self.start, self.step
+        for j, li in enumerate(self.encode(w), 1):
+            node = step(node, li, 1 << j)
+        return bool(node[0])
+
+    def compare(self, final: Dfa, words: Iterable[Word]) -> Result:
+        """(words, disagreements, first disagreeing word) of the pipeline
+        DFA `final` against these semantics, folding both along each word."""
+        images = [final.delta[x].image for x in self.alphabet]
+        step = self.step
+        checked = disagreements = 0
+        example = None
+        for w in words:
+            node, s = self.start, final.initial
+            for j, li in enumerate(self.encode(w), 1):
+                node = step(node, li, 1 << j)
+                s = images[li][s]
+            checked += 1
+            if node[0] != (s in final.finals):
+                disagreements += 1
+                if example is None:
+                    example = tuple(w)
+        return checked, disagreements, example
+
+    def compare_all(self, final: Dfa, maxlen: int) -> Result:
+        """compare() on every word up to maxlen, walking the word trie depth
+        first: a word costs one step from its parent. The explicit stack
+        holds at most maxlen·(|Σ|-1)+1 nodes, and the example is the
+        shortlex-least disagreeing word."""
+        images = [final.delta[x].image for x in self.alphabet]
+        is_final = tuple(s in final.finals for s in range(final.size))
+        step, letters = self.step, range(len(self.alphabet) - 1, -1, -1)
+        checked = disagreements = 0
+        example = None
+        path = [0] * maxlen
+        stack = [(0, 0, final.initial, self.start)]
+        while stack:
+            depth, li, s, node = stack.pop()
+            if depth:
+                path[depth - 1] = li
+                s = images[li][s]
+            checked += 1
+            if node[0] != is_final[s]:
+                disagreements += 1
+                # a word pops before every later word of its length
+                if example is None or depth < len(example):
+                    example = tuple(self.alphabet[i] for i in path[:depth])
+            if depth < maxlen:
+                bit = 2 << depth
+                stack.extend((depth + 1, li, s, step(node, li, bit))
+                             for li in letters)
+        return checked, disagreements, example
 
     # -- unary -----------------------------------------------------------
-    def _star(self, w: Word) -> bool:
-        enc = self.right.encode(w)
-        rows = self.right.substring_rows(enc)
-        return bool(_star_reach(rows, len(enc)) >> len(enc) & 1)
+    def _star(self, km, lm, a=1, b=0, bit=1) -> Node:
+        if a & self.lc(lm):
+            a |= bit
+        return a & bit != 0, km, lm, a, b
 
-    def _reversal(self, w: Word) -> bool:
-        return self.right.accepts(tuple(reversed(tuple(w))))
+    def _reversal(self, km, lm, a=0, b=0, bit=1) -> Node:
+        return lm[self.right.initial], km, lm, a, b
 
-    # -- products --------------------------------------------------------
-    def _product(self, w: Word) -> bool:
-        assert self.left is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        k_row = self.left.substring_rows(enc)[0]
-        return _ends_in(k_row, self.right.substring_rows(enc), length)
+    # -- products; bit 0 of K's column says whether K accepts the prefix --
+    def _product(self, km, lm, a=0, b=0, bit=1) -> Node:
+        if self.kc(km) & 1:
+            a |= bit
+        return a & self.lc(lm) != 0, km, lm, a, b
 
-    def _k_lstar(self, w: Word) -> bool:
-        assert self.left is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        reach = self.left.substring_rows(enc)[0]
-        reach = _star_reach(self.right.substring_rows(enc), length, reach)
-        return bool(reach >> length & 1)
+    def _k_lstar(self, km, lm, a=0, b=0, bit=1) -> Node:
+        if self.kc(km) & 1 or a & self.lc(lm):
+            a |= bit
+        return a & bit != 0, km, lm, a, b
 
-    def _kstar_l(self, w: Word) -> bool:
-        assert self.left is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        reach = _star_reach(self.left.substring_rows(enc), length)
-        return _ends_in(reach, self.right.substring_rows(enc), length)
+    def _kstar_l(self, km, lm, a=1, b=0, bit=1) -> Node:
+        if a & self.kc(km):
+            a |= bit
+        return a & self.lc(lm) != 0, km, lm, a, b
 
-    def _kstar_lstar(self, w: Word) -> bool:
-        assert self.left is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        reach = _star_reach(self.left.substring_rows(enc), length)
-        reach = _star_reach(self.right.substring_rows(enc), length, reach)
-        return bool(reach >> length & 1)
+    def _kstar_lstar(self, km, lm, a=1, b=1, bit=1) -> Node:
+        if a & self.kc(km):
+            a |= bit
+        if a & bit or b & self.lc(lm):
+            b |= bit
+        return b & bit != 0, km, lm, a, b
 
-    def _product_star(self, w: Word) -> bool:
-        assert self.left is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        k_rows = self.left.substring_rows(enc)
-        l_rows = self.right.substring_rows(enc)
-        # rows of the product language KL, built lazily for the star pass
-        reach = 1
-        for i in range(length + 1):
-            if reach >> i & 1:
-                k_row = k_rows[i]
-                m = k_row
-                while m:
-                    low = m & -m
-                    reach |= l_rows[low.bit_length() - 1]
-                    m ^= low
-        return bool(reach >> length & 1)
+    def _product_star(self, km, lm, a=0, b=1, bit=1) -> Node:
+        # b: positions after whole KL chunks; a: after a further K chunk. A K
+        # or L holding the empty word links the two at the same position,
+        # so the L test runs again after the K test.
+        l_col = self.lc(lm)
+        if a & l_col:
+            b |= bit
+        if b & self.kc(km):
+            a |= bit
+            if a & l_col:
+                b |= bit
+        return b & bit != 0, km, lm, a, b
 
     # -- boolean families --------------------------------------------------
-    def _boolean(self, w: Word) -> bool:
-        assert self.left is not None
-        return bool(self.combine(self.left.accepts(w), self.right.accepts(w)))
+    def _boolean(self, km, lm, a=0, b=0, bit=1) -> Node:
+        return self.combine(self.kc(km) & 1, self.lc(lm) & 1), km, lm, a, b
 
-    def _k_circ_lstar(self, w: Word) -> bool:
-        assert self.left is not None
-        return bool(self.combine(self.left.accepts(w), self._star(w)))
+    def _k_circ_lstar(self, km, lm, a=1, b=0, bit=1) -> Node:
+        star = self._star(km, lm, a, b, bit)
+        return self.combine(self.kc(km) & 1, star[0]), *star[1:]
 
-    def _lstar_circ_k(self, w: Word) -> bool:
-        assert self.left is not None
-        return bool(self.combine(self._star(w), self.left.accepts(w)))
+    def _lstar_circ_k(self, km, lm, a=1, b=0, bit=1) -> Node:
+        star = self._star(km, lm, a, b, bit)
+        return self.combine(star[0], self.kc(km) & 1), *star[1:]
 
-    def _dialect_star_member(self, runner: "_Runner", base: "_Runner",
-                             enc: list[int], length: int) -> bool:
-        """Membership in the starred operand, star shape over the {n-1}-final
-        base and acceptance at the operand's own finals: a member is the
-        empty word or base-chunks followed by one chunk the operand accepts.
-        Degenerates to plain star membership for an {n-1}-final operand."""
-        if length == 0:
-            return True
-        reach = _star_reach(base.substring_rows(enc), length)
-        return _ends_in(reach, runner.substring_rows(enc), length)
+    def _kstar_circ_lstar(self, km, lm, a=1, b=1, bit=1) -> Node:
+        # the doubly-starred boolean family stars witnesses whose final set
+        # may be the {0} dialect; chunks before the last follow the
+        # {n-1}-final base shape, as in the pipeline. A member is the empty
+        # word or base chunks followed by one chunk the operand accepts,
+        # which is plain star membership for an {n-1}-final operand.
+        if a & self.left.last_column(km):
+            a |= bit
+        if b & self.right.last_column(lm):
+            b |= bit
+        in_k = bit == 1 or a & self.kc(km) != 0
+        in_l = bit == 1 or b & self.lc(lm) != 0
+        return self.combine(in_k, in_l), km, lm, a, b
 
-    def _kstar_circ_lstar(self, w: Word) -> bool:
-        assert self.left is not None and self.left_base is not None
-        assert self.right_base is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        in_kstar = self._dialect_star_member(self.left, self.left_base, enc, length)
-        in_lstar = self._dialect_star_member(self.right, self.right_base, enc, length)
-        return bool(self.combine(in_kstar, in_lstar))
-
-    def _boolean_star(self, w: Word) -> bool:
-        assert self.left is not None
-        enc = self.right.encode(w)
-        length = len(enc)
-        k_rows = self.left.substring_rows(enc)
-        l_rows = self.right.substring_rows(enc)
-        combine = self.combine
-        # difference's a & ~b stays inside a's bits, so every combiner
-        # yields masks over valid positions only
-        rows = [combine(k_rows[i], l_rows[i]) for i in range(length + 1)]
-        return bool(_star_reach(rows, length) >> length & 1)
+    def _boolean_star(self, km, lm, a=1, b=0, bit=1) -> Node:
+        if a & self.combine(self.kc(km), self.lc(lm)):
+            a |= bit
+        return a & bit != 0, km, lm, a, b
 
     # (K∪L)* is built from an NFA union rather than a product; its
     # semantics are the starred boolean ones
     _union_star = _boolean_star
-

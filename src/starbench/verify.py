@@ -359,16 +359,11 @@ def _oracle(
     left, right, _ = _operands_for(op, m, n)
     final, _ = run_pipeline(op, left, right, cap)
     oracle = SemanticOracle(op, left, right)
-    words = (right.words(maxlen) if count is None
-             else _sampled_words(right.alphabet, count, maxlen, seed))
-    checked = disagreements = 0
-    example: tuple[str, ...] | None = None
-    for word in words:
-        checked += 1
-        if final.run(word) != oracle.member(word):
-            disagreements += 1
-            if example is None:
-                example = word
+    if count is None:
+        checked, disagreements, example = oracle.compare_all(final, maxlen)
+    else:
+        checked, disagreements, example = oracle.compare(
+            final, _sampled_words(right.alphabet, count, maxlen, seed))
     cell_m = None if TABLE[op].arity == 1 else m
     return OracleReport(op, cell_m, n, checked, maxlen, seed, disagreements,
                         example)

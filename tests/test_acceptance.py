@@ -183,6 +183,11 @@ def test_criterion_9_property_suite():
     for op in ["(K∩L)*-conjecture", "(K\\L)*", "(K⊕L)*-open"]:
         report = membership_oracle(op, 3, 4, count=500, maxlen=12, seed=20240)
         assert report.disagreements == 0, (op, report.example)
+    # and exhaustively at (3, 4): 19,531, 55,987 and 19,531 words
+    for op in ["(K∩L)*-conjecture", "(K\\L)*", "(K⊕L)*-open"]:
+        report = exhaustive_oracle(op, 3, 4, maxlen=6)
+        assert report.disagreements == 0, (op, report.example)
+        assert report.words == {"(K\\L)*": 55987}.get(op, 19531), op
 
     # minimization idempotence and canonical-form equality, 100 random
     # 8-state DFAs

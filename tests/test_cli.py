@@ -185,3 +185,34 @@ def test_open_operation_checks_m(capsys):
     assert code == 2
     assert out == ""
     assert "m, n >= 3" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "KL*", "--m", "3", "--n", "3", "--cap", "0"), "--cap"),
+    (("complexity", "KL*", "--m", "3", "--n", "3", "--cap", "-1"), "--cap"),
+    (("conjecture", "--pairs", "3:3", "--cap", "0"), "--cap"),
+    (("conjecture", "--pairs", "3:3", "--bit-cap", "-1"), "--bit-cap"),
+    (("conjecture", "--pairs", "3:3", "--bit-cap", "0"), "--bit-cap"),
+    (("verify", "KL*", "--m", "3", "--n", "3", "--jobs", "-4"), "--jobs"),
+    (("verify", "KL*", "--m", "3", "--n", "3", "--jobs", "0"), "--jobs"),
+    (("verify", "KL*", "--m", "3", "--n", "3", "--jobs", "two"), "--jobs"),
+])
+def test_limits_below_one_are_usage_errors(capsys, argv, flag):
+    # a cap below 1 would skip every cell and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
+def test_limits_of_one_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "verify", "KL*", "--m", "3", "--n", "3",
+                           "--cap", "1", "--jobs", "1")
+    assert code == 0
+    assert "skipped: cap" in out
+    code, out, _ = run_cli(capsys, "conjecture", "--pairs", "3:3",
+                           "--bit-cap", "1")
+    assert code == 0
+    assert "skipped: bit cap (mn=9 > 1)" in out

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from starbench.core import Dfa, DfaFormatError, Transformation, read_dfa, write_dfa
+from starbench.core import (Dfa, DfaFormatError, EpsNfa, Transformation,
+                            read_dfa, write_dfa)
 
 U4_TEXT = """dfa 4
 alphabet a b c
@@ -104,6 +105,28 @@ def test_dfa_validation_names_the_bad_final():
         Dfa(3, ("a",), {"a": a}, 0, frozenset((0, 2, 7)))
     with pytest.raises(ValueError, match=r"final state -1 out of range \[0, 3\)"):
         Dfa(3, ("a",), {"a": a}, 0, frozenset((-1, 1)))
+
+
+def test_eps_nfa_validation_names_the_first_offender():
+    def nfa(moves, epsilon):
+        return EpsNfa(3, ("a", "b"), moves, epsilon, frozenset((0,)),
+                      frozenset((2,)))
+
+    good = {(0, "a"): frozenset((1, 2)), (2, "b"): frozenset((0,))}
+    assert nfa(good, {1: frozenset((0, 2))}).size == 3
+    with pytest.raises(ValueError, match=r"^move target 3 out of range \[0, 3\)$"):
+        nfa({**good, (1, "b"): frozenset((0, 3))}, {})
+    with pytest.raises(ValueError, match=r"^epsilon target -1 out of range \[0, 3\)$"):
+        nfa(good, {1: frozenset((0,)), 2: frozenset((-1, 1))})
+    with pytest.raises(ValueError, match=r"^move source 5 out of range \[0, 3\)$"):
+        nfa({(5, "a"): frozenset((0,))}, {})
+    with pytest.raises(ValueError, match=r"^move on unknown letter 'c'$"):
+        nfa({(0, "c"): frozenset((0,))}, {})
+    with pytest.raises(ValueError, match=r"^epsilon source 3 out of range \[0, 3\)$"):
+        nfa(good, {3: frozenset((0,))})
+    # moves are checked before epsilon edges, sources before targets
+    with pytest.raises(ValueError, match=r"^move target 4"):
+        nfa({(0, "a"): frozenset((4,))}, {7: frozenset((0,))})
 
 
 def test_write_u4_exact_block(witness):

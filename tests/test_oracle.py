@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from starbench.bounds import TABLE
+from starbench.core import Dfa, Transformation
 from starbench.oracle import SemanticOracle
 from starbench.verify import membership_oracle, run_pipeline, _operands_for
 
@@ -67,3 +69,194 @@ def test_membership_oracle_is_seed_deterministic():
 def test_open_operation_oracle_runs():
     report = membership_oracle("(K⊕L)*-open", 3, 3, count=150, maxlen=8, seed=5)
     assert report.disagreements == 0
+
+
+# -- a brute-force reference for every shape --------------------------------
+# Membership straight from the definitions: Dfa.run on slices of the word,
+# with the star and concatenation recursions memoised by start index. It
+# shares no code with starbench.oracle.
+
+_BOOL = {
+    "union": lambda a, b: a or b,
+    "intersection": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+    "symmetric-difference": lambda a, b: a != b,
+}
+
+
+def _reference(shape, boolean, k, l):
+    """member(word) for one registry shape over operands k (or None), l."""
+    combine = _BOOL.get(boolean)
+    # one run per operand and distinct slice, shared by all words
+    k_run = functools.cache(k.run) if k is not None else None
+    l_run = functools.cache(l.run)
+    k_base, l_base = (
+        None if d is None else functools.cache(
+            d.with_finals({d.size - 1}).run)
+        for d in (k, l))
+
+    def member(word):
+        w = tuple(word)
+        n = len(w)
+
+        def on_slices(run):
+            return lambda i, j: run(w[i:j])
+
+        in_k, in_l = on_slices(k_run), on_slices(l_run)
+
+        def star_then(chunk, tail):
+            """i -> whether w[i:] is in chunk* followed by tail."""
+            memo = {}
+
+            def go(i):
+                if i not in memo:
+                    memo[i] = tail(i) or any(chunk(i, j) and go(j)
+                                             for j in range(i + 1, n + 1))
+                return memo[i]
+            return go
+
+        def suffix(accepts):
+            return lambda i: accepts(i, n)
+
+        def dialect_star(base, accepts):
+            # the empty word, or {n-1}-final base chunks and then one chunk
+            # the operand itself accepts
+            return n == 0 or star_then(on_slices(base), suffix(accepts))(0)
+
+        def ends(i):
+            return i == n
+
+        if shape == "star":
+            return star_then(in_l, ends)(0)
+        if shape == "reversal":
+            return l.run(w[::-1])
+        if shape == "product":
+            return any(in_k(0, j) and in_l(j, n) for j in range(n + 1))
+        if shape == "k_lstar":
+            lstar = star_then(in_l, ends)
+            return any(in_k(0, j) and lstar(j) for j in range(n + 1))
+        if shape == "kstar_l":
+            return star_then(in_k, suffix(in_l))(0)
+        if shape == "kstar_lstar":
+            return star_then(in_k, star_then(in_l, ends))(0)
+        if shape == "product_star":
+            def kl(i, h):
+                return any(in_k(i, j) and in_l(j, h) for j in range(i, h + 1))
+            return star_then(kl, ends)(0)
+        if shape == "boolean":
+            return combine(in_k(0, n), in_l(0, n))
+        if shape == "k_circ_lstar":
+            return combine(in_k(0, n), star_then(in_l, ends)(0))
+        if shape == "lstar_circ_k":
+            return combine(star_then(in_l, ends)(0), in_k(0, n))
+        if shape == "kstar_circ_lstar":
+            return combine(dialect_star(k_base, in_k), dialect_star(l_base, in_l))
+        if shape in ("boolean_star", "union_star"):
+            def chunk(i, j):
+                return combine(in_k(i, j), in_l(i, j))
+            return star_then(chunk, ends)(0)
+        raise AssertionError(f"no reference for shape {shape}")
+
+    return member
+
+
+def _trie_dfa(alphabet, maxlen, members):
+    """The DFA accepting exactly the listed members among the words up to
+    maxlen: state i is the i-th word in shortlex order, plus a sink."""
+    k = len(alphabet)
+    words = sum(k ** length for length in range(maxlen + 1))
+    inner = words - k ** maxlen  # words that are shorter than maxlen
+    delta = {x: Transformation(tuple(s * k + li + 1 if s < inner else words
+                                     for s in range(words)) + (words,))
+             for li, x in enumerate(alphabet)}
+    finals = frozenset(i for i, m in enumerate(members) if m)
+    return Dfa(words + 1, alphabet, delta, 0, finals)
+
+
+def _check_against_reference(op, left, right, maxlen):
+    shape, boolean = TABLE[op].shape, TABLE[op].boolean
+    reference = _reference(shape, boolean, left, right)
+    oracle = SemanticOracle(op, left, right)
+    words = list(right.words(maxlen))
+    members = [reference(w) for w in words]
+    assert [oracle.member(w) for w in words] == members, op
+    # the trie walk against a DFA of exactly the reference's members must
+    # see every word and agree on each
+    trie = _trie_dfa(right.alphabet, maxlen, members)
+    assert oracle.compare_all(trie, maxlen) == (len(words), 0, None), op
+
+
+def test_reference_covers_every_shape():
+    reference_shapes = {"star", "reversal", "product", "k_lstar", "kstar_l",
+                        "kstar_lstar", "product_star", "boolean",
+                        "k_circ_lstar", "lstar_circ_k", "kstar_circ_lstar",
+                        "boolean_star", "union_star"}
+    assert {e.shape for e in TABLE.values()} == reference_shapes
+
+
+@pytest.mark.parametrize("op", list(TABLE))
+def test_oracle_matches_reference_on_every_short_word(op):
+    left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    _check_against_reference(op, left, right, 6)
+
+
+def test_oracle_matches_reference_on_long_random_words():
+    rng = random.Random(4520)
+    for op, entry in TABLE.items():
+        left, right, _ = _operands_for(op, None if entry.arity == 1 else 4, 5)
+        reference = _reference(entry.shape, entry.boolean, left, right)
+        oracle = SemanticOracle(op, left, right)
+        for _ in range(300):
+            w = tuple(rng.choice(right.alphabet)
+                      for _ in range(rng.randint(0, 20)))
+            assert oracle.member(w) == reference(w), (op, w)
+
+
+@pytest.mark.parametrize("op", ["K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"])
+@pytest.mark.parametrize("pair", [("W0_4", "W0_4"), ("W0_4", "W4"),
+                                  ("W4", "W0_4")])
+def test_dialect_stars_with_the_empty_word(witness, op, pair):
+    # {0}-final operands hold the empty word; the pipeline stars them in
+    # the {n-1}-final base shape
+    left, right = witness(pair[0], 3), witness(pair[1], 3, "dcba")
+    _check_against_reference(op, left, right, 5)
+    final, _ = run_pipeline(op, left, right)
+    assert SemanticOracle(op, left, right).compare_all(final, 5)[1:] == (0, None)
+
+
+@pytest.mark.parametrize("pair", [("U0_3", "U3"), ("U3", "U0_3"),
+                                  ("U0_3", "U0_3")])
+def test_product_star_with_the_empty_word(witness, pair):
+    left, right = witness(pair[0], 3), witness(pair[1], 3, "bac")
+    _check_against_reference("(KL)*", left, right, 6)
+    final, _ = run_pipeline("(KL)*", left, right)
+    oracle = SemanticOracle("(KL)*", left, right)
+    assert oracle.compare_all(final, 6)[1:] == (0, None)
+
+
+@pytest.mark.parametrize("op", ["K*L", "(KL)*", "K∪L*", "(K∩L)*-conjecture"])
+def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
+    from starbench import verify
+
+    def flipped(op, left, right, cap=None):
+        final, sd = real(op, left, right)
+        # flip the state that the alphabet, read backwards, reaches
+        state = final.state_after(reversed(final.alphabet))
+        return final.with_finals(final.finals ^ {state}), sd
+
+    real = verify.run_pipeline
+    monkeypatch.setattr(verify, "run_pipeline", flipped)
+    report = verify.exhaustive_oracle(op, 3, 3, maxlen=6)
+    left, right, _ = _operands_for(op, 3, 3)
+    final, _ = flipped(op, left, right)
+    oracle = SemanticOracle(op, left, right)
+    wrong = [w for w in right.words(6) if final.run(w) != oracle.member(w)]
+    assert wrong
+    assert report.words == sum(len(right.alphabet) ** k for k in range(7))
+    assert report.disagreements == len(wrong)
+    assert report.example == wrong[0]  # words() is shortlex
+    sampled = verify.membership_oracle(op, 3, 3, count=400, maxlen=8, seed=3)
+    words = verify._sampled_words(right.alphabet, 400, 8, 3)
+    wrong = [w for w in words if final.run(w) != oracle.member(w)]
+    assert sampled.disagreements == len(wrong)
+    assert sampled.example == (wrong[0] if wrong else None)

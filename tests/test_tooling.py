@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -16,3 +17,20 @@ def test_every_traced_name_resolves():
     for module_name, attr, _ in tracing.PATCHES:
         importlib.import_module(module_name)
         assert callable(getattr(sys.modules[module_name], attr)), (module_name, attr)
+
+
+def test_oracle_imports_nothing_from_the_pipeline():
+    # the oracle is the independent route: within the package it may use
+    # the value types and the registry, never the constructions it checks
+    oracle = TRACING.parent.parent / "src" / "starbench" / "oracle.py"
+    inside = set()
+    for node in ast.walk(ast.parse(oracle.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level or name.startswith("starbench"):
+                # `from . import x` has no module name and is refused
+                inside.add(name.removeprefix("starbench").lstrip(".") or "?")
+        elif isinstance(node, ast.Import):
+            inside.update(a.name for a in node.names
+                          if a.name.startswith("starbench"))
+    assert inside == {"core", "bounds"}
