@@ -168,6 +168,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "oracle":
         if args.words == "all":
+            words = verify.exhaustive_word_count(args.op, args.m, args.n,
+                                                 args.maxlen)
+            print(f"checking all {words} words up to length {args.maxlen}",
+                  file=sys.stderr)
             report = verify.exhaustive_oracle(args.op, args.m, args.n, args.maxlen)
         else:
             try:

@@ -7,7 +7,6 @@ Inputs are never modified.
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 
 from .core import Dfa, EpsNfa, Transformation
@@ -157,40 +156,34 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
 
     Pairs are discovered by BFS from the initial pair in alphabet order, so
     unreachable pairs never materialize and numbering is deterministic.
+    Each letter's column is appended as its pairs are expanded.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
     alphabet = d1.alphabet
-    t1 = [d1.delta[x].image for x in alphabet]
-    t2 = [d2.delta[x].image for x in alphabet]
+    columns: list[list[int]] = [[] for _ in alphabet]
+    letters = [(d1.delta[x].image, d2.delta[x].image, column)
+               for x, column in zip(alphabet, columns)]
 
     start = (d1.initial, d2.initial)
     index: dict[tuple[int, int], int] = {start: 0}
     order = [start]
-    rows: list[list[int]] = []
-    queue = deque((start,))
-    while queue:
-        p, q = queue.popleft()
-        row = []
-        for li in range(len(alphabet)):
-            target = (t1[li][p], t2[li][q])
+    for p, q in order:  # grows as new pairs are discovered
+        for t1, t2, column in letters:
+            target = (t1[p], t2[q])
             ti = index.get(target)
             if ti is None:
                 ti = len(order)
                 index[target] = ti
                 order.append(target)
-                queue.append(target)
-            row.append(ti)
-        rows.append(row)
+            column.append(ti)
 
-    size = len(order)
-    delta = {
-        x: Transformation(tuple(rows[s][li] for s in range(size)))
-        for li, x in enumerate(alphabet)
-    }
+    delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
+    # accept[f1][f2]: op.combine on the finality of each side
+    accept = [[op.combine(f1, f2) for f2 in (False, True)] for f1 in (False, True)]
+    in1 = list(map(d1.finals.__contains__, range(d1.size)))
+    in2 = list(map(d2.finals.__contains__, range(d2.size)))
     finals = frozenset(
-        i
-        for i, (p, q) in enumerate(order)
-        if op.combine(p in d1.finals, q in d2.finals)
+        i for i, (p, q) in enumerate(order) if accept[in1[p]][in2[q]]
     )
-    return Dfa(size, alphabet, delta, 0, finals)
+    return Dfa(len(order), alphabet, delta, 0, finals)

@@ -345,6 +345,20 @@ def _sampled_words(
         yield tuple(rng.choice(alphabet) for _ in range(length))
 
 
+def _check_maxlen(maxlen: int) -> None:
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
+
+
+def exhaustive_word_count(op: str, m: int | None, n: int, maxlen: int) -> int:
+    """How many words exhaustive_oracle checks: every word over the cell's
+    alphabet of length at most maxlen."""
+    _check_maxlen(maxlen)
+    _, right, _ = _operands_for(bounds.resolve_op(op), m, n)
+    letters = len(right.alphabet)
+    return sum(letters**k for k in range(maxlen + 1))
+
+
 def _oracle(
     op: str, m: int | None, n: int, maxlen: int, seed: int | None,
     count: int | None, cap: int | None,
@@ -353,8 +367,7 @@ def _oracle(
     seeded random words, or on every word up to maxlen when count is None."""
     if count is not None and count < 1:
         raise ValueError(f"the word count must be at least 1, got {count}")
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
+    _check_maxlen(maxlen)
     op = bounds.resolve_op(op)
     left, right, _ = _operands_for(op, m, n)
     final, _ = run_pipeline(op, left, right, cap)

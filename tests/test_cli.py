@@ -116,6 +116,18 @@ def test_oracle_exhaustive(capsys):
     assert "disagreements=0" in out
 
 
+def test_oracle_exhaustive_announces_its_word_count(capsys):
+    # the walk can take minutes, so its size is on stderr before it starts
+    code, out, err = run_cli(
+        capsys, "oracle", "K*L", "--m", "3", "--n", "3", "--words", "all",
+        "--maxlen", "5"
+    )
+    assert code == 0
+    # 1 + 4 + 16 + 64 + 256 + 1024 words over K*L's four letters
+    assert err == "checking all 1365 words up to length 5\n"
+    assert "words=1365" in out
+
+
 def test_conjecture_verb(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--pairs", "3:3,3:4")
     assert code == 0

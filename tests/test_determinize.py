@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -166,6 +167,7 @@ def test_moore_and_hopcroft_agree():
     for _ in range(60):
         d = random_dfa(rng, rng.randint(1, 10), ("a", "b", "c"))
         assert minimize(d, refine=_hopcroft_blocks) == minimize(d, refine=_moore_blocks)
+        assert minimize(d) == minimize(d, refine=_moore_blocks)
 
 
 def _chain(n):
@@ -215,8 +217,69 @@ def test_moore_and_hopcroft_agree_on_edge_cases(make, minimal_size):
     d = make()
     hopcroft = minimize(d, refine=_hopcroft_blocks)
     assert hopcroft == minimize(d, refine=_moore_blocks)
+    assert minimize(d) == hopcroft
     if minimal_size is not None:
         assert hopcroft.size == minimal_size
+
+
+def _spy_on_hopcroft(monkeypatch):
+    """Record the size of every DFA the default refine hands to Hopcroft."""
+    module = importlib.import_module("starbench.minimize")
+    calls = []
+
+    def spy(trans, final):
+        calls.append(len(final))
+        return _hopcroft_blocks(trans, final)
+
+    monkeypatch.setattr(module, "_hopcroft_blocks", spy)
+    return calls
+
+
+def test_chain_falls_back_to_hopcroft(monkeypatch):
+    # Moore needs a round per state on a chain; past 2·bit_length(n)
+    # rounds the default refine starts over with Hopcroft
+    calls = _spy_on_hopcroft(monkeypatch)
+    d = _chain(1500)
+    assert minimize(d) == minimize(d, refine=_moore_blocks)
+    assert calls == [1500]
+
+
+def test_table_cells_need_no_fallback(monkeypatch):
+    # the measured DFAs are nearly all distinguishable and shallow for
+    # Moore: no cell of the registry at m, n = 3..4 reaches the guard
+    from starbench.bounds import TABLE
+    from starbench.verify import verify_cell
+
+    calls = _spy_on_hopcroft(monkeypatch)
+    for op, entry in TABLE.items():
+        for m in ((3, 4) if entry.arity == 2 else (None,)):
+            for n in (3, 4):
+                cell = verify_cell(op, m, n)
+                assert cell.verdict in ("match", "open-measured"), cell
+    assert calls == []
+
+
+def test_minimize_returns_canonical_minimal_dfa_itself(witness):
+    m = minimize(witness("U3", 6))
+    assert minimize(m) is m
+    # a subset DFA is BFS-numbered already; this one is also minimal
+    d = _conjecture_subset_dfa(3, 3)
+    assert minimize(d) is d
+    # minimal but not BFS-numbered: a new, renumbered value
+    shuffled = relabel_states(m, [0, 2, 1, 3, 4, 5])
+    assert minimize(shuffled) is not shuffled
+    assert minimize(shuffled) == m
+
+
+def test_minimize_drops_unreachable_self_looping_final():
+    # state 2 is final and loops on every letter, but nothing enters it
+    t = {"a": Transformation((1, 0, 2)), "b": Transformation((0, 1, 2))}
+    d = Dfa(3, ("a", "b"), t, 0, frozenset((1, 2)))
+    m = minimize(d)
+    assert m.size == 2
+    assert m.finals == frozenset((1,))
+    assert m == minimize(d, refine=_moore_blocks)
+    assert equivalent(m, d)
 
 
 def test_minimized_states_all_reachable_and_distinguishable():
@@ -411,3 +474,13 @@ def test_determinize_matches_reference_on_constructions(witness):
         assert _assert_same_determinization(nfa)
     # the empty subset is reached, and decodes to the empty label
     assert frozenset() in determinize(cases[1]).labels
+
+
+def test_packed_masks_match_reference_labels(witness):
+    # 70 states need 9 bytes per mask, past the 64-bit word
+    nfa = star_nfa(witness("U3", 69).restrict("a"))
+    _, labels = _reference_determinize(nfa)
+    sd = determinize(nfa)
+    assert sd.width == 9
+    assert len(sd.packed) == sd.width * sd.dfa.size
+    assert sd.masks == tuple(sum(1 << q for q in label) for label in labels)

@@ -34,3 +34,22 @@ def test_oracle_imports_nothing_from_the_pipeline():
             inside.update(a.name for a in node.names
                           if a.name.startswith("starbench"))
     assert inside == {"core", "bounds"}
+
+
+def test_package_imports_only_the_standard_library():
+    # the README promises a pure standard-library package
+    package = TRACING.parent.parent / "src" / "starbench"
+    outside = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top != "starbench":
+                    outside.add((path.name, name))
+    assert not outside
