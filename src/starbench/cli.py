@@ -147,12 +147,16 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(bounds.table_csv(ms, ns), end="")
             return 0
         op = bounds.resolve_op(args.op)
-        if len(ms) == 1 and len(ns) == 1:
-            print(bounds.evaluate(op, ms[0], ns[0]))
+        if bounds.lookup(op).arity == 1:
+            # as in `bound all`: no m column, and m is not a range to walk
+            cells = [("-", n, n) for n in ns]
         else:
-            for m in ms:
-                for n in ns:
-                    print(f"{m},{n},{bounds.evaluate(op, m, n)}")
+            cells = [(m, m, n) for m in ms for n in ns]
+        if len(cells) == 1:
+            print(bounds.evaluate(op, *cells[0][1:]))
+        else:
+            for shown, m, n in cells:
+                print(f"{shown},{n},{bounds.evaluate(op, m, n)}")
         return 0
 
     if args.verb == "verify":

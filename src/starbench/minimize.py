@@ -9,7 +9,7 @@ per-subset successor computation and the partition refinement.
 The subset construction reads successors from 8-bit chunk tables, so a
 subset costs ceil(n/8) lookups whatever its size, and keeps only the bit
 mask of each subset, packed at a fixed width into one bytes value;
-`SubsetDfa.labels` decodes them when asked.
+`SubsetDfa.label` and `SubsetDfa.labels` decode them when asked.
 
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
@@ -19,7 +19,10 @@ rounds, and they stop as soon as every block is a singleton. A DFA still
 splitting after 2·bit_length(n) rounds (a chain, say, which needs n) is
 refined from scratch by Hopcroft's algorithm on a refinable partition
 held in flat arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA
-minimization", IPL 2012), so the worst case stays O(kn log n).
+minimization", IPL 2012), so the worst case stays O(kn log n). The
+uncapped Moore refinement both are checked against lives in the tests.
+Equivalence is the pair search of Hopcroft and Karp (1971), which also
+finds a shortest distinguishing word.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, count, filterfalse
 
 from .core import Dfa, EpsNfa, Transformation
-from .ops import BooleanOp, product_dfa
 
 DEFAULT_SUBSET_CAP = 2_000_000
 
@@ -78,10 +80,16 @@ class SubsetDfa:
             for i in range(self.dfa.size)
         )
 
+    def label(self, state: int) -> frozenset[int]:
+        """The subset of one DFA state as a set, decoded from its mask."""
+        width = self.width
+        chunk = self.packed[state * width:(state + 1) * width]
+        return _decode(int.from_bytes(chunk, "little"))
+
     @property
     def labels(self) -> tuple[frozenset[int], ...]:
-        """The subset of each DFA state as a set, decoded from its mask."""
-        return tuple(map(_decode, self.masks))
+        """The subset of each DFA state, in state order."""
+        return tuple(map(self.label, range(self.dfa.size)))
 
 
 def _closure_masks(nfa: EpsNfa) -> list[int]:
@@ -315,40 +323,21 @@ def _capped_moore_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[
     return block_of if nblocks == n else _hopcroft_blocks(trans, final)
 
 
-def _moore_blocks(trans: list[list[int]], final: list[bool]) -> list[int]:
-    """Moore's quadratic refinement, uncapped; the tests' cross-check for
-    the other two.
-
-    Each round renames every state by its block and its successors' blocks,
-    numbered in order of first appearance, until no block splits.
-    """
-    block_of = [1 if f else 0 for f in final]
-    nblocks = len(set(block_of))
-    while True:
-        successors = (map(block_of.__getitem__, col) for col in trans)
-        signatures = list(zip(block_of, *successors))
-        ids = dict(zip(dict.fromkeys(signatures), count()))
-        block_of = list(map(ids.__getitem__, signatures))
-        if len(ids) == nblocks:
-            return block_of
-        nblocks = len(ids)
-
-
-def minimize(d: Dfa, refine=_capped_moore_blocks) -> Dfa:
+def minimize(d: Dfa) -> Dfa:
     """The minimal complete DFA for L(d), canonically numbered.
 
     Unreachable states are dropped and the rest renumbered by BFS from the
-    initial state with alphabet-ordered expansion; `refine` then merges
-    indistinguishable states into blocks, and the quotient keeps that BFS
-    numbering. So two equivalent DFAs over the same alphabet minimize to
-    field-identical values, and a DFA already in that form is returned
-    as it is.
+    initial state with alphabet-ordered expansion; _capped_moore_blocks
+    then merges indistinguishable states into blocks, and the quotient
+    keeps that BFS numbering. So two equivalent DFAs over the same
+    alphabet minimize to field-identical values, and a DFA already in
+    that form is returned as it is.
     """
     images = [d.delta[x].image for x in d.alphabet]
     trans, final = _bfs_numbering(
         images, list(map(d.finals.__contains__, range(d.size))), d.initial
     )
-    block_of = refine(trans, final)
+    block_of = _capped_moore_blocks(trans, final)
     # Number the blocks by their least state. The input is BFS-numbered,
     # and then so is this quotient: the first edge into a block, in
     # (source, letter) order, is the first edge into its least state.
@@ -378,11 +367,8 @@ def state_complexity(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> int:
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """L(d1) == L(d2), by emptiness of the symmetric-difference product."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
-    prod = product_dfa(d1, d2, BooleanOp.SYMDIFF)
-    return not prod.finals
+    """L(d1) == L(d2): no word is accepted by exactly one of them."""
+    return distinguishing_word(d1, d2) is None
 
 
 def distinguishing_word(d1: Dfa, d2: Dfa) -> tuple[str, ...] | None:

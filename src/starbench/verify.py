@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 from . import bounds
-from .bounds import Recipe, TABLE
+from .bounds import TABLE
 from .core import Dfa, EpsNfa, write_dfa
 from .minimize import (
     DEFAULT_SUBSET_CAP,
@@ -74,17 +74,6 @@ class OracleReport:
     seed: int | None  # None for exhaustive enumeration
     disagreements: int
     example: tuple[str, ...] | None = None
-
-
-def build_operands(rec: Recipe) -> tuple[Dfa | None, Dfa]:
-    """Materialize a recipe's operand DFAs, applying its transforms."""
-    left = build(rec.left) if rec.left is not None else None
-    right = build(rec.right)
-    if rec.restrict_right:
-        right = right.restrict(rec.restrict_right)
-    if rec.complement_right:
-        right = right.complement()
-    return left, right
 
 
 # The shapes whose construction is one NFA, measured by det-min, as
@@ -159,17 +148,19 @@ def measure_operands(
     return final.size
 
 
-def _diagnostics(final: Dfa, labels: tuple[frozenset[int], ...] | None) -> str:
+def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:
+    """The offending DFA, then the first _DIAG_LABELS subset labels; only
+    those are drawn from `labels`, which may be lazy."""
     parts = []
     if final.size <= _DIAG_DFA_LIMIT:
         parts.append(write_dfa(final))
     else:
         parts.append(f"(minimal DFA with {final.size} states not dumped)\n")
-    if labels:
-        shown = [
-            "{" + ",".join(str(q) for q in sorted(label)) + "}"
-            for label in labels[:_DIAG_LABELS]
-        ]
+    shown = [
+        "{" + ",".join(str(q) for q in sorted(label)) + "}"
+        for label in itertools.islice(labels or (), _DIAG_LABELS)
+    ]
+    if shown:
         parts.append("subset labels: " + " ".join(shown) + "\n")
     return "".join(parts)
 
@@ -213,7 +204,8 @@ def verify_cell(
         verdict = "ABOVE-BOUND"
         note = "measured size exceeds a proved upper bound: pipeline bug or refuted claim"
     if verdict in ("below-bound", "ABOVE-BOUND"):
-        diagnostics = _diagnostics(final, None if sd is None else sd.labels)
+        diagnostics = _diagnostics(
+            final, None if sd is None else map(sd.label, range(sd.dfa.size)))
     return VerificationCell(
         op, entry.status, cell_m, n, expected, measured, verdict, millis,
         names, note, diagnostics,
@@ -234,11 +226,6 @@ def _cell_args(
     return args
 
 
-def _cell_worker(packed: tuple[str, int | None, int, int | None]) -> VerificationCell:
-    op, m, n, cap = packed
-    return verify_cell(op, m, n, cap)
-
-
 def verify_table(
     ops: list[str] | None,
     ms: list[int],
@@ -250,11 +237,12 @@ def verify_table(
     for v in itertools.chain(ms, ns):
         if not 3 <= v <= 12:
             raise ValueError(f"m/n ranges must lie within [3, 12], got {v}")
-    args = [(op, m, n, cap) for op, m, n in _cell_args(ops, ms, ns)]
-    if jobs <= 1 or len(args) <= 1:
-        return [_cell_worker(a) for a in args]
+    cells = _cell_args(ops, ms, ns)
+    if jobs <= 1 or len(cells) <= 1:
+        return [verify_cell(op, m, n, cap) for op, m, n in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cell_worker, args, chunksize=1))
+        return list(pool.map(verify_cell, *zip(*cells), [cap] * len(cells),
+                             chunksize=1))
 
 
 def summary_counts(cells: list[VerificationCell]) -> dict[str, int]:
@@ -332,7 +320,12 @@ def _operands_for(op: str, m: int | None, n: int) -> tuple[Dfa | None, Dfa, str]
     if entry.arity == 2 and m is None:
         raise ValueError(f"operation {op} needs m")
     rec = entry.witnesses(m, n)
-    left, right = build_operands(rec)
+    left = build(rec.left) if rec.left is not None else None
+    right = build(rec.right)
+    if rec.restrict_right:
+        right = right.restrict(rec.restrict_right)
+    if rec.complement_right:
+        right = right.complement()
     return left, right, rec.witness_names()
 
 

@@ -4,8 +4,8 @@ Every family assigns canonical roles (cycle, transposition, singular, ...)
 to the letters a, b, c, ... in order. A letter_order permutation reassigns
 the roles: order "dcba" gives the cycle to d, the transposition to c, and
 so on, leaving the alphabet itself in canonical order so operand pairs stay
-compatible. Finals default to {n-1}; the {0}-finals dialects are their own
-families (U0, W0) and the only override the factory accepts.
+compatible. Finals are {n-1}, except in S and in the {0}-final dialects,
+which are families of their own (U0, W0) sharing their base's roles.
 """
 
 from __future__ import annotations
@@ -40,46 +40,39 @@ class Family:
     finals: Callable[[int], frozenset[int]]
 
 
+def _u_roles(n: int) -> tuple[Transformation, ...]:
+    # n-cycle, (0,1) transposition, n-1 -> 0
+    return _T.cycle(n), _T.transposition(n, 0, 1), _T.singular(n, n - 1, 0)
+
+
+def _u4_roles(n: int) -> tuple[Transformation, ...]:
+    # U plus an identity letter
+    return _u_roles(n) + (_T.identity(n),)
+
+
+def _w_roles(n: int) -> tuple[Transformation, ...]:
+    # transposition moved to (n-2, n-1), singular 1 -> 0, plus identity
+    return (_T.cycle(n), _T.transposition(n, n - 2, n - 1),
+            _T.singular(n, 1, 0), _T.identity(n))
+
+
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        # n-cycle, (0,1) transposition, n-1 -> 0
-        Family("U3", "U", 3,
-               lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                          _T.singular(n, n - 1, 0)),
-               _last),
-        Family("U0_3", "U0", 3,
-               lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                          _T.singular(n, n - 1, 0)),
-               _zero),
+        Family("U3", "U", 3, _u_roles, _last),
+        Family("U0_3", "U0", 3, _u_roles, _zero),
         # like U but the singular sends 1 -> 0
         Family("T3", "T", 3,
                lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
                           _T.singular(n, 1, 0)),
                _last),
-        # transposition moved to (n-2, n-1), singular 1 -> 0, plus identity
-        Family("W4", "W", 4,
-               lambda n: (_T.cycle(n), _T.transposition(n, n - 2, n - 1),
-                          _T.singular(n, 1, 0), _T.identity(n)),
-               _last),
-        Family("W0_4", "W0", 4,
-               lambda n: (_T.cycle(n), _T.transposition(n, n - 2, n - 1),
-                          _T.singular(n, 1, 0), _T.identity(n)),
-               _zero),
-        # U plus an identity letter
-        Family("U4", "U", 4,
-               lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                          _T.singular(n, n - 1, 0), _T.identity(n)),
-               _last),
-        Family("U0_4", "U0", 4,
-               lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                          _T.singular(n, n - 1, 0), _T.identity(n)),
-               _zero),
+        Family("W4", "W", 4, _w_roles, _last),
+        Family("W0_4", "W0", 4, _w_roles, _zero),
+        Family("U4", "U", 4, _u4_roles, _last),
+        Family("U0_4", "U0", 4, _u4_roles, _zero),
         # U4 plus the subcycle on 1..n-1
         Family("U5", "U5L", 5,
-               lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                          _T.singular(n, n - 1, 0), _T.identity(n),
-                          _T.subcycle(n, 1, n - 1)),
+               lambda n: _u4_roles(n) + (_T.subcycle(n, 1, n - 1),),
                _last),
         # binary: cycle and 0 -> 1, final {0}
         Family("S2", "S", 2,
@@ -99,8 +92,6 @@ FAMILIES: dict[str, Family] = {
     )
 }
 
-_ALLOWED_FINALS = ("last", "zero")
-
 
 @dataclass(frozen=True)
 class WitnessSpec:
@@ -109,7 +100,6 @@ class WitnessSpec:
     family: str
     n: int
     letter_order: tuple[str, ...] | None = None
-    finals_override: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
         fam = FAMILIES.get(self.family)
@@ -124,13 +114,9 @@ class WitnessSpec:
                     f"letter_order {self.letter_order} is not a permutation "
                     f"of {canonical}"
                 )
-        if self.finals_override is not None:
-            allowed = (frozenset((0,)), frozenset((self.n - 1,)))
-            if self.finals_override not in allowed:
-                raise ValueError(
-                    "finals_override must be {0} or {n-1}, got "
-                    f"{sorted(self.finals_override)}"
-                )
+            if self.letter_order == canonical:
+                # one spec per witness: the canonical order is the default
+                object.__setattr__(self, "letter_order", None)
 
     def canonical_order(self) -> tuple[str, ...]:
         return tuple(CANONICAL_LETTERS[: FAMILIES[self.family].arity])
@@ -146,9 +132,7 @@ def build(spec: WitnessSpec) -> Dfa:
     fam = FAMILIES[spec.family]
     n = spec.n
     canonical = spec.canonical_order()
-    roles = fam.roles(n)
-    finals = spec.finals_override or fam.finals(n)
-    d = Dfa(n, canonical, dict(zip(canonical, roles)), 0, finals)
+    d = Dfa(n, canonical, dict(zip(canonical, fam.roles(n))), 0, fam.finals(n))
     if spec.order != canonical:
         pi = dict(zip(canonical, spec.order))
         d = d.permute_letters(pi)

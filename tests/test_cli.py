@@ -63,6 +63,17 @@ def test_bound_all_csv(capsys):
     assert out.splitlines()[0] == "op,status,formula,m,n,value"
 
 
+def test_bound_unary_range_prints_one_row_per_n(capsys):
+    # as `bound all` does: no m column, each n once
+    code, out, _ = run_cli(capsys, "bound", "star", "--n", "3..4")
+    assert code == 0
+    assert out == "-,3,6\n-,4,12\n"
+    # a single n is still the bare value, whatever --m says
+    code, out, _ = run_cli(capsys, "bound", "star", "--m", "3..5", "--n", "4")
+    assert code == 0
+    assert out == "12\n"
+
+
 def test_verify_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "KL*", "--m", "3..4", "--n", "3..4")
     assert code == 0

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from starbench.minimize import (
     DEFAULT_SUBSET_CAP,
     SubsetCapExceeded,
     _hopcroft_blocks,
-    _moore_blocks,
     determinize,
     distinguishing_word,
     equivalent,
@@ -26,6 +26,35 @@ from starbench.ops import (
     star_nfa,
 )
 from starbench.witnesses import WitnessSpec, build
+
+
+MINIMIZE = importlib.import_module("starbench.minimize")
+
+
+def _moore_blocks(trans, final):
+    """Moore's quadratic refinement, uncapped: the reference the capped
+    rounds and Hopcroft are checked against.
+
+    Each round renames every state by its block and its successors' blocks,
+    numbered in order of first appearance, until no block splits.
+    """
+    block_of = [1 if f else 0 for f in final]
+    nblocks = len(set(block_of))
+    while True:
+        successors = (map(block_of.__getitem__, col) for col in trans)
+        signatures = list(zip(block_of, *successors))
+        ids = dict(zip(dict.fromkeys(signatures), itertools.count()))
+        block_of = list(map(ids.__getitem__, signatures))
+        if len(ids) == nblocks:
+            return block_of
+        nblocks = len(ids)
+
+
+def minimize_by(monkeypatch, refine, d):
+    """minimize(d) with `refine` in place of the capped Moore rounds."""
+    with monkeypatch.context() as patch:
+        patch.setattr(MINIMIZE, "_capped_moore_blocks", refine)
+        return minimize(d)
 
 
 def random_dfa(rng, size, alphabet=("a", "b")):
@@ -162,12 +191,13 @@ def test_minimize_idempotent_and_canonical():
         assert minimize(relabel_states(d, perm)) == m
 
 
-def test_moore_and_hopcroft_agree():
+def test_moore_and_hopcroft_agree(monkeypatch):
     rng = random.Random(7)
     for _ in range(60):
         d = random_dfa(rng, rng.randint(1, 10), ("a", "b", "c"))
-        assert minimize(d, refine=_hopcroft_blocks) == minimize(d, refine=_moore_blocks)
-        assert minimize(d) == minimize(d, refine=_moore_blocks)
+        moore = minimize_by(monkeypatch, _moore_blocks, d)
+        assert minimize_by(monkeypatch, _hopcroft_blocks, d) == moore
+        assert minimize(d) == moore
 
 
 def _chain(n):
@@ -194,11 +224,11 @@ def _with_unreachable(rng):
 
 def _conjecture_subset_dfa(m, n):
     """The subset DFA of the (K∩L)* conjecture cell, before minimization."""
-    from starbench.bounds import recipe
-    from starbench.verify import build_operands, run_pipeline
+    from starbench.verify import _operands_for, run_pipeline
 
     op = "(K∩L)*-conjecture"
-    _, sd = run_pipeline(op, *build_operands(recipe(op, m, n)))
+    left, right, _ = _operands_for(op, m, n)
+    _, sd = run_pipeline(op, left, right)
     return sd.dfa
 
 
@@ -213,34 +243,33 @@ def _conjecture_subset_dfa(m, n):
     (lambda: _conjecture_subset_dfa(3, 4), 3072),
 ], ids=["chain", "all-final", "no-final", "unreachable", "one-state",
         "conjecture-3-3", "conjecture-3-4"])
-def test_moore_and_hopcroft_agree_on_edge_cases(make, minimal_size):
+def test_moore_and_hopcroft_agree_on_edge_cases(monkeypatch, make, minimal_size):
     d = make()
-    hopcroft = minimize(d, refine=_hopcroft_blocks)
-    assert hopcroft == minimize(d, refine=_moore_blocks)
+    hopcroft = minimize_by(monkeypatch, _hopcroft_blocks, d)
+    assert hopcroft == minimize_by(monkeypatch, _moore_blocks, d)
     assert minimize(d) == hopcroft
     if minimal_size is not None:
         assert hopcroft.size == minimal_size
 
 
 def _spy_on_hopcroft(monkeypatch):
-    """Record the size of every DFA the default refine hands to Hopcroft."""
-    module = importlib.import_module("starbench.minimize")
+    """Record the size of every DFA the capped Moore rounds hand to Hopcroft."""
     calls = []
 
     def spy(trans, final):
         calls.append(len(final))
         return _hopcroft_blocks(trans, final)
 
-    monkeypatch.setattr(module, "_hopcroft_blocks", spy)
+    monkeypatch.setattr(MINIMIZE, "_hopcroft_blocks", spy)
     return calls
 
 
 def test_chain_falls_back_to_hopcroft(monkeypatch):
     # Moore needs a round per state on a chain; past 2·bit_length(n)
-    # rounds the default refine starts over with Hopcroft
+    # rounds the capped Moore rounds start over with Hopcroft
     calls = _spy_on_hopcroft(monkeypatch)
     d = _chain(1500)
-    assert minimize(d) == minimize(d, refine=_moore_blocks)
+    assert minimize(d) == minimize_by(monkeypatch, _moore_blocks, d)
     assert calls == [1500]
 
 
@@ -271,14 +300,14 @@ def test_minimize_returns_canonical_minimal_dfa_itself(witness):
     assert minimize(shuffled) == m
 
 
-def test_minimize_drops_unreachable_self_looping_final():
+def test_minimize_drops_unreachable_self_looping_final(monkeypatch):
     # state 2 is final and loops on every letter, but nothing enters it
     t = {"a": Transformation((1, 0, 2)), "b": Transformation((0, 1, 2))}
     d = Dfa(3, ("a", "b"), t, 0, frozenset((1, 2)))
     m = minimize(d)
     assert m.size == 2
     assert m.finals == frozenset((1,))
-    assert m == minimize(d, refine=_moore_blocks)
+    assert m == minimize_by(monkeypatch, _moore_blocks, d)
     assert equivalent(m, d)
 
 
@@ -361,6 +390,29 @@ def test_permutational_pair_not_equivalent(witness):
     assert word is not None and d1.run(word) != d2.run(word)
     assert word == ("a", "a", "a")
     assert d1.run("aaa") and not d2.run("aaa")
+
+
+def test_distinguishing_word_matches_brute_force():
+    # a disagreement, if any, shows up by length |d1|·|d2|: the pair walk
+    # visits no more pairs than that
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(400):
+        d1 = random_dfa(rng, rng.randint(1, 3))
+        d2 = random_dfa(rng, rng.randint(1, 3))
+        words = (w for k in range(d1.size * d2.size + 1)
+                 for w in itertools.product("ab", repeat=k))
+        shortest = next((w for w in words if d1.run(w) != d2.run(w)), None)
+        word = distinguishing_word(d1, d2)
+        assert equivalent(d1, d2) == (word is None)
+        if shortest is None:
+            assert word is None
+        else:
+            assert word is not None and d1.run(word) != d2.run(word)
+            assert len(word) == len(shortest)
+        outcomes.add(None if word is None else min(len(word), 2))
+    # equivalent pairs, and words of length 0, 1 and longer all occur
+    assert outcomes == {None, 0, 1, 2}
 
 
 def _reference_determinize(nfa, cap=DEFAULT_SUBSET_CAP):

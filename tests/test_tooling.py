@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -19,12 +21,18 @@ def test_every_traced_name_resolves():
         assert callable(getattr(sys.modules[module_name], attr)), (module_name, attr)
 
 
-def test_oracle_imports_nothing_from_the_pipeline():
+@pytest.mark.parametrize("module, allowed", [
     # the oracle is the independent route: within the package it may use
     # the value types and the registry, never the constructions it checks
-    oracle = TRACING.parent.parent / "src" / "starbench" / "oracle.py"
+    ("oracle", {"core", "bounds"}),
+    # the instrument decides equivalence by pair search, so it must not
+    # lean on the product construction that the pipeline shares
+    ("minimize", {"core"}),
+], ids=["oracle", "minimize"])
+def test_oracle_imports_nothing_from_the_pipeline(module, allowed):
+    path = TRACING.parent.parent / "src" / "starbench" / f"{module}.py"
     inside = set()
-    for node in ast.walk(ast.parse(oracle.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             name = node.module or ""
             if node.level or name.startswith("starbench"):
@@ -33,7 +41,7 @@ def test_oracle_imports_nothing_from_the_pipeline():
         elif isinstance(node, ast.Import):
             inside.update(a.name for a in node.names
                           if a.name.startswith("starbench"))
-    assert inside == {"core", "bounds"}
+    assert inside == allowed
 
 
 def test_package_imports_only_the_standard_library():

@@ -167,6 +167,35 @@ def test_mismatch_diagnostics_format():
     assert shown[2] == "{0,1}"
 
 
+def test_below_bound_diagnostics_decode_only_the_shown_labels(monkeypatch):
+    # a forced mismatch on a cell with more subsets than are shown: the
+    # text is unchanged, and only the shown masks are decoded
+    import importlib
+
+    from starbench import bounds
+    from starbench.core import write_dfa
+    from starbench.verify import _operands_for, run_pipeline, verify_cell
+
+    minimize_module = importlib.import_module("starbench.minimize")
+    left, right, _ = _operands_for("star", None, 5)
+    final, sd = run_pipeline("star", left, right)
+    assert sd.dfa.size > 20
+    expected = write_dfa(final) + "subset labels: " + " ".join(
+        "{" + ",".join(str(q) for q in sorted(label)) + "}"
+        for label in sd.labels[:20]
+    ) + "\n"
+
+    decoded = []
+    decode = minimize_module._decode
+    monkeypatch.setattr(minimize_module, "_decode",
+                        lambda mask: decoded.append(mask) or decode(mask))
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size + 1)
+    cell = verify_cell("star", None, 5)
+    assert cell.verdict == "below-bound"
+    assert cell.diagnostics == expected
+    assert 0 < len(decoded) <= 20
+
+
 def test_above_bound_sets_flag():
     cell = VerificationCell("KL*", "theorem", 3, 3, 10, 11, "ABOVE-BOUND",
                             0, "x")

@@ -125,16 +125,6 @@ def test_spec_validation():
         WitnessSpec("U3", 4, ("a", "b"))
     with pytest.raises(ValueError):
         WitnessSpec("U3", 4, ("a", "b", "d"))
-    with pytest.raises(ValueError):
-        WitnessSpec("U3", 4, finals_override=frozenset((1,)))
-    # the two final sets the families use are accepted
-    WitnessSpec("U3", 4, finals_override=frozenset((0,)))
-    WitnessSpec("U3", 4, finals_override=frozenset((3,)))
-
-
-def test_finals_override_applied(witness):
-    d = build(WitnessSpec("U3", 4, finals_override=frozenset((0,))))
-    assert d == witness("U0_3", 4)
 
 
 def test_monoid_sizes(witness):
@@ -191,10 +181,20 @@ def test_parse_witness_cli_names(text, family, n, order):
 
 
 def test_parse_format_round_trip():
-    for text in ["U:n=5:order=dcba", "W0:n=4", "S:n=6:order=ba", "JO6K:n=4",
-                 "U:n=4:order=abcd", "U5L:n=3"]:
-        spec = parse_witness(text)
-        assert parse_witness(format_witness(spec)) == spec
+    specs = [parse_witness(text) for text in [
+        "U:n=5:order=dcba", "W0:n=4", "S:n=6:order=ba", "JO6K:n=4",
+        "U:n=4:order=abcd", "U5L:n=3"]]
+    # every spec the families make, in canonical and in reversed order;
+    # the name must rebuild the same DFA, finals included
+    for family in FAMILIES:
+        for n in range(3, 6):
+            canonical = WitnessSpec(family, n).canonical_order()
+            specs += [WitnessSpec(family, n), WitnessSpec(family, n, canonical),
+                      WitnessSpec(family, n, canonical[::-1])]
+    for spec in specs:
+        again = parse_witness(format_witness(spec))
+        assert again == spec, format_witness(spec)
+        assert build(again) == build(spec)
 
 
 @pytest.mark.parametrize("bad", [
