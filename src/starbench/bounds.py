@@ -97,6 +97,9 @@ class BoundEntry:
         return 1 if self.left is None else 2
 
     def check_range(self, m: int | None, n: int, what: str) -> None:
+        """m and n of a cell; a unary operation ignores m."""
+        if self.arity == 2 and m is None:
+            raise ValueError(f"operation {self.op} needs m")
         if n < 3 or (self.arity == 2 and m < 3):
             raise ValueError(f"{what} require m, n >= 3, got m={m}, n={n}")
 
@@ -169,31 +172,27 @@ _ENTRIES = (
 
 TABLE: dict[str, BoundEntry] = {e.op: e for e in _ENTRIES}
 
-# Shell-safe spellings accepted by the CLI alongside the canonical tags.
+# Shell-safe spellings, which `lookup` accepts alongside the canonical tags.
 ALIASES: dict[str, str] = {e.alias: e.op for e in _ENTRIES if e.alias}
 
 
-def lookup(op: str) -> BoundEntry:
-    """The registry entry of a canonical operation tag."""
-    entry = TABLE.get(op)
+def lookup(name: str) -> BoundEntry:
+    """The registry entry of an operation, by canonical tag or alias."""
+    entry = TABLE.get(ALIASES.get(name, name))
     if entry is None:
-        raise UnknownOperation(f"unknown operation {op!r}")
+        raise UnknownOperation(
+            f"unknown operation {name!r}; known: {', '.join(TABLE)}")
     return entry
 
 
 def resolve_op(name: str) -> str:
-    """Canonical operation tag for a CLI name (tag itself or an alias)."""
-    if name in TABLE:
-        return name
-    if name in ALIASES:
-        return ALIASES[name]
-    raise UnknownOperation(
-        f"unknown operation {name!r}; known: {', '.join(TABLE)}"
-    )
+    """Canonical operation tag for a name (tag itself or an alias)."""
+    return lookup(name).op
 
 
-def evaluate(op: str, m: int, n: int) -> int:
-    """Exact integer value of the bound formula at (m, n)."""
+def evaluate(op: str, m: int | None, n: int) -> int:
+    """Exact integer value of the bound formula at (m, n); m is ignored by
+    unary operations."""
     entry = lookup(op)
     if entry.formula is None:
         raise NoKnownBound(f"no known bound for {op}")
@@ -201,7 +200,7 @@ def evaluate(op: str, m: int, n: int) -> int:
     return entry.formula(m, n)
 
 
-def recipe(op: str, m: int, n: int) -> Recipe:
+def recipe(op: str, m: int | None, n: int) -> Recipe:
     """The witness pair claimed to meet this bound."""
     entry = lookup(op)
     if entry.status == "open":
@@ -216,16 +215,13 @@ def table_csv(ms: list[int], ns: list[int]) -> str:
     writer.writerow(["op", "status", "formula", "m", "n", "value"])
     for entry in TABLE.values():
         cells = (
-            [("-", n) for n in ns] if entry.arity == 1
+            [(None, n) for n in ns] if entry.arity == 1
             else [(m, n) for m in ms for n in ns]
         )
         for m, n in cells:
-            if entry.formula is None:
-                value = "open"
-            else:
-                value = str(entry.formula(m if m != "-" else 0, n))
+            value = "open" if entry.formula is None else entry.formula(m, n)
             writer.writerow(
                 [entry.op, entry.status, entry.formula_text or "open",
-                 m, n, value]
+                 "-" if m is None else m, n, value]
             )
     return out.getvalue()

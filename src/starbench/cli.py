@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bounds, verify
-from .minimize import DEFAULT_SUBSET_CAP
+from .minimize import DEFAULT_SUBSET_CAP, SubsetCapExceeded
 from .core import write_dfa
 from .witnesses import build, monoid_size, parse_witness
 
@@ -104,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_parse_pairs, required=True,
                    help="comma-separated M:N pairs, e.g. 3:3,3:4")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP)
-    p.add_argument("--bit-cap", type=_positive_int,
-                   default=verify.DEFAULT_BIT_CAP)
     p.add_argument("--jo6", action="store_true",
                    help="also run the six-letter starred-difference cells")
 
@@ -124,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, bounds.UnknownOperation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except SubsetCapExceeded as e:  # a skip, as in a skipped cell
+        print(e.note, file=sys.stderr)
+        return 0
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -132,8 +133,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "complexity":
-        op = bounds.resolve_op(args.op)
-        cell = verify.verify_cell(op, args.m, args.n, args.cap)
+        cell = verify.verify_cell(args.op, args.m, args.n, args.cap)
         if cell.verdict == "skipped":
             print(cell.note, file=sys.stderr)
             return 0
@@ -146,17 +146,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.op == "all":
             print(bounds.table_csv(ms, ns), end="")
             return 0
-        op = bounds.resolve_op(args.op)
-        if bounds.lookup(op).arity == 1:
+        if bounds.lookup(args.op).arity == 1:
             # as in `bound all`: no m column, and m is not a range to walk
-            cells = [("-", n, n) for n in ns]
+            cells = [(None, n) for n in ns]
         else:
-            cells = [(m, m, n) for m in ms for n in ns]
+            cells = [(m, n) for m in ms for n in ns]
         if len(cells) == 1:
-            print(bounds.evaluate(op, *cells[0][1:]))
+            print(bounds.evaluate(args.op, *cells[0]))
         else:
-            for shown, m, n in cells:
-                print(f"{shown},{n},{bounds.evaluate(op, m, n)}")
+            for m, n in cells:
+                shown = "-" if m is None else m
+                print(f"{shown},{n},{bounds.evaluate(args.op, m, n)}")
         return 0
 
     if args.verb == "verify":
@@ -196,9 +196,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1 if report.disagreements else 0
 
     if args.verb == "conjecture":
-        cells = verify.conjecture_scan(
-            args.pairs, args.cap, args.bit_cap, args.jo6
-        )
+        cells = verify.conjecture_scan(args.pairs, args.cap, args.jo6)
         print(verify.render_text(cells), end="")
         return 1 if verify.any_above_bound(cells) else 0
 

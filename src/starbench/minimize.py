@@ -39,12 +39,23 @@ DEFAULT_SUBSET_CAP = 2_000_000
 
 
 class SubsetCapExceeded(RuntimeError):
-    """Subset frontier grew past the configured cap; result abandoned."""
+    """Subset frontier grew past the configured cap, result abandoned; or,
+    with `bound`, the bound on the result already exceeds it, so nothing
+    was built and `discovered` is that bound."""
 
-    def __init__(self, discovered: int, cap: int):
-        super().__init__(f"subset frontier exceeded cap: {discovered} > {cap}")
+    def __init__(self, discovered: int, cap: int, bound: bool = False):
+        what = "bound" if bound else "subset frontier"
+        super().__init__(f"{what} exceeded cap: {discovered} > {cap}")
         self.discovered = discovered
         self.cap = cap
+        self.bound = bound
+
+    @property
+    def note(self) -> str:
+        """The reason a skipped cell reports."""
+        if self.bound:
+            return f"skipped: cap (bound {self.discovered} > {self.cap})"
+        return f"skipped: cap ({self.discovered} > {self.cap} subsets)"
 
 
 def _decode(mask: int) -> frozenset[int]:

@@ -92,7 +92,7 @@ class SemanticOracle:
 
     def __init__(self, op: str, left: Dfa | None, right: Dfa):
         entry = lookup(op)
-        self.op = op
+        self.op = entry.op
         self.alphabet = right.alphabet
         self.letter_index = {x: i for i, x in enumerate(self.alphabet)}
         k = self.left = None if left is None else _Runner(left, self.alphabet)

@@ -44,7 +44,6 @@ from .ops import (
 from .oracle import SemanticOracle
 from .witnesses import build
 
-DEFAULT_BIT_CAP = 26
 _DIAG_DFA_LIMIT = 2000
 _DIAG_LABELS = 20
 
@@ -168,25 +167,24 @@ def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:
 def verify_cell(
     op: str, m: int | None, n: int, cap: int | None = DEFAULT_SUBSET_CAP
 ) -> VerificationCell:
-    """Execute one (operation, m, n) check against its bound."""
+    """Execute one (operation, m, n) check against its bound; the cell is
+    skipped when its bound or its subset frontier exceeds `cap`."""
     entry = bounds.lookup(op)
     cell_m = None if entry.arity == 1 else m
     start = time.perf_counter()
-    left, right, names = _operands_for(op, m, n)
-    expected = (None if entry.status == "open"
-                else bounds.evaluate(op, m if m is not None else n, n))
-
     try:
+        left, right, names = _operands_for(op, m, n, cap)
         final, sd = run_pipeline(op, left, right, cap)
-        measured: int | None = final.size
     except SubsetCapExceeded as e:
-        millis = int((time.perf_counter() - start) * 1000)
-        return VerificationCell(
-            op, entry.status, cell_m, n, expected, None, "skipped", millis,
-            names, note=f"skipped: cap ({e.discovered} > {e.cap} subsets)",
-        )
-
+        final, skip = None, e
     millis = int((time.perf_counter() - start) * 1000)
+    expected = None if entry.status == "open" else bounds.evaluate(op, m, n)
+    if final is None:
+        return VerificationCell(
+            entry.op, entry.status, cell_m, n, expected, None, "skipped",
+            millis, entry.witnesses(m, n).witness_names(), note=skip.note,
+        )
+    measured = final.size
     note = ""
     diagnostics = ""
     if entry.status == "open":
@@ -207,7 +205,7 @@ def verify_cell(
         diagnostics = _diagnostics(
             final, None if sd is None else map(sd.label, range(sd.dfa.size)))
     return VerificationCell(
-        op, entry.status, cell_m, n, expected, measured, verdict, millis,
+        entry.op, entry.status, cell_m, n, expected, measured, verdict, millis,
         names, note, diagnostics,
     )
 
@@ -215,7 +213,7 @@ def verify_cell(
 def _cell_args(
     ops: list[str] | None, ms: list[int], ns: list[int]
 ) -> list[tuple[str, int | None, int]]:
-    chosen = list(TABLE) if ops is None else [bounds.resolve_op(o) for o in ops]
+    chosen = list(TABLE) if ops is None else [bounds.lookup(o).op for o in ops]
     ordered = [op for op in TABLE if op in set(chosen)]
     args: list[tuple[str, int | None, int]] = []
     for op in ordered:
@@ -313,13 +311,19 @@ def render_json(cells: list[VerificationCell]) -> str:
     return json.dumps([asdict(c) for c in cells], ensure_ascii=False, indent=2) + "\n"
 
 
-def _operands_for(op: str, m: int | None, n: int) -> tuple[Dfa | None, Dfa, str]:
-    """The operand DFAs of a cell and their witness names; the open
-    operation gets its candidate pair, under the same range checks."""
+def _operands_for(
+    op: str, m: int | None, n: int, cap: int | None = DEFAULT_SUBSET_CAP
+) -> tuple[Dfa | None, Dfa, str]:
+    """The operand DFAs of a cell, named by tag or alias, and their witness
+    names; the open operation gets its candidate pair. The registry checks
+    m and n, and a bound above `cap` raises SubsetCapExceeded before any
+    witness is built."""
     entry = bounds.lookup(op)
-    if entry.arity == 2 and m is None:
-        raise ValueError(f"operation {op} needs m")
     rec = entry.witnesses(m, n)
+    if cap is not None and entry.formula is not None:
+        bound = entry.formula(m, n)
+        if bound > cap:
+            raise SubsetCapExceeded(bound, cap, bound=True)
     left = build(rec.left) if rec.left is not None else None
     right = build(rec.right)
     if rec.restrict_right:
@@ -345,9 +349,10 @@ def _check_maxlen(maxlen: int) -> None:
 
 def exhaustive_word_count(op: str, m: int | None, n: int, maxlen: int) -> int:
     """How many words exhaustive_oracle checks: every word over the cell's
-    alphabet of length at most maxlen."""
+    alphabet of length at most maxlen. A cell whose bound is over the
+    default cap raises SubsetCapExceeded, as the oracle would."""
     _check_maxlen(maxlen)
-    _, right, _ = _operands_for(bounds.resolve_op(op), m, n)
+    _, right, _ = _operands_for(op, m, n)
     letters = len(right.alphabet)
     return sum(letters**k for k in range(maxlen + 1))
 
@@ -361,8 +366,7 @@ def _oracle(
     if count is not None and count < 1:
         raise ValueError(f"the word count must be at least 1, got {count}")
     _check_maxlen(maxlen)
-    op = bounds.resolve_op(op)
-    left, right, _ = _operands_for(op, m, n)
+    left, right, _ = _operands_for(op, m, n, cap)
     final, _ = run_pipeline(op, left, right, cap)
     oracle = SemanticOracle(op, left, right)
     if count is None:
@@ -370,9 +374,8 @@ def _oracle(
     else:
         checked, disagreements, example = oracle.compare(
             final, _sampled_words(right.alphabet, count, maxlen, seed))
-    cell_m = None if TABLE[op].arity == 1 else m
-    return OracleReport(op, cell_m, n, checked, maxlen, seed, disagreements,
-                        example)
+    return OracleReport(oracle.op, None if left is None else m, n, checked,
+                        maxlen, seed, disagreements, example)
 
 
 def membership_oracle(
@@ -402,24 +405,9 @@ def exhaustive_oracle(
 def conjecture_scan(
     pairs: list[tuple[int, int]],
     cap: int | None = DEFAULT_SUBSET_CAP,
-    bit_cap: int = DEFAULT_BIT_CAP,
     include_jo6: bool = False,
 ) -> list[VerificationCell]:
-    """Run the starred-intersection conjecture cells (and optionally the
+    """The starred-intersection conjecture cells (and optionally the
     six-letter starred-difference cells) over the given (m, n) pairs."""
-    ops = ["(K∩L)*-conjecture"]
-    if include_jo6:
-        ops.append("(K\\L)*")
-    cells = []
-    for op in ops:
-        for m, n in pairs:
-            if m * n > bit_cap:
-                expected = bounds.evaluate(op, m, n)
-                cells.append(VerificationCell(
-                    op, TABLE[op].status, m, n, expected, None, "skipped", 0,
-                    bounds.recipe(op, m, n).witness_names(),
-                    note=f"skipped: bit cap (mn={m * n} > {bit_cap})",
-                ))
-            else:
-                cells.append(verify_cell(op, m, n, cap))
-    return cells
+    ops = ["(K∩L)*-conjecture"] + (["(K\\L)*"] if include_jo6 else [])
+    return [verify_cell(op, m, n, cap) for op in ops for m, n in pairs]

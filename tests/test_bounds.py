@@ -54,6 +54,7 @@ def test_every_operation_present_once():
     ("(K∩L)*-conjecture", 3, 5, 24576),
     ("(K∩L)*-conjecture", 3, 6, 196608),
     ("(K\\L)*", 3, 3, 384),
+    ("KsL", 4, 5, 281),
 ])
 def test_formula_values(op, m, n, value):
     assert evaluate(op, m, n) == value
@@ -89,6 +90,13 @@ def test_range_validation():
     with pytest.raises(ValueError):
         recipe("KL*", 3, 2)
     evaluate("star", 0, 3)  # m ignored for unary operations
+    evaluate("star", None, 3)
+    for check in (lambda: evaluate("KL*", None, 3),
+                  lambda: recipe("KL*", None, 3),
+                  lambda: TABLE["KL*"].witnesses(None, 3),
+                  lambda: _operands_for("KLs", None, 3)):
+        with pytest.raises(ValueError, match=r"^operation KL\* needs m$"):
+            check()
 
 
 def test_symmetry_only_for_symmetric_operations():
@@ -140,6 +148,7 @@ def test_recipe_witness_pairs():
 
     r = recipe("K*L", 4, 5)
     assert (r.left, r.right) == (WitnessSpec("U4", 4), WitnessSpec("U4", 5, tuple("dcba")))
+    assert recipe("KsL", 4, 5) == r
 
     r = recipe("(K∪L)*", 4, 5)
     assert (r.left, r.right) == (WitnessSpec("S2", 4), WitnessSpec("S2", 5, tuple("ba")))

@@ -139,6 +139,15 @@ def test_oracle_exhaustive_announces_its_word_count(capsys):
     assert "words=1365" in out
 
 
+def test_oracle_skips_a_bound_over_the_cap(capsys):
+    # exit 1 is kept for a disagreement; a skip exits 0, as in `complexity`
+    for words in ("3", "all"):
+        code, out, err = run_cli(capsys, "oracle", "KiL-s", "--m", "5",
+                                 "--n", "5", "--words", words)
+        assert (code, out) == (0, "")
+        assert err == "skipped: cap (bound 25165824 > 2000000)\n"
+
+
 def test_conjecture_verb(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--pairs", "3:3,3:4")
     assert code == 0
@@ -214,8 +223,8 @@ def test_open_operation_checks_m(capsys):
     (("verify", "KL*", "--m", "3", "--n", "3", "--cap", "0"), "--cap"),
     (("complexity", "KL*", "--m", "3", "--n", "3", "--cap", "-1"), "--cap"),
     (("conjecture", "--pairs", "3:3", "--cap", "0"), "--cap"),
-    (("conjecture", "--pairs", "3:3", "--bit-cap", "-1"), "--bit-cap"),
-    (("conjecture", "--pairs", "3:3", "--bit-cap", "0"), "--bit-cap"),
+    (("conjecture", "--pairs", "3:3", "--cap", "-1"), "--cap"),
+    (("complexity", "KL*", "--m", "3", "--n", "3", "--cap", "0"), "--cap"),
     (("verify", "KL*", "--m", "3", "--n", "3", "--jobs", "-4"), "--jobs"),
     (("verify", "KL*", "--m", "3", "--n", "3", "--jobs", "0"), "--jobs"),
     (("verify", "KL*", "--m", "3", "--n", "3", "--jobs", "two"), "--jobs"),
@@ -236,6 +245,6 @@ def test_limits_of_one_are_accepted(capsys):
     assert code == 0
     assert "skipped: cap" in out
     code, out, _ = run_cli(capsys, "conjecture", "--pairs", "3:3",
-                           "--bit-cap", "1")
+                           "--cap", "1")
     assert code == 0
-    assert "skipped: bit cap (mn=9 > 1)" in out
+    assert "skipped: cap" in out

@@ -18,6 +18,7 @@ def test_epsilon_always_in_starred_side(witness):
     # and K intersect L* contains it exactly when K does (it does not here)
     assert not SemanticOracle("K∩L*", k, l).member(())
     assert SemanticOracle("K∩L*", witness("U0_3", 4), l).member(())
+    assert SemanticOracle("KuLs", k, l).op == "K∪L*"
 
 
 def test_star_oracle_small_trace(witness):
@@ -234,7 +235,8 @@ def test_product_star_with_the_empty_word(witness, pair):
     assert oracle.compare_all(final, 6)[1:] == (0, None)
 
 
-@pytest.mark.parametrize("op", ["K*L", "(KL)*", "K∪L*", "(K∩L)*-conjecture"])
+@pytest.mark.parametrize("op", ["K*L", "(KL)*", "K∪L*", "(K∩L)*-conjecture",
+                                "KdLs"])
 def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
     from starbench import verify
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -61,3 +62,18 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "starbench":
                     outside.add((path.name, name))
     assert not outside
+
+
+def test_readme_command_line_flags_match_the_parser():
+    # a flag removed from the parser must not linger in the docs, and a
+    # flag added to it must be shown there
+    from starbench.cli import _build_parser
+
+    readme = (TRACING.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    documented = set(re.findall(r"--[a-z0-9][a-z0-9-]*", block))
+    verbs = _build_parser()._subparsers._group_actions[0].choices.values()
+    options = {flag for verb in verbs for action in verb._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+    assert documented == options

@@ -46,10 +46,35 @@ def test_open_operation_is_measured_not_asserted():
 
 
 def test_cap_marks_cell_skipped():
-    cell = verify_cell("K*L", 5, 5, cap=10)
-    assert cell.verdict == "skipped"
-    assert cell.measured is None
-    assert "skipped: cap" in cell.note
+    # a bound over the cap skips the cell before anything is built; the
+    # open entry has no bound, so its subset frontier meets the cap
+    for (op, m, n), note in [
+        (("K*L", 5, 5), "skipped: cap (bound 593 > 10)"),
+        (("(K⊕L)*-open", 3, 3), "skipped: cap (11 > 10 subsets)"),
+    ]:
+        cell = verify_cell(op, m, n, cap=10)
+        assert cell.verdict == "skipped"
+        assert cell.measured is None
+        assert "skipped: cap" in cell.note
+        assert cell.note == note
+
+
+def test_bound_over_the_default_cap_skips_at_once():
+    # the starred-boolean cells used to fill the 2M-subset frontier first,
+    # for seconds and hundreds of MiB; K*∪L* ends in a product, which the
+    # frontier cap never saw
+    for op, m, n, bound in [("KiL-s", 5, 5, 25165824),
+                            ("(K\\L)*", 5, 6, 805306368),
+                            ("KsuLs", 11, 11, 2356226)]:
+        cell = verify_cell(op, m, n)
+        assert (cell.verdict, cell.expected) == ("skipped", bound)
+        assert cell.note == f"skipped: cap (bound {bound} > 2000000)"
+        assert cell.millis < 1000
+
+
+def test_verify_cell_accepts_an_alias():
+    cell = verify_cell("KsL", 4, 5)
+    assert (cell.op, cell.verdict, cell.measured) == ("K*L", "match", 281)
 
 
 def test_unary_cells_have_no_m():
@@ -148,6 +173,7 @@ def test_non_dialect_intersection_falls_below_bound():
     l = build(WitnessSpec("U3", 5, tuple("bac")))
     measured = measure_operands("K∩L*", k, l)
     assert measured < evaluate("K∩L*", 4, 5)
+    assert measure_operands("KiLs", k, l) == measured
 
 
 def test_mismatch_diagnostics_format():
@@ -209,11 +235,22 @@ def test_conjecture_scan_required_pairs():
     assert all(c.status == "conjecture" for c in cells)
 
 
-def test_conjecture_scan_bit_cap():
-    cells = conjecture_scan([(3, 3), (6, 5)], bit_cap=26)
+def test_conjecture_scan_skips_a_bound_over_the_cap(monkeypatch):
+    # the (6, 5) bound, 2^29 + 2^28, is over the default cap, so that cell
+    # is skipped before any witness is built
+    from starbench import verify
+
+    built = []
+    build = verify.build
+    monkeypatch.setattr(verify, "build",
+                        lambda spec: built.append(spec.n) or build(spec))
+    cells = conjecture_scan([(3, 3), (6, 5)])
     assert cells[0].verdict == "match"
+    assert built == [3, 3]
     assert cells[1].verdict == "skipped"
-    assert "bit cap" in cells[1].note
+    assert cells[1].note == f"skipped: cap (bound {2**29 + 2**28} > 2000000)"
+    assert cells[1].expected == evaluate("(K∩L)*-conjecture", 6, 5)
+    assert cells[1].witnesses == "U5L:n=6, U5L:n=5:order=ecbad"
 
 
 def test_conjecture_scan_with_jo6():
