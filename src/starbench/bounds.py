@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .witnesses import WitnessSpec, format_witness
+from .witnesses import WitnessSpec, format_witness, parse_witness
 
 
 class NoKnownBound(ValueError):
@@ -58,20 +58,16 @@ def _compile(text: str) -> Callable[[int, int], int]:
     return lambda m, n: eval(code, {"__builtins__": {}}, {"m": m, "n": n})
 
 
-def _witness(text: str, n: int) -> WitnessSpec:
-    family, _, order = text.partition(":")
-    return WitnessSpec(family, n, tuple(order) or None)
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     """One operation.
 
-    `left` and `right` name the witness pair as FAMILY or FAMILY:ORDER, the
-    order giving the letters that perform the family's roles; a unary
-    operation has no left witness. `shape` selects the construction and the
-    oracle semantics; `boolean` is the BooleanOp value the operation embeds,
-    if any. `formula` is compiled from `formula_text`, its only spelling.
+    `left` and `right` name the witness pair in the README's witness
+    syntax without the size (`U`, `U:order=bac`), the `witnesses` method
+    adding m and n; a unary operation has no left witness. `shape`
+    selects the construction and the oracle semantics; `boolean` is the
+    BooleanOp value the operation embeds, if any. `formula` is compiled
+    from `formula_text`, its only spelling.
     """
 
     op: str
@@ -107,9 +103,10 @@ class BoundEntry:
         """The witness pair at (m, n); for the open operation, its candidate
         pair. m is ignored by unary operations."""
         self.check_range(m, n, "witnesses")
-        left = None if self.left is None else _witness(self.left, m)
-        return Recipe(left, _witness(self.right, n), self.complement_right,
-                      self.restrict_right)
+        left = (None if self.left is None
+                else parse_witness(f"{self.left}:n={m}"))
+        return Recipe(left, parse_witness(f"{self.right}:n={n}"),
+                      self.complement_right, self.restrict_right)
 
 
 _K_CIRC_LSTAR = "m*(2^(n-1) + 2^(n-2) - 1) + 1"
@@ -118,56 +115,60 @@ _MN_STAR = "2^(m*n-1) + 2^(m*n-2)"
 
 _ENTRIES = (
     BoundEntry("star", None, "theorem", "star", "2^(n-1) + 2^(n-2)",
-               None, "U3", restrict_right=("a", "b")),
-    BoundEntry("reversal", None, "theorem", "reversal", "2^n", None, "U3"),
+               None, "U", restrict_right=("a", "b")),
+    BoundEntry("reversal", None, "theorem", "reversal", "2^n", None, "U"),
     BoundEntry("product", None, "theorem", "product", "(m-1)*2^n + 2^(n-1)",
-               "U3", "U3"),
+               "U", "U"),
     BoundEntry("bool-union", None, "theorem", "boolean", "m*n",
-               "U3", "U3:bac", "union", symmetric=True),
+               "U", "U:order=bac", "union", symmetric=True),
     BoundEntry("bool-intersection", None, "theorem", "boolean", "m*n",
-               "U3", "U3:bac", "intersection", symmetric=True),
+               "U", "U:order=bac", "intersection", symmetric=True),
     BoundEntry("bool-difference", None, "theorem", "boolean", "m*n",
-               "U3", "U3:bac", "difference"),
+               "U", "U:order=bac", "difference"),
     BoundEntry("bool-symdiff", None, "theorem", "boolean", "m*n",
-               "U3", "U3:bac", "symmetric-difference", symmetric=True),
+               "U", "U:order=bac", "symmetric-difference", symmetric=True),
     BoundEntry("K∪L*", "KuLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
-               "U3", "U3:bac", "union"),
+               "U", "U:order=bac", "union"),
     BoundEntry("K∩L*", "KiLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
-               "U0_3", "U3:bac", "intersection"),
+               "U0", "U:order=bac", "intersection"),
     BoundEntry("K⊕L*", "KxLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
-               "U3", "U3:bac", "symmetric-difference"),
+               "U", "U:order=bac", "symmetric-difference"),
     BoundEntry("K\\L*", "KdLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
-               "U0_3", "U3:bac", "difference"),
+               "U0", "U:order=bac", "difference"),
     BoundEntry("L*\\K", "LsdK", "theorem", "lstar_circ_k", _K_CIRC_LSTAR,
-               "U3", "U3:bac", "difference"),
+               "U", "U:order=bac", "difference"),
     BoundEntry("K*∪L*", "KsuLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W4", "W4:dcba", "union", symmetric=True),
+               _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "union",
+               symmetric=True),
     BoundEntry("K*∩L*", "KsiLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W4", "W4:dcba", "intersection",
+               _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "intersection",
                symmetric=True),
     BoundEntry("K*\\L*", "KsdLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W0_4", "W4:dcba", "difference"),
+               _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba", "difference"),
     BoundEntry("K*⊕L*", "KsxLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W0_4", "W4:dcba", "symmetric-difference",
-               symmetric=True),
+               _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba",
+               "symmetric-difference", symmetric=True),
     BoundEntry("KL*", "KLs", "theorem", "k_lstar",
-               "m*(2^(n-1) + 2^(n-2)) - 2^(n-2)", "T3", "T3:bac"),
+               "m*(2^(n-1) + 2^(n-2)) - 2^(n-2)", "T", "T:order=bac"),
     BoundEntry("K*L", "KsL", "theorem", "kstar_l",
-               "5*2^(m+n-3) - 2^(m-1) - 2^n + 1", "U4", "U4:dcba"),
+               "5*2^(m+n-3) - 2^(m-1) - 2^n + 1",
+               "U:order=abcd", "U:order=dcba"),
     BoundEntry("K*L*", "KsLs", "theorem", "kstar_lstar",
-               "2^(m+n-1) - 2^(m-1) - 3*2^(n-2) + 2", "U4", "U4:dcba"),
+               "2^(m+n-1) - 2^(m-1) - 3*2^(n-2) + 2",
+               "U:order=abcd", "U:order=dcba"),
     BoundEntry("(KL)*", "KL-s", "theorem", "product_star",
                "2^(m+n-1) + 2^(m+n-4) - (2^(m-1) + 2^(n-1) - m - 1)",
-               "W4", "W4:dcba"),
+               "W", "W:order=dcba"),
     BoundEntry("(K∪L)*", "KuL-s", "theorem", "union_star",
-               "2^(m+n-1) - (2^(m-1) + 2^(n-1) - 1)", "S2", "S2:ba", "union",
-               symmetric=True),
+               "2^(m+n-1) - (2^(m-1) + 2^(n-1) - 1)", "S", "S:order=ba",
+               "union", symmetric=True),
     BoundEntry("(K∩L)*-conjecture", "KiL-s", "conjecture", "boolean_star",
-               _MN_STAR, "U5", "U5:ecbad", "intersection", symmetric=True),
+               _MN_STAR, "U5L", "U5L:order=ecbad", "intersection",
+               symmetric=True),
     BoundEntry("(K\\L)*", "KdL-s", "theorem", "boolean_star", _MN_STAR,
-               "JO6_K", "JO6_L", "difference", complement_right=True),
+               "JO6K", "JO6L", "difference", complement_right=True),
     BoundEntry("(K⊕L)*-open", "KxL-s", "open", "boolean_star", None,
-               "U5", "U5:ecbad", "symmetric-difference"),
+               "U5L", "U5L:order=ecbad", "symmetric-difference"),
 )
 
 TABLE: dict[str, BoundEntry] = {e.op: e for e in _ENTRIES}
@@ -208,20 +209,31 @@ def recipe(op: str, m: int | None, n: int) -> Recipe:
     return entry.witnesses(m, n)
 
 
+def cells(
+    ops: list[str] | None, ms: list[int], ns: list[int]
+) -> list[tuple[str, int | None, int]]:
+    """The (op, m, n) cells of the named operations (every one when ops is
+    None) over ms x ns, in table order: a unary operation has one cell per
+    n, with m None."""
+    chosen = TABLE if ops is None else {lookup(o).op for o in ops}
+    return [
+        (entry.op, m, n)
+        for entry in TABLE.values() if entry.op in chosen
+        for m in ([None] if entry.arity == 1 else ms)
+        for n in ns
+    ]
+
+
 def table_csv(ms: list[int], ns: list[int]) -> str:
     """Dump the bound table as CSV: op, status, formula-text, m, n, value."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["op", "status", "formula", "m", "n", "value"])
-    for entry in TABLE.values():
-        cells = (
-            [(None, n) for n in ns] if entry.arity == 1
-            else [(m, n) for m in ms for n in ns]
+    for op, m, n in cells(None, ms, ns):
+        entry = TABLE[op]
+        value = "open" if entry.formula is None else entry.formula(m, n)
+        writer.writerow(
+            [op, entry.status, entry.formula_text or "open",
+             "-" if m is None else m, n, value]
         )
-        for m, n in cells:
-            value = "open" if entry.formula is None else entry.formula(m, n)
-            writer.writerow(
-                [entry.op, entry.status, entry.formula_text or "open",
-                 "-" if m is None else m, n, value]
-            )
     return out.getvalue()

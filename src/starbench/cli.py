@@ -146,17 +146,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.op == "all":
             print(bounds.table_csv(ms, ns), end="")
             return 0
-        if bounds.lookup(args.op).arity == 1:
-            # as in `bound all`: no m column, and m is not a range to walk
-            cells = [(None, n) for n in ns]
-        else:
-            cells = [(m, n) for m in ms for n in ns]
-        if len(cells) == 1:
-            print(bounds.evaluate(args.op, *cells[0]))
-        else:
-            for m, n in cells:
-                shown = "-" if m is None else m
-                print(f"{shown},{n},{bounds.evaluate(args.op, m, n)}")
+        cells = bounds.cells([args.op], ms, ns)
+        for _, m, n in cells:
+            value = bounds.evaluate(args.op, m, n)
+            if len(cells) > 1:
+                value = f"{'-' if m is None else m},{n},{value}"
+            print(value)
         return 0
 
     if args.verb == "verify":

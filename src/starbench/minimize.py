@@ -142,7 +142,7 @@ def _chunk_tables(succ: list[int]) -> list[list[int]]:
     return tables
 
 
-def determinize(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> SubsetDfa:
+def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     """Subset construction with epsilon closure.
 
     BFS over closed subsets from closure(initials), letters expanded in
@@ -192,7 +192,7 @@ def determinize(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> SubsetDfa:
             ti = index.get(target)
             if ti is None:
                 ti = len(order)
-                if cap is not None and ti >= cap:
+                if ti >= cap:
                     raise SubsetCapExceeded(ti + 1, cap)
                 index[target] = ti
                 order.append(target)
@@ -367,12 +367,12 @@ def minimize(d: Dfa) -> Dfa:
     return Dfa(len(reps), d.alphabet, delta, 0, finals)
 
 
-def minimal_dfa(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> Dfa:
+def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:
     """determinize then minimize; the standard measurement pipeline step."""
     return minimize(determinize(nfa, cap).dfa)
 
 
-def state_complexity(nfa: EpsNfa, cap: int | None = DEFAULT_SUBSET_CAP) -> int:
+def state_complexity(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> int:
     """Number of states of the minimal complete DFA for L(nfa)."""
     return minimal_dfa(nfa, cap).size
 

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 from . import bounds
-from .bounds import TABLE
 from .core import Dfa, EpsNfa, write_dfa
 from .minimize import (
     DEFAULT_SUBSET_CAP,
@@ -100,7 +99,7 @@ _NFA_SHAPES: dict[str, Callable[[Dfa, Dfa, BooleanOp | None], EpsNfa]] = {
 
 
 def run_pipeline(
-    op: str, left: Dfa | None, right: Dfa, cap: int | None = DEFAULT_SUBSET_CAP
+    op: str, left: Dfa | None, right: Dfa, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[Dfa, SubsetDfa | None]:
     """The construction for one operation, chosen by its registry shape,
     ending in a minimal DFA.
@@ -140,7 +139,7 @@ def run_pipeline(
 
 
 def measure_operands(
-    op: str, left: Dfa | None, right: Dfa, cap: int | None = DEFAULT_SUBSET_CAP
+    op: str, left: Dfa | None, right: Dfa, cap: int = DEFAULT_SUBSET_CAP
 ) -> int:
     """Measured state complexity of the operation on given operands."""
     final, _ = run_pipeline(op, left, right, cap)
@@ -165,7 +164,7 @@ def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:
 
 
 def verify_cell(
-    op: str, m: int | None, n: int, cap: int | None = DEFAULT_SUBSET_CAP
+    op: str, m: int | None, n: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> VerificationCell:
     """Execute one (operation, m, n) check against its bound; the cell is
     skipped when its bound or its subset frontier exceeds `cap`."""
@@ -210,32 +209,18 @@ def verify_cell(
     )
 
 
-def _cell_args(
-    ops: list[str] | None, ms: list[int], ns: list[int]
-) -> list[tuple[str, int | None, int]]:
-    chosen = list(TABLE) if ops is None else [bounds.lookup(o).op for o in ops]
-    ordered = [op for op in TABLE if op in set(chosen)]
-    args: list[tuple[str, int | None, int]] = []
-    for op in ordered:
-        if TABLE[op].arity == 1:
-            args.extend((op, None, n) for n in ns)
-        else:
-            args.extend((op, m, n) for m in ms for n in ns)
-    return args
-
-
 def verify_table(
     ops: list[str] | None,
     ms: list[int],
     ns: list[int],
-    cap: int | None = DEFAULT_SUBSET_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
     jobs: int = 1,
 ) -> list[VerificationCell]:
     """All requested cells in deterministic (op, m, n) order."""
     for v in itertools.chain(ms, ns):
         if not 3 <= v <= 12:
             raise ValueError(f"m/n ranges must lie within [3, 12], got {v}")
-    cells = _cell_args(ops, ms, ns)
+    cells = bounds.cells(ops, ms, ns)
     if jobs <= 1 or len(cells) <= 1:
         return [verify_cell(op, m, n, cap) for op, m, n in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -294,7 +279,8 @@ def render_csv(cells: list[VerificationCell]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
-        ["op", "status", "m", "n", "expected", "measured", "verdict", "millis"]
+        ["op", "status", "m", "n", "expected", "measured", "verdict", "millis",
+         "note"]
     )
     for c in cells:
         writer.writerow([
@@ -302,7 +288,7 @@ def render_csv(cells: list[VerificationCell]) -> str:
             "" if c.m is None else c.m, c.n,
             "open" if c.expected is None else c.expected,
             "" if c.measured is None else c.measured,
-            c.verdict, c.millis,
+            c.verdict, c.millis, c.note,
         ])
     return out.getvalue()
 
@@ -312,7 +298,7 @@ def render_json(cells: list[VerificationCell]) -> str:
 
 
 def _operands_for(
-    op: str, m: int | None, n: int, cap: int | None = DEFAULT_SUBSET_CAP
+    op: str, m: int | None, n: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[Dfa | None, Dfa, str]:
     """The operand DFAs of a cell, named by tag or alias, and their witness
     names; the open operation gets its candidate pair. The registry checks
@@ -320,7 +306,7 @@ def _operands_for(
     witness is built."""
     entry = bounds.lookup(op)
     rec = entry.witnesses(m, n)
-    if cap is not None and entry.formula is not None:
+    if entry.formula is not None:
         bound = entry.formula(m, n)
         if bound > cap:
             raise SubsetCapExceeded(bound, cap, bound=True)
@@ -359,7 +345,7 @@ def exhaustive_word_count(op: str, m: int | None, n: int, maxlen: int) -> int:
 
 def _oracle(
     op: str, m: int | None, n: int, maxlen: int, seed: int | None,
-    count: int | None, cap: int | None,
+    count: int | None, cap: int,
 ) -> OracleReport:
     """Compare the pipeline DFA with the direct semantics on `count`
     seeded random words, or on every word up to maxlen when count is None."""
@@ -385,7 +371,7 @@ def membership_oracle(
     count: int = 500,
     maxlen: int = 12,
     seed: int = 0,
-    cap: int | None = DEFAULT_SUBSET_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> OracleReport:
     """Sample seeded random words; compare pipeline DFA vs direct semantics."""
     return _oracle(op, m, n, maxlen, seed, count, cap)
@@ -396,7 +382,7 @@ def exhaustive_oracle(
     m: int | None,
     n: int,
     maxlen: int,
-    cap: int | None = DEFAULT_SUBSET_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> OracleReport:
     """Compare pipeline vs semantics on every word up to maxlen."""
     return _oracle(op, m, n, maxlen, None, None, cap)
@@ -404,7 +390,7 @@ def exhaustive_oracle(
 
 def conjecture_scan(
     pairs: list[tuple[int, int]],
-    cap: int | None = DEFAULT_SUBSET_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
     include_jo6: bool = False,
 ) -> list[VerificationCell]:
     """The starred-intersection conjecture cells (and optionally the

@@ -8,6 +8,7 @@ from starbench.bounds import (
     NoKnownBound,
     TABLE,
     UnknownOperation,
+    cells,
     evaluate,
     recipe,
     resolve_op,
@@ -15,7 +16,7 @@ from starbench.bounds import (
 )
 from starbench.oracle import SemanticOracle
 from starbench.verify import _operands_for, run_pipeline
-from starbench.witnesses import WitnessSpec
+from starbench.witnesses import WitnessSpec, format_witness, parse_witness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -166,6 +167,29 @@ def test_recipe_witness_pairs():
 
     r = recipe("L*\\K", 4, 5)
     assert TABLE["L*\\K"].shape == "lstar_circ_k"  # the starred side is the left product factor
+
+
+def test_registry_witnesses_use_the_canonical_spelling():
+    # each witness is written as format_witness would write it, so the
+    # registry, the CLI and the reports share one spelling
+    for entry in TABLE.values():
+        for text in filter(None, (entry.left, entry.right)):
+            family, sep, rest = text.partition(":")
+            spelled = f"{family}:n=5" + (f":{rest}" if sep else "")
+            assert format_witness(parse_witness(f"{text}:n=5")) == spelled
+
+
+def test_cells_follow_the_table_order():
+    # aliases resolve, a unary entry has one cell per n with no m, and a
+    # name given twice still gives its cells once
+    assert cells(["KLs", "star", "KL*"], [3, 4], [5]) == [
+        ("star", None, 5), ("KL*", 3, 5), ("KL*", 4, 5)]
+    everything = cells(None, [3, 4], [3, 4])
+    assert len(everything) == 2 * 2 + 22 * 4
+    assert everything[:3] == [("star", None, 3), ("star", None, 4),
+                              ("reversal", None, 3)]
+    with pytest.raises(UnknownOperation):
+        cells(["nope"], [3], [3])
 
 
 def test_resolve_aliases():

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import re
 
 import pytest
 
@@ -86,8 +89,22 @@ def test_verify_csv(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "op,status,m,n,expected,measured,verdict,millis"
+    assert lines[0] == "op,status,m,n,expected,measured,verdict,millis,note"
     assert len(lines) == 4
+
+
+def test_verify_csv_names_why_a_row_was_skipped(capsys):
+    # a bound over the cap and a subset frontier over it are told apart
+    notes = {}
+    for op, size in (("KiL-s", "5"), ("KxL-s", "3")):
+        code, out, _ = run_cli(capsys, "verify", op, "--m", size, "--n", size,
+                               "--cap", "10", "--format", "csv")
+        assert code == 0
+        [row] = csv.DictReader(io.StringIO(out))
+        assert row["verdict"] == "skipped"
+        notes[op] = row["note"]
+    assert notes == {"KiL-s": f"skipped: cap (bound {2**24 + 2**23} > 10)",
+                     "KxL-s": "skipped: cap (11 > 10 subsets)"}
 
 
 def test_verify_json(capsys):
@@ -184,6 +201,57 @@ def test_above_bound_cell_fails_the_process(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "KL*", "--m", "3", "--n", "3")
     assert code == 1
     assert "ABOVE-BOUND" in out
+
+
+def test_measured_size_above_the_bound_fails_the_process(capsys, monkeypatch):
+    from starbench import bounds
+
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: 15)
+    code, out, _ = run_cli(capsys, "verify", "KL*", "--m", "3", "--n", "3")
+    assert code == 1
+    assert "ABOVE-BOUND" in out
+    assert "subset labels: " in out
+
+
+def test_complexity_of_a_skipped_cell_names_the_skip(capsys):
+    code, out, err = run_cli(capsys, "complexity", "KiL-s", "--m", "5",
+                             "--n", "5")
+    assert code == 0
+    assert out == ""
+    assert err == f"skipped: cap (bound {2**24 + 2**23} > 2000000)\n"
+
+
+def test_oracle_disagreement_prints_the_word_and_fails(capsys, monkeypatch):
+    from starbench import verify
+
+    def flipped(op, left, right, cap):
+        final, sd = real(op, left, right, cap)
+        return final.with_finals(final.finals ^ {final.initial}), sd
+
+    real = verify.run_pipeline
+    monkeypatch.setattr(verify, "run_pipeline", flipped)
+    code, out, _ = run_cli(capsys, "oracle", "KsL", "--m", "3", "--n", "3",
+                           "--words", "all", "--maxlen", "2")
+    assert code == 1
+    assert out.splitlines()[1] == "disagreeing word: ''"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("conjecture", "--pairs", "3-3"), "expected M:N pairs"),
+    (("conjecture", "--pairs", "a:b"), "bad pair"),
+    (("bound", "star", "--n", "5..3"), "empty range"),
+    (("oracle", "KsL", "--m", "3", "--n", "3", "--words", "many"),
+     "--words takes an integer or 'all'"),
+])
+def test_malformed_arguments_exit_two(capsys, argv, message):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_argparse_usage_error_exits_two(capsys):

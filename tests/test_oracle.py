@@ -21,6 +21,12 @@ def test_epsilon_always_in_starred_side(witness):
     assert SemanticOracle("KuLs", k, l).op == "K∪L*"
 
 
+def test_member_rejects_a_letter_outside_the_alphabet(witness):
+    oracle = SemanticOracle("star", None, witness("U3", 3))
+    with pytest.raises(ValueError, match="unknown letter 'z'"):
+        oracle.member(("a", "z"))
+
+
 def test_star_oracle_small_trace(witness):
     u3 = witness("U3", 3)
     oracle = SemanticOracle("star", None, u3)

@@ -77,3 +77,16 @@ def test_readme_command_line_flags_match_the_parser():
     options = {flag for verb in verbs for action in verb._actions
                for flag in action.option_strings} - {"-h", "--help"}
     assert documented == options
+
+
+def test_readme_witness_table_names_every_family():
+    # the registry writes its witnesses in this syntax, so a family the
+    # table leaves out, or one it still lists after removal, misleads
+    from starbench.witnesses import FAMILIES
+
+    readme = (TRACING.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Witness names", 1)[1].split("###", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    listed = {name for row in rows
+              for name in re.findall(r"`([^`]*)`", row.split("|")[1])}
+    assert listed == {f.cli_name for f in FAMILIES.values()}

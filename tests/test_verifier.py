@@ -43,6 +43,8 @@ def test_open_operation_is_measured_not_asserted():
     assert cell.verdict == "open-measured"
     assert cell.expected is None
     assert isinstance(cell.measured, int) and cell.measured > 0
+    assert summary_counts([cell]) == {"match": 0, "mismatch": 0, "open": 1,
+                                      "skip": 0}
 
 
 def test_cap_marks_cell_skipped():
@@ -139,7 +141,7 @@ def test_render_csv_columns():
     cells = verify_table(["star"], [3], [3, 4])
     text = render_csv(cells)
     lines = text.strip().split("\n")
-    assert lines[0] == "op,status,m,n,expected,measured,verdict,millis"
+    assert lines[0] == "op,status,m,n,expected,measured,verdict,millis,note"
     assert lines[1].startswith("star,theorem,,3,6,6,match,")
     assert lines[2].startswith("star,theorem,,4,12,12,match,")
 
@@ -220,6 +222,44 @@ def test_below_bound_diagnostics_decode_only_the_shown_labels(monkeypatch):
     assert cell.verdict == "below-bound"
     assert cell.diagnostics == expected
     assert 0 < len(decoded) <= 20
+
+
+def test_a_measured_size_above_the_bound_is_loud(monkeypatch):
+    # the bound is forced one below the measured size: the cell names the
+    # fault and dumps the minimal DFA and the first subset labels
+    from starbench import bounds
+    from starbench.core import write_dfa
+    from starbench.verify import _operands_for, run_pipeline
+
+    left, right, _ = _operands_for("KL*", 3, 3)
+    final, sd = run_pipeline("KL*", left, right)
+    labels = " ".join(
+        "{" + ",".join(str(q) for q in sorted(label)) + "}"
+        for label in sd.labels[:20]
+    )
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size - 1)
+    cell = verify_cell("KL*", 3, 3)
+    assert (cell.verdict, cell.expected, cell.measured) == (
+        "ABOVE-BOUND", final.size - 1, final.size)
+    assert cell.note == ("measured size exceeds a proved upper bound: "
+                         "pipeline bug or refuted claim")
+    assert cell.diagnostics == (
+        write_dfa(final) + "subset labels: " + labels + "\n")
+    assert any_above_bound([cell])
+    assert summary_counts([cell])["mismatch"] == 1
+    text = render_text([cell])
+    assert f"  note [KL* m=3 n=3]: {cell.note}\n" in text
+    assert cell.diagnostics in text
+
+
+def test_conjectured_witnesses_short_of_the_bound_are_a_finding(monkeypatch):
+    from starbench import bounds
+
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: 385)
+    cell = verify_cell("KiL-s", 3, 3)
+    assert (cell.verdict, cell.measured) == ("below-bound", 384)
+    assert cell.note == "finding: conjectured witnesses miss the bound"
+    assert not any_above_bound([cell])
 
 
 def test_above_bound_sets_flag():
