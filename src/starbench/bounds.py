@@ -92,17 +92,19 @@ class BoundEntry:
     def arity(self) -> int:
         return 1 if self.left is None else 2
 
-    def check_range(self, m: int | None, n: int, what: str) -> None:
-        """m and n of a cell; a unary operation ignores m."""
+    def check_range(self, m: int | None, n: int) -> None:
+        """The sizes a cell of this operation accepts, the only such rule:
+        m, n >= 3 with no upper limit, and a unary operation ignores m."""
         if self.arity == 2 and m is None:
             raise ValueError(f"operation {self.op} needs m")
         if n < 3 or (self.arity == 2 and m < 3):
-            raise ValueError(f"{what} require m, n >= 3, got m={m}, n={n}")
+            raise ValueError(
+                f"{self.op} requires m, n >= 3, got m={m}, n={n}")
 
     def witnesses(self, m: int | None, n: int) -> Recipe:
         """The witness pair at (m, n); for the open operation, its candidate
         pair. m is ignored by unary operations."""
-        self.check_range(m, n, "witnesses")
+        self.check_range(m, n)
         left = (None if self.left is None
                 else parse_witness(f"{self.left}:n={m}"))
         return Recipe(left, parse_witness(f"{self.right}:n={n}"),
@@ -197,7 +199,7 @@ def evaluate(op: str, m: int | None, n: int) -> int:
     entry = lookup(op)
     if entry.formula is None:
         raise NoKnownBound(f"no known bound for {op}")
-    entry.check_range(m, n, "bounds")
+    entry.check_range(m, n)
     return entry.formula(m, n)
 
 
@@ -214,14 +216,16 @@ def cells(
 ) -> list[tuple[str, int | None, int]]:
     """The (op, m, n) cells of the named operations (every one when ops is
     None) over ms x ns, in table order: a unary operation has one cell per
-    n, with m None."""
+    n, with m None. Each cell is checked by its entry's `check_range`."""
     chosen = TABLE if ops is None else {lookup(o).op for o in ops}
-    return [
-        (entry.op, m, n)
-        for entry in TABLE.values() if entry.op in chosen
-        for m in ([None] if entry.arity == 1 else ms)
-        for n in ns
-    ]
+    cells = []
+    for entry in TABLE.values():
+        if entry.op in chosen:
+            for m in [None] if entry.arity == 1 else ms:
+                for n in ns:
+                    entry.check_range(m, n)
+                    cells.append((entry.op, m, n))
+    return cells
 
 
 def table_csv(ms: list[int], ns: list[int]) -> str:

@@ -99,9 +99,6 @@ class Transformation:
             )
         return Transformation(tuple(other.image[t] for t in self.image))
 
-    def is_identity(self) -> bool:
-        return all(t == i for i, t in enumerate(self.image))
-
 
 def compose(t1: Transformation, t2: Transformation) -> Transformation:
     """Left-to-right composition: the word t1 t2 acting on a state."""

@@ -372,9 +372,9 @@ def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:
     return minimize(determinize(nfa, cap).dfa)
 
 
-def state_complexity(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> int:
+def state_complexity(nfa: EpsNfa) -> int:
     """Number of states of the minimal complete DFA for L(nfa)."""
-    return minimal_dfa(nfa, cap).size
+    return minimal_dfa(nfa).size
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:

@@ -138,11 +138,9 @@ def run_pipeline(
     return minimize(sd.dfa), sd
 
 
-def measure_operands(
-    op: str, left: Dfa | None, right: Dfa, cap: int = DEFAULT_SUBSET_CAP
-) -> int:
+def measure_operands(op: str, left: Dfa | None, right: Dfa) -> int:
     """Measured state complexity of the operation on given operands."""
-    final, _ = run_pipeline(op, left, right, cap)
+    final, _ = run_pipeline(op, left, right)
     return final.size
 
 
@@ -217,9 +215,6 @@ def verify_table(
     jobs: int = 1,
 ) -> list[VerificationCell]:
     """All requested cells in deterministic (op, m, n) order."""
-    for v in itertools.chain(ms, ns):
-        if not 3 <= v <= 12:
-            raise ValueError(f"m/n ranges must lie within [3, 12], got {v}")
     cells = bounds.cells(ops, ms, ns)
     if jobs <= 1 or len(cells) <= 1:
         return [verify_cell(op, m, n, cap) for op, m, n in cells]
@@ -265,7 +260,8 @@ def render_text(cells: list[VerificationCell]) -> str:
     ]
     for c in cells:
         if c.note:
-            lines.append(f"  note [{c.op} m={c.m} n={c.n}]: {c.note}")
+            m = "-" if c.m is None else c.m
+            lines.append(f"  note [{c.op} m={m} n={c.n}]: {c.note}")
         if c.diagnostics:
             lines.append(c.diagnostics.rstrip("\n"))
     counts = summary_counts(cells)
@@ -345,15 +341,15 @@ def exhaustive_word_count(op: str, m: int | None, n: int, maxlen: int) -> int:
 
 def _oracle(
     op: str, m: int | None, n: int, maxlen: int, seed: int | None,
-    count: int | None, cap: int,
+    count: int | None,
 ) -> OracleReport:
     """Compare the pipeline DFA with the direct semantics on `count`
     seeded random words, or on every word up to maxlen when count is None."""
     if count is not None and count < 1:
         raise ValueError(f"the word count must be at least 1, got {count}")
     _check_maxlen(maxlen)
-    left, right, _ = _operands_for(op, m, n, cap)
-    final, _ = run_pipeline(op, left, right, cap)
+    left, right, _ = _operands_for(op, m, n)
+    final, _ = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
     if count is None:
         checked, disagreements, example = oracle.compare_all(final, maxlen)
@@ -371,21 +367,16 @@ def membership_oracle(
     count: int = 500,
     maxlen: int = 12,
     seed: int = 0,
-    cap: int = DEFAULT_SUBSET_CAP,
 ) -> OracleReport:
     """Sample seeded random words; compare pipeline DFA vs direct semantics."""
-    return _oracle(op, m, n, maxlen, seed, count, cap)
+    return _oracle(op, m, n, maxlen, seed, count)
 
 
 def exhaustive_oracle(
-    op: str,
-    m: int | None,
-    n: int,
-    maxlen: int,
-    cap: int = DEFAULT_SUBSET_CAP,
+    op: str, m: int | None, n: int, maxlen: int
 ) -> OracleReport:
     """Compare pipeline vs semantics on every word up to maxlen."""
-    return _oracle(op, m, n, maxlen, None, None, cap)
+    return _oracle(op, m, n, maxlen, None, None)
 
 
 def conjecture_scan(

@@ -192,6 +192,18 @@ def test_cells_follow_the_table_order():
         cells(["nope"], [3], [3])
 
 
+def test_cells_check_every_size():
+    # the entry's check_range is the one size rule: m, n >= 3 with no
+    # upper limit, and a unary entry ignores m
+    with pytest.raises(ValueError,
+                       match=r"^KL\* requires m, n >= 3, got m=2, n=3$"):
+        cells(["KL*"], [2], [3])
+    with pytest.raises(ValueError, match="m, n >= 3"):
+        cells(["star"], [3], [2])
+    assert cells(["star"], [2], [3]) == [("star", None, 3)]
+    assert cells(["K*L"], [13], [3]) == [("K*L", 13, 3)]
+
+
 def test_resolve_aliases():
     assert resolve_op("KuLs") == "K∪L*"
     assert resolve_op("KsdLs") == "K*\\L*"

@@ -124,6 +124,36 @@ def test_verify_respects_cap(capsys):
     assert "skipped" in out
 
 
+def test_every_route_takes_the_same_sizes(capsys):
+    # no upper limit on m or n but the cap, on every verb
+    code, out, _ = run_cli(capsys, "verify", "bool-union", "--m", "13",
+                           "--n", "3", "--format", "csv")
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["measured"] == "39"
+    assert run_cli(capsys, "complexity", "bool-union", "--m", "13",
+                   "--n", "3") == (0, "39\n", "")
+    # a unary cell ignores m, in verify as in bound
+    code, out, _ = run_cli(capsys, "verify", "star", "--m", "2", "--n", "3",
+                           "--format", "json")
+    assert code == 0
+    cell = json.loads(out)[0]
+    assert (cell["m"], cell["measured"], cell["verdict"]) == (None, 6, "match")
+    assert run_cli(capsys, "bound", "star", "--m", "2", "--n", "3") == (
+        0, "6\n", "")
+    # the bound table refuses what one bound refuses, and prints nothing
+    code, out, err = run_cli(capsys, "bound", "all", "--m", "2", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: product requires m, n >= 3, got m=2, n=3\n"
+    assert run_cli(capsys, "bound", "product", "--m", "2", "--n", "3") == (
+        2, "", err)
+
+
+def test_unary_note_spells_m_as_the_table_does(capsys):
+    code, out, _ = run_cli(capsys, "verify", "star", "--n", "3", "--cap", "1")
+    assert code == 0
+    assert "  note [star m=- n=3]: skipped: cap (bound 6 > 1)\n" in out
+
+
 def test_oracle_random(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "K*L", "--m", "4", "--n", "5",
@@ -224,7 +254,7 @@ def test_complexity_of_a_skipped_cell_names_the_skip(capsys):
 def test_oracle_disagreement_prints_the_word_and_fails(capsys, monkeypatch):
     from starbench import verify
 
-    def flipped(op, left, right, cap):
+    def flipped(op, left, right, cap=verify.DEFAULT_SUBSET_CAP):
         final, sd = real(op, left, right, cap)
         return final.with_finals(final.finals ^ {final.initial}), sd
 

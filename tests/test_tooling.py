@@ -90,3 +90,16 @@ def test_readme_witness_table_names_every_family():
     listed = {name for row in rows
               for name in re.findall(r"`([^`]*)`", row.split("|")[1])}
     assert listed == {f.cli_name for f in FAMILIES.values()}
+
+
+def test_package_exports_exactly_what_it_imports():
+    # __all__ is kept by hand beside the imports of __init__.py
+    import starbench
+
+    init = TRACING.parent.parent / "src" / "starbench" / "__init__.py"
+    imported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert set(starbench.__all__) == imported
+    assert len(starbench.__all__) == len(imported)

@@ -101,7 +101,7 @@ def test_verify_table_rejects_out_of_range():
     with pytest.raises(ValueError):
         verify_table(["star"], [3], [2])
     with pytest.raises(ValueError):
-        verify_table(["star"], [13], [3])
+        verify_table(["KL*"], [2], [3])
 
 
 def test_verify_table_all_small_with_cap():
