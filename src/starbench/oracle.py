@@ -7,8 +7,10 @@ time: after reading w[:j], an operand carries one bit mask per state, the
 start positions i <= j whose substring w[i:j] leads there. The column of
 positions i with w[i:j] accepted is the OR over the final states, and star
 and product memberships are reach masks over positions, each extended by
-at most one bit per letter. A letter costs O(|Q|) big-int operations, and
-the exhaustive walk shares every prefix's work with all its extensions.
+at most one bit per letter. A letter costs O(|Q|) big-int operations. The
+exhaustive walk shares every prefix's work with all its extensions, and
+prefixes of one length that reach the same node and pipeline state share
+it with each other too.
 Disagreement with the pipeline is data, never tolerated.
 """
 
@@ -24,6 +26,9 @@ Word = Sequence[str]
 # masks, right operand's masks, reach mask a, reach mask b).
 Node = tuple
 Result = tuple[int, int, "tuple[str, ...] | None"]
+# the most keys compare_all stores for one level of the word tree; 1024
+# keeps the walk's memory near the plain depth-first walk's
+_LEVEL_LIMIT = 1024
 
 
 def _lambda(args: str, body: str) -> Callable:
@@ -142,32 +147,64 @@ class SemanticOracle:
         return checked, disagreements, example
 
     def compare_all(self, final: Dfa, maxlen: int) -> Result:
-        """compare() on every word up to maxlen, walking the word trie depth
-        first: a word costs one step from its parent. The explicit stack
-        holds at most maxlen·(|Σ|-1)+1 nodes, and the example is the
-        shortlex-least disagreeing word."""
+        """compare() on every word up to maxlen, with the example the
+        shortlex-least disagreeing word.
+
+        Words of one length that reach the same (node, pipeline state) have
+        the same future, as a step depends only on the node, the letter and
+        the length. So the word tree is walked level by level, each level
+        mapping such a key to the number of words that reach it and the
+        least of them. Keying stops before level maxlen, or before a level
+        that could hold more than _LEVEL_LIMIT keys; from each key of the
+        last keyed level, a depth-first walk counts every word below it as
+        many times as the key has words."""
         images = [final.delta[x].image for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
-        step, letters = self.step, range(len(self.alphabet) - 1, -1, -1)
+        step, size = self.step, len(self.alphabet)
         checked = disagreements = 0
         example = None
+        # keys in lex order of their least word, so the first disagreeing
+        # key of a level holds the level's least disagreeing word
+        level = {(self.start, final.initial): [1, ()]}
+        depth = 0
+        while depth + 1 < maxlen and len(level) * size <= _LEVEL_LIMIT:
+            bit, below = 2 << depth, {}
+            for (node, s), (count, word) in level.items():
+                checked += count
+                if node[0] != is_final[s]:
+                    disagreements += count
+                    if example is None:
+                        example = word
+                for li in range(size):
+                    key = step(node, li, bit), images[li][s]
+                    if key in below:
+                        below[key][0] += count
+                    else:
+                        below[key] = [count, word + (li,)]
+            level, depth = below, depth + 1
+        letters = range(size - 1, -1, -1)
         path = [0] * maxlen
-        stack = [(0, 0, final.initial, self.start)]
-        while stack:
-            depth, li, s, node = stack.pop()
-            if depth:
-                path[depth - 1] = li
-                s = images[li][s]
-            checked += 1
-            if node[0] != is_final[s]:
-                disagreements += 1
-                # a word pops before every later word of its length
-                if example is None or depth < len(example):
-                    example = tuple(self.alphabet[i] for i in path[:depth])
-            if depth < maxlen:
-                bit = 2 << depth
-                stack.extend((depth + 1, li, s, step(node, li, bit))
-                             for li in letters)
+        for (root, s), (count, word) in level.items():
+            path[:depth] = word
+            stack = [(depth, 0, s, root)]
+            while stack:
+                d, li, s, node = stack.pop()
+                if d > depth:
+                    path[d - 1] = li
+                    s = images[li][s]
+                checked += count
+                if node[0] != is_final[s]:
+                    disagreements += count
+                    # a word pops before every later word of its length,
+                    # as the roots come in lex order
+                    if example is None or d < len(example):
+                        example = tuple(path[:d])
+                if d < maxlen:
+                    bit = 2 << d
+                    stack.extend((d + 1, li, s, step(node, li, bit))
+                                 for li in letters)
+        if example is not None:
+            example = tuple(self.alphabet[i] for i in example)
         return checked, disagreements, example
 
     # -- unary -----------------------------------------------------------

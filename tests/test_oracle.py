@@ -1,11 +1,13 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from starbench.bounds import TABLE
 from starbench.core import Dfa, Transformation
+from starbench import oracle as oracle_module
 from starbench.oracle import SemanticOracle
 from starbench.verify import membership_oracle, run_pipeline, _operands_for
 
@@ -268,3 +270,62 @@ def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
     wrong = [w for w in words if final.run(w) != oracle.member(w)]
     assert sampled.disagreements == len(wrong)
     assert sampled.example == (wrong[0] if wrong else None)
+
+
+def _flipped(final):
+    """The pipeline DFA with the state that the alphabet, read backwards,
+    reaches moved into or out of the final set."""
+    state = final.state_after(reversed(final.alphabet))
+    return final.with_finals(final.finals ^ {state})
+
+
+@pytest.mark.parametrize("limit", [1, oracle_module._LEVEL_LIMIT, 1 << 30])
+@pytest.mark.parametrize("op", ["K*∪L*", "(KL)*", "K∪L*", "star"])
+def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
+    # against the pipeline DFA and a flipped copy, many words of one length
+    # reach the same (node, state) key, so the merge is exercised; the trie
+    # DFA of _check_against_reference gives every word its own key
+    monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
+    left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    final, _ = run_pipeline(op, left, right)
+    oracle = SemanticOracle(op, left, right)
+    words = list(right.words(7))
+    members = [oracle.member(w) for w in words]
+    steps = 0
+
+    def counted(node, li, bit):
+        nonlocal steps
+        steps += 1
+        return real_step(node, li, bit)
+
+    real_step, oracle.step = oracle.step, counted
+    for dfa in (final, _flipped(final)):
+        for maxlen in range(8):
+            wrong = [w for w, member in zip(words, members)
+                     if len(w) <= maxlen and dfa.run(w) != member]
+            checked = sum(len(w) <= maxlen for w in words)
+            steps = 0
+            assert oracle.compare_all(dfa, maxlen) == (
+                checked, len(wrong), wrong[0] if wrong else None), (dfa, maxlen)
+        # one step per word but the empty one, unless words were merged
+        if limit == 1:
+            assert steps == len(words) - 1
+        else:
+            assert steps < len(words) - 1
+    assert wrong  # the flipped DFA disagrees, so the example is compared
+
+
+def test_merged_walk_memory_stays_bounded():
+    # the level dicts are capped at _LEVEL_LIMIT keys and the last level is
+    # never stored, so the walk holds little more than the depth-first one
+    left, right, _ = _operands_for("K*∪L*", 3, 3)
+    final, _ = run_pipeline("K*∪L*", left, right)
+    oracle = SemanticOracle("K*∪L*", left, right)
+    tracemalloc.start()
+    try:
+        checked, _, _ = oracle.compare_all(final, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == sum(len(right.alphabet) ** k for k in range(9))
+    assert peak < 1 << 20, peak
