@@ -30,7 +30,6 @@ from .verify import (
     VerificationCell,
     conjecture_scan,
     exhaustive_oracle,
-    measure_operands,
     membership_oracle,
     run_pipeline,
     verify_cell,
@@ -64,7 +63,6 @@ __all__ = [
     "evaluate",
     "exhaustive_oracle",
     "format_witness",
-    "measure_operands",
     "membership_oracle",
     "minimal_dfa",
     "minimize",

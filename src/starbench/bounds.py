@@ -78,7 +78,6 @@ class BoundEntry:
     left: str | None
     right: str
     boolean: str | None = None
-    symmetric: bool = False
     complement_right: bool = False
     restrict_right: tuple[str, ...] | None = None
     formula: Callable[[int, int], int] | None = field(
@@ -122,13 +121,13 @@ _ENTRIES = (
     BoundEntry("product", None, "theorem", "product", "(m-1)*2^n + 2^(n-1)",
                "U", "U"),
     BoundEntry("bool-union", None, "theorem", "boolean", "m*n",
-               "U", "U:order=bac", "union", symmetric=True),
+               "U", "U:order=bac", "union"),
     BoundEntry("bool-intersection", None, "theorem", "boolean", "m*n",
-               "U", "U:order=bac", "intersection", symmetric=True),
+               "U", "U:order=bac", "intersection"),
     BoundEntry("bool-difference", None, "theorem", "boolean", "m*n",
                "U", "U:order=bac", "difference"),
     BoundEntry("bool-symdiff", None, "theorem", "boolean", "m*n",
-               "U", "U:order=bac", "symmetric-difference", symmetric=True),
+               "U", "U:order=bac", "symmetric-difference"),
     BoundEntry("K∪L*", "KuLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
                "U", "U:order=bac", "union"),
     BoundEntry("K∩L*", "KiLs", "theorem", "k_circ_lstar", _K_CIRC_LSTAR,
@@ -140,16 +139,14 @@ _ENTRIES = (
     BoundEntry("L*\\K", "LsdK", "theorem", "lstar_circ_k", _K_CIRC_LSTAR,
                "U", "U:order=bac", "difference"),
     BoundEntry("K*∪L*", "KsuLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "union",
-               symmetric=True),
+               _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "union"),
     BoundEntry("K*∩L*", "KsiLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "intersection",
-               symmetric=True),
+               _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "intersection"),
     BoundEntry("K*\\L*", "KsdLs", "theorem", "kstar_circ_lstar",
                _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba", "difference"),
     BoundEntry("K*⊕L*", "KsxLs", "theorem", "kstar_circ_lstar",
                _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba",
-               "symmetric-difference", symmetric=True),
+               "symmetric-difference"),
     BoundEntry("KL*", "KLs", "theorem", "k_lstar",
                "m*(2^(n-1) + 2^(n-2)) - 2^(n-2)", "T", "T:order=bac"),
     BoundEntry("K*L", "KsL", "theorem", "kstar_l",
@@ -163,10 +160,9 @@ _ENTRIES = (
                "W", "W:order=dcba"),
     BoundEntry("(K∪L)*", "KuL-s", "theorem", "union_star",
                "2^(m+n-1) - (2^(m-1) + 2^(n-1) - 1)", "S", "S:order=ba",
-               "union", symmetric=True),
+               "union"),
     BoundEntry("(K∩L)*-conjecture", "KiL-s", "conjecture", "boolean_star",
-               _MN_STAR, "U5L", "U5L:order=ecbad", "intersection",
-               symmetric=True),
+               _MN_STAR, "U5L", "U5L:order=ecbad", "intersection"),
     BoundEntry("(K\\L)*", "KdL-s", "theorem", "boolean_star", _MN_STAR,
                "JO6K", "JO6L", "difference", complement_right=True),
     BoundEntry("(K⊕L)*-open", "KxL-s", "open", "boolean_star", None,

@@ -197,7 +197,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "monoid":
         dfa = build(parse_witness(args.spec))
-        letters = tuple(args.letters) if args.letters else None
+        letters = None if args.letters is None else tuple(args.letters)
         print(monoid_size(dfa, letters))
         return 0
 

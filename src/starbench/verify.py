@@ -1,11 +1,14 @@
 """Verification harness: run construction pipelines, compare measured
 minimal-DFA sizes against the bound table, and report.
 
-Every cell is a pure computation (build witnesses, construct, determinize,
-minimize, count), so tables can fan out over a process pool; assembly and
-ordering stay sequential and deterministic. An ABOVE-BOUND verdict is the
-loud one: a measured size above a proved upper bound means a broken
-pipeline or a refuted claim, and it alone fails the process.
+Each registry shape's construction is one row of `_SHAPES`: an NFA, which
+`run_pipeline` determinizes and minimizes at its one final site, or the
+minimal DFA of a closing boolean product. Every cell is a pure computation
+(build witnesses, construct, determinize, minimize, count), so tables can
+fan out over a process pool; assembly and ordering stay sequential and
+deterministic. An ABOVE-BOUND verdict is the loud one: a measured size
+above a proved upper bound means a broken pipeline or a refuted claim, and
+it alone fails the process.
 """
 
 from __future__ import annotations
@@ -74,74 +77,71 @@ class OracleReport:
     example: tuple[str, ...] | None = None
 
 
-# The shapes whose construction is one NFA, measured by det-min, as
-# functions of the operands K, L and the entry's boolean operation.
-_NFA_SHAPES: dict[str, Callable[[Dfa, Dfa, BooleanOp | None], EpsNfa]] = {
-    "star": lambda k, l, b: star_nfa(l),
-    "reversal": lambda k, l, b: reverse_nfa(l),
-    "product": lambda k, l, b: concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l)),
-    "k_lstar": lambda k, l, b: concat_nfa(dfa_to_nfa(k), star_nfa(l)),
-    "kstar_l": lambda k, l, b: concat_nfa(star_nfa(k), dfa_to_nfa(l)),
-    "kstar_lstar": lambda k, l, b: concat_nfa(star_nfa(k), star_nfa(l)),
+def _base_star_nfa(d: Dfa) -> EpsNfa:
+    """NFA for the star of d in the shape of its {n-1}-final base, the
+    family's canonical final state, accepting at d's own finals plus the
+    new state; for an {n-1}-final operand that is star_nfa(d). A {0}-final
+    dialect needs this: its language contains the empty word and is closed
+    under concatenation, so its literal star is itself (m states) and the
+    starred-difference/symmetric-difference bounds would be unreachable."""
+    return replace(star_nfa(d.with_finals({d.size - 1})),
+                   finals=d.finals | {d.size})
+
+
+# Each registry shape's construction over the operands K, L, the entry's
+# boolean operation b and the subset cap: the NFA that run_pipeline
+# measures, or, for a shape that ends in a boolean product, that product's
+# minimal DFA. Rows call every layer through this module's names, the
+# names that bench/tracing.py patches to time each layer.
+_SHAPES: dict[str, Callable[[Dfa | None, Dfa, BooleanOp | None, int],
+                            EpsNfa | Dfa]] = {
+    "star": lambda k, l, b, cap: star_nfa(l),
+    "reversal": lambda k, l, b, cap: reverse_nfa(l),
+    "product": lambda k, l, b, cap: concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l)),
+    "k_lstar": lambda k, l, b, cap: concat_nfa(dfa_to_nfa(k), star_nfa(l)),
+    "kstar_l": lambda k, l, b, cap: concat_nfa(star_nfa(k), dfa_to_nfa(l)),
+    "kstar_lstar": lambda k, l, b, cap: concat_nfa(star_nfa(k), star_nfa(l)),
     # star the m+n-state concatenation NFA directly: starring the
     # determinized KL DFA instead sends the subset frontier past any
     # reasonable cap already at small sizes
-    "product_star": lambda k, l, b: star_eps_nfa(
+    "product_star": lambda k, l, b, cap: star_eps_nfa(
         concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l))),
     # likewise the (m+n)-state union NFA stays in an m+n+1-bit subset
     # space, where starring the mn-state union product blows past the cap
     # already for medium sizes (union products have many final pairs, so
     # the star's loop-backs fan out)
-    "union_star": lambda k, l, b: star_eps_nfa(
+    "union_star": lambda k, l, b, cap: star_eps_nfa(
         union_nfa(dfa_to_nfa(k), dfa_to_nfa(l))),
-    "boolean_star": lambda k, l, b: star_nfa(minimize(product_dfa(k, l, b))),
+    "boolean_star": lambda k, l, b, cap: star_nfa(
+        minimize(product_dfa(k, l, b))),
+    "boolean": lambda k, l, b, cap: minimize(product_dfa(k, l, b)),
+    "k_circ_lstar": lambda k, l, b, cap: minimize(
+        product_dfa(k, minimal_dfa(star_nfa(l), cap), b)),
+    "lstar_circ_k": lambda k, l, b, cap: minimize(
+        product_dfa(minimal_dfa(star_nfa(l), cap), k, b)),
+    "kstar_circ_lstar": lambda k, l, b, cap: minimize(product_dfa(
+        minimal_dfa(_base_star_nfa(k), cap),
+        minimal_dfa(_base_star_nfa(l), cap), b)),
 }
 
 
 def run_pipeline(
     op: str, left: Dfa | None, right: Dfa, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[Dfa, SubsetDfa | None]:
-    """The construction for one operation, chosen by its registry shape,
-    ending in a minimal DFA.
+    """The construction for one operation, its registry shape's _SHAPES
+    row, ending in a minimal DFA.
 
-    Also returns the last determinization (None when the pipeline ends in
-    a plain product), whose subset labels a mismatch audit decodes.
+    Also returns the subset DFA whose minimization is that final DFA, so a
+    mismatch audit decodes labels of the measured automaton; None when the
+    row ends in a boolean product, which has no subset labels.
     """
     entry = bounds.lookup(op)
     boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
-    if entry.shape == "boolean":
-        return minimize(product_dfa(left, right, boolean)), None
-    if entry.shape in ("k_circ_lstar", "lstar_circ_k"):
-        sd = determinize(star_nfa(right), cap)
-        lstar = minimize(sd.dfa)
-        if entry.shape == "lstar_circ_k":
-            return minimize(product_dfa(lstar, left, boolean)), sd
-        return minimize(product_dfa(left, lstar, boolean)), sd
-    if entry.shape == "kstar_circ_lstar":
-        # Each operand is starred in the shape of its {n-1}-final base, the
-        # family's canonical final state, with acceptance at its own finals
-        # plus the new state; for an {n-1}-final operand that is its star.
-        # A {0}-final dialect needs this shape: its language contains the
-        # empty word and is closed under concatenation, so its literal star
-        # is itself (m states) and the starred-difference/symmetric-
-        # difference bounds would be unreachable.
-        kstar_nfa, lstar_nfa = (
-            replace(star_nfa(d.with_finals({d.size - 1})),
-                    finals=d.finals | {d.size})
-            for d in (left, right)
-        )
-        kstar = minimal_dfa(kstar_nfa, cap)
-        sd = determinize(lstar_nfa, cap)
-        lstar = minimize(sd.dfa)
-        return minimize(product_dfa(kstar, lstar, boolean)), sd
-    sd = determinize(_NFA_SHAPES[entry.shape](left, right, boolean), cap)
+    built = _SHAPES[entry.shape](left, right, boolean, cap)
+    if isinstance(built, Dfa):
+        return built, None
+    sd = determinize(built, cap)
     return minimize(sd.dfa), sd
-
-
-def measure_operands(op: str, left: Dfa | None, right: Dfa) -> int:
-    """Measured state complexity of the operation on given operands."""
-    final, _ = run_pipeline(op, left, right)
-    return final.size
 
 
 def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:

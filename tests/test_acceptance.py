@@ -16,8 +16,8 @@ from starbench.minimize import minimize
 from starbench.verify import (
     conjecture_scan,
     exhaustive_oracle,
-    measure_operands,
     membership_oracle,
+    run_pipeline,
     verify_cell,
     verify_table,
 )
@@ -82,7 +82,7 @@ def test_criterion_2_boolean_with_one_star():
             for n in small:
                 k = build(WitnessSpec("U3", m))
                 l = build(WitnessSpec("U3", n, tuple("bac")))
-                measured = measure_operands("K∩L*", k, l)
+                measured = run_pipeline("K∩L*", k, l)[0].size
                 bound = evaluate("K∩L*", m, n)
                 print(f"  non-dialect K∩L* ({m},{n}): {measured} < {bound}")
                 assert measured < bound

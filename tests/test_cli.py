@@ -209,6 +209,12 @@ def test_monoid_verb(capsys):
     assert out.strip() == "24"
 
 
+def test_monoid_with_no_letters_is_usage_error(capsys):
+    # an empty --letters is an empty generator set, not every letter
+    code, out, err = run_cli(capsys, "monoid", "U:n=4", "--letters", "")
+    assert (code, out, err) == (2, "", "error: letters must be nonempty\n")
+
+
 def test_unknown_operation_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "complexity", "nope", "--m", "3", "--n", "3")
     assert code == 2

@@ -10,16 +10,60 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
-    # the traced benchmark patches these names in place; a construction
-    # moved out of its module must fail here rather than crash the trace
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    # the traced benchmark patches these names in place; a construction
+    # moved out of its module must fail here rather than crash the trace
+    tracing = _tracing()
     assert tracing.PATCHES
     for module_name, attr, _ in tracing.PATCHES:
         importlib.import_module(module_name)
         assert callable(getattr(sys.modules[module_name], attr)), (module_name, attr)
+
+
+def test_every_shape_has_one_construction_row_and_an_oracle():
+    from starbench.bounds import TABLE
+    from starbench.oracle import SemanticOracle
+    from starbench.verify import _SHAPES
+
+    shapes = {e.shape for e in TABLE.values()}
+    assert set(_SHAPES) == shapes
+    for shape in shapes:
+        assert hasattr(SemanticOracle, "_" + shape), shape
+
+
+def test_every_shape_reports_its_layers_to_the_trace():
+    # each construction calls the layers through the names the traced
+    # benchmark patches, so no layer's time is booked as verify's own
+    from starbench import verify
+    from starbench.bounds import TABLE
+
+    tracing = _tracing()
+    first = {}
+    for entry in TABLE.values():
+        first.setdefault(entry.shape, entry.op)
+    with_product = {"boolean", "k_circ_lstar", "lstar_circ_k",
+                    "kstar_circ_lstar", "boolean_star"}
+    seen = set()
+    for shape, op in first.items():
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            verify.verify_cell(op, 3, 3)
+        names = {span.name for span in tracer.spans}
+        assert "minimize.minimize" in names, shape
+        # a plain boolean product is minimized without a determinization
+        assert ("minimize.determinize" in names) == (shape != "boolean"), shape
+        assert ("ops.product_dfa" in names) == (shape in with_product), shape
+        seen |= names
+    # every name patched in verify is reached through verify by some shape
+    assert seen >= {span for module, _, span in tracing.PATCHES
+                    if module == "starbench.verify"}
 
 
 @pytest.mark.parametrize("module, allowed", [

@@ -168,14 +168,14 @@ def test_render_text_has_summary():
 
 def test_non_dialect_intersection_falls_below_bound():
     # the plain permutational pair cannot meet the intersection bound
-    from starbench.verify import measure_operands
+    from starbench.verify import run_pipeline
     from starbench.witnesses import WitnessSpec, build
 
     k = build(WitnessSpec("U3", 4))
     l = build(WitnessSpec("U3", 5, tuple("bac")))
-    measured = measure_operands("K∩L*", k, l)
+    measured = run_pipeline("K∩L*", k, l)[0].size
     assert measured < evaluate("K∩L*", 4, 5)
-    assert measure_operands("KiLs", k, l) == measured
+    assert run_pipeline("KiLs", k, l)[0].size == measured
 
 
 def test_mismatch_diagnostics_format():
@@ -250,6 +250,38 @@ def test_a_measured_size_above_the_bound_is_loud(monkeypatch):
     text = render_text([cell])
     assert f"  note [KL* m=3 n=3]: {cell.note}\n" in text
     assert cell.diagnostics in text
+
+
+def test_a_product_ending_cell_dumps_only_its_own_dfa(monkeypatch):
+    # K∪L* ends in a boolean product, which has no subset labels: the
+    # diagnostics are the minimal product DFA alone, not the labels of the
+    # star's subset DFA that fed it
+    from starbench import bounds
+    from starbench.core import write_dfa
+    from starbench.verify import _operands_for, run_pipeline
+
+    left, right, _ = _operands_for("K∪L*", 3, 3)
+    final, sd = run_pipeline("K∪L*", left, right)
+    assert sd is None
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size + 1)
+    cell = verify_cell("K∪L*", 3, 3)
+    assert cell.verdict == "below-bound"
+    assert cell.diagnostics == write_dfa(final)
+
+
+def test_base_star_is_the_star_of_an_end_final_operand():
+    # the doubly-starred boolean rows star each operand in the shape of its
+    # {n-1}-final base, which is plain star_nfa for such an operand only
+    from starbench.ops import star_nfa
+    from starbench.verify import _base_star_nfa
+    from starbench.witnesses import build, parse_witness
+
+    base = build(parse_witness("W:n=4"))
+    assert base.finals == {3}
+    assert _base_star_nfa(base) == star_nfa(base)
+    dialect = build(parse_witness("W0:n=4"))
+    assert _base_star_nfa(dialect) != star_nfa(dialect)
+    assert _base_star_nfa(dialect).finals == {0, 4}
 
 
 def test_conjectured_witnesses_short_of_the_bound_are_a_finding(monkeypatch):
