@@ -157,7 +157,8 @@ class SemanticOracle:
         least of them. Keying stops before level maxlen, or before a level
         that could hold more than _LEVEL_LIMIT keys; from each key of the
         last keyed level, a depth-first walk counts every word below it as
-        many times as the key has words."""
+        many times as the key has words, checking each word of length maxlen
+        from its parent's pop."""
         images = [final.delta[x].image for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
         step, size = self.step, len(self.alphabet)
@@ -199,10 +200,19 @@ class SemanticOracle:
                     # as the roots come in lex order
                     if example is None or d < len(example):
                         example = tuple(path[:d])
-                if d < maxlen:
-                    bit = 2 << d
+                bit = 2 << d
+                if d + 1 < maxlen:
                     stack.extend((d + 1, li, s, step(node, li, bit))
                                  for li in letters)
+                elif d < maxlen:
+                    # the words of length maxlen, in the order they would pop
+                    checked += count * size
+                    for li, image in enumerate(images):
+                        if step(node, li, bit)[0] != is_final[image[s]]:
+                            disagreements += count
+                            if example is None or d + 1 < len(example):
+                                path[d] = li
+                                example = tuple(path[:d + 1])
         if example is not None:
             example = tuple(self.alphabet[i] for i in example)
         return checked, disagreements, example

@@ -318,10 +318,21 @@ def _operands_for(
 def _sampled_words(
     alphabet: tuple[str, ...], count: int, maxlen: int, seed: int
 ) -> Iterable[tuple[str, ...]]:
+    """`count` seeded words up to maxlen letters long. A letter is drawn by
+    the getrandbits loop of CPython's random.Random.choice, without its call
+    overhead, so every seed still gives the words that rng.choice gave."""
     rng = random.Random(seed)
+    randint, getrandbits = rng.randint, rng.getrandbits
+    size = len(alphabet)
+    bits = size.bit_length()
     for _ in range(count):
-        length = rng.randint(0, maxlen)
-        yield tuple(rng.choice(alphabet) for _ in range(length))
+        word = []
+        for _ in range(randint(0, maxlen)):
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            word.append(alphabet[r])
+        yield tuple(word)
 
 
 def _check_maxlen(maxlen: int) -> None:

@@ -179,6 +179,7 @@ def parse_witness(text: str) -> WitnessSpec:
         raise ValueError(f"unknown witness family {name!r}; known: {known}")
     n = None
     order: tuple[str, ...] | None = None
+    keys = [part.partition("=")[0] for part in parts[1:]]
     for part in parts[1:]:
         key, sep, value = part.partition("=")
         if not sep:
@@ -192,6 +193,8 @@ def parse_witness(text: str) -> WitnessSpec:
             order = tuple(value)
         else:
             raise ValueError(f"unknown witness field {key!r}")
+        if keys.count(key) > 1:
+            raise ValueError(f"repeated witness field {key!r}")
     if n is None:
         raise ValueError(f"witness {text!r} is missing n=<size>")
     arity = len(order) if order is not None else min(arities)

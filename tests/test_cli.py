@@ -227,6 +227,11 @@ def test_bad_witness_is_usage_error(capsys):
     assert "unknown witness family" in err
 
 
+def test_repeated_witness_field_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "witness", "U:n=3:n=4")
+    assert (code, out, err) == (2, "", "error: repeated witness field 'n'\n")
+
+
 def test_above_bound_cell_fails_the_process(capsys, monkeypatch):
     from starbench import verify
 

@@ -329,3 +329,47 @@ def test_merged_walk_memory_stays_bounded():
         tracemalloc.stop()
     assert checked == sum(len(right.alphabet) ** k for k in range(9))
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("limit", [1, oracle_module._LEVEL_LIMIT])
+@pytest.mark.parametrize("op", ["K*∪L*", "K∪L*", "star"])
+def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit):
+    # maxlen is the length of the flipped DFA's shortest disagreeing word,
+    # so every disagreement is a leaf, checked from its parent's pop
+    monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
+    left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    final, _ = run_pipeline(op, left, right)
+    flipped = _flipped(final)
+    oracle = SemanticOracle(op, left, right)
+    maxlen = next(len(w) for w in right.words(8)
+                  if flipped.run(w) != oracle.member(w))
+    words = list(right.words(maxlen))
+    wrong = [w for w in words if flipped.run(w) != oracle.member(w)]
+    assert len(wrong) > 1 and {len(w) for w in wrong} == {maxlen}
+    assert oracle.compare_all(flipped, maxlen) == (len(words), len(wrong),
+                                                   wrong[0])
+
+
+def _choice_words(alphabet, count, maxlen, seed):
+    """The sampler as rng.choice spells it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(rng.choice(alphabet) for _ in range(rng.randint(0, maxlen)))
+
+
+@pytest.mark.parametrize("maxlen", [0, 1, 64])
+@pytest.mark.parametrize("size", range(1, 7))
+def test_sampled_words_are_the_words_rng_choice_draws(size, maxlen):
+    from starbench import verify
+
+    alphabet = tuple("abcdef"[:size])
+    for seed in range(5):
+        assert (list(verify._sampled_words(alphabet, 50, maxlen, seed))
+                == list(_choice_words(alphabet, 50, maxlen, seed))), seed
+
+
+def test_sampled_words_are_pinned():
+    from starbench import verify
+
+    assert list(verify._sampled_words(("a", "b", "c"), 6, 5, 1)) == [
+        tuple(w) for w in ["c", "", "ab", "bcb", "a", "abb"]]

@@ -199,7 +199,8 @@ def test_parse_format_round_trip():
 
 @pytest.mark.parametrize("bad", [
     "X:n=4", "U", "U:n=two", "U:order=abc", "U:n=4:order=abcd:x=1",
-    "U:n=4:order=ab", "S:n=4:order=abc",
+    "U:n=4:order=ab", "S:n=4:order=abc", "U:n=3:n=4",
+    "U:n=4:order=abc:order=cba",
 ])
 def test_parse_witness_errors(bad):
     with pytest.raises(ValueError):
