@@ -16,18 +16,21 @@ Disagreement with the pipeline is data, never tolerated.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from .bounds import lookup
 from .core import Dfa
 
 Word = Sequence[str]
+# a word as the indices of its letters in the oracle's alphabet
+Indices = Sequence[int]
 # The state after a prefix: (membership of the prefix, left operand's
 # masks, right operand's masks, reach mask a, reach mask b).
 Node = tuple
 Result = tuple[int, int, "tuple[str, ...] | None"]
-# the most keys compare_all stores for one level of the word tree; 1024
-# keeps the walk's memory near the plain depth-first walk's
+# the most keys one group's expansion in compare_all considers, as a group
+# holds at most _LEVEL_LIMIT // |Σ| keys; 1024 keeps the walk's memory near
+# a plain depth-first walk's
 _LEVEL_LIMIT = 1024
 
 
@@ -127,23 +130,25 @@ class SemanticOracle:
             node = step(node, li, 1 << j)
         return bool(node[0])
 
-    def compare(self, final: Dfa, words: Iterable[Word]) -> Result:
+    def compare(self, final: Dfa, words: Iterable[Indices]) -> Result:
         """(words, disagreements, first disagreeing word) of the pipeline
-        DFA `final` against these semantics, folding both along each word."""
+        DFA `final` against these semantics, folding both along each word.
+        A word is given as the indices of its letters in the alphabet; the
+        example is returned in letters."""
         images = [final.delta[x].image for x in self.alphabet]
         step = self.step
         checked = disagreements = 0
         example = None
         for w in words:
             node, s = self.start, final.initial
-            for j, li in enumerate(self.encode(w), 1):
+            for j, li in enumerate(w, 1):
                 node = step(node, li, 1 << j)
                 s = images[li][s]
             checked += 1
             if node[0] != (s in final.finals):
                 disagreements += 1
                 if example is None:
-                    example = tuple(w)
+                    example = tuple(self.alphabet[i] for i in w)
         return checked, disagreements, example
 
     def compare_all(self, final: Dfa, maxlen: int) -> Result:
@@ -152,67 +157,61 @@ class SemanticOracle:
 
         Words of one length that reach the same (node, pipeline state) have
         the same future, as a step depends only on the node, the letter and
-        the length. So the word tree is walked level by level, each level
+        the length. So the word tree is walked depth first over groups, each
         mapping such a key to the number of words that reach it and the
-        least of them. Keying stops before level maxlen, or before a level
-        that could hold more than _LEVEL_LIMIT keys; from each key of the
-        last keyed level, a depth-first walk counts every word below it as
-        many times as the key has words, checking each word of length maxlen
-        from its parent's pop."""
+        least of them. Expanding a group checks each key and merges the
+        keys' children into a fresh group, yielded to be walked as soon as
+        it fills, or returned at the end to take its parent's place on the
+        stack; a word of length maxlen is checked at its parent's step and
+        never stored."""
         images = [final.delta[x].image for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
         step, size = self.step, len(self.alphabet)
+        fill = max(1, _LEVEL_LIMIT // size)
         checked = disagreements = 0
         example = None
-        # keys in lex order of their least word, so the first disagreeing
-        # key of a level holds the level's least disagreeing word
-        level = {(self.start, final.initial): [1, ()]}
-        depth = 0
-        while depth + 1 < maxlen and len(level) * size <= _LEVEL_LIMIT:
+
+        def expand(group: dict, depth: int) -> Generator[dict, None, dict]:
+            # keys, and a depth's groups in walk order, are in lex order of
+            # their least words: a depth's first disagreeing key holds its
+            # least disagreeing word, and only a shorter word replaces it
+            nonlocal checked, disagreements, example
             bit, below = 2 << depth, {}
-            for (node, s), (count, word) in level.items():
+            for (node, s), (count, word) in group.items():
                 checked += count
                 if node[0] != is_final[s]:
                     disagreements += count
-                    if example is None:
+                    if example is None or depth < len(example):
                         example = word
-                for li in range(size):
-                    key = step(node, li, bit), images[li][s]
-                    if key in below:
-                        below[key][0] += count
-                    else:
-                        below[key] = [count, word + (li,)]
-            level, depth = below, depth + 1
-        letters = range(size - 1, -1, -1)
-        path = [0] * maxlen
-        for (root, s), (count, word) in level.items():
-            path[:depth] = word
-            stack = [(depth, 0, s, root)]
-            while stack:
-                d, li, s, node = stack.pop()
-                if d > depth:
-                    path[d - 1] = li
-                    s = images[li][s]
-                checked += count
-                if node[0] != is_final[s]:
-                    disagreements += count
-                    # a word pops before every later word of its length,
-                    # as the roots come in lex order
-                    if example is None or d < len(example):
-                        example = tuple(path[:d])
-                bit = 2 << d
-                if d + 1 < maxlen:
-                    stack.extend((d + 1, li, s, step(node, li, bit))
-                                 for li in letters)
-                elif d < maxlen:
-                    # the words of length maxlen, in the order they would pop
+                if depth + 1 < maxlen:
+                    for li, image in enumerate(images):
+                        key = step(node, li, bit), image[s]
+                        if key in below:
+                            below[key][0] += count
+                        else:
+                            below[key] = [count, word + (li,)]
+                            if len(below) == fill:
+                                yield below
+                                below = {}
+                elif depth < maxlen:
                     checked += count * size
                     for li, image in enumerate(images):
                         if step(node, li, bit)[0] != is_final[image[s]]:
                             disagreements += count
-                            if example is None or d + 1 < len(example):
-                                path[d] = li
-                                example = tuple(path[:d + 1])
+                            if example is None or depth + 1 < len(example):
+                                example = word + (li,)
+            return below
+
+        stack = [(expand({(self.start, final.initial): [1, ()]}, 0), 0)]
+        while stack:
+            expansion, depth = stack[-1]
+            try:
+                group = next(expansion)
+            except StopIteration as end:
+                stack.pop()
+                group = end.value
+            if group:
+                stack.append((expand(group, depth + 1), depth + 1))
         if example is not None:
             example = tuple(self.alphabet[i] for i in example)
         return checked, disagreements, example

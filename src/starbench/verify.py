@@ -21,7 +21,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import bounds
 from .core import Dfa, EpsNfa, write_dfa
@@ -316,11 +316,13 @@ def _operands_for(
 
 
 def _sampled_words(
-    alphabet: tuple[str, ...], count: int, maxlen: int, seed: int
-) -> Iterable[tuple[str, ...]]:
+    alphabet: Sequence, count: int, maxlen: int, seed: int
+) -> Iterable[tuple]:
     """`count` seeded words up to maxlen letters long. A letter is drawn by
     the getrandbits loop of CPython's random.Random.choice, without its call
-    overhead, so every seed still gives the words that rng.choice gave."""
+    overhead, so every seed still gives the words that rng.choice gave. The
+    draws depend only on len(alphabet), so the alphabet (0, 1, ...) gives
+    the same words as letter indices."""
     rng = random.Random(seed)
     randint, getrandbits = rng.randint, rng.getrandbits
     size = len(alphabet)
@@ -366,7 +368,8 @@ def _oracle(
         checked, disagreements, example = oracle.compare_all(final, maxlen)
     else:
         checked, disagreements, example = oracle.compare(
-            final, _sampled_words(right.alphabet, count, maxlen, seed))
+            final, _sampled_words(tuple(range(len(right.alphabet))), count,
+                                  maxlen, seed))
     return OracleReport(oracle.op, None if left is None else m, n, checked,
                         maxlen, seed, disagreements, example)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import Dfa, Transformation
+from .minimize import DEFAULT_SUBSET_CAP
 
 CANONICAL_LETTERS = "abcdef"
 
@@ -141,7 +142,9 @@ def build(spec: WitnessSpec) -> Dfa:
 
 def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
     """Size of the transition monoid generated by the given letters
-    (all letters by default), including the empty word's identity."""
+    (all letters by default), including the empty word's identity. A monoid
+    of more than DEFAULT_SUBSET_CAP elements raises ValueError as soon as
+    that many are held, as the full one on n states has n^n."""
     chosen = tuple(letters) if letters is not None else d.alphabet
     if not chosen:
         raise ValueError("letters must be nonempty")
@@ -160,6 +163,9 @@ def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
+                    if len(seen) > DEFAULT_SUBSET_CAP:
+                        raise ValueError(f"transition monoid has more than "
+                                         f"{DEFAULT_SUBSET_CAP} elements")
         frontier = nxt
     return len(seen)
 

@@ -215,6 +215,15 @@ def test_monoid_with_no_letters_is_usage_error(capsys):
     assert (code, out, err) == (2, "", "error: letters must be nonempty\n")
 
 
+def test_monoid_over_the_cap_is_usage_error(capsys, monkeypatch):
+    from starbench import witnesses
+
+    monkeypatch.setattr(witnesses, "DEFAULT_SUBSET_CAP", 100)
+    code, out, err = run_cli(capsys, "monoid", "U:n=4")
+    assert (code, out, err) == (
+        2, "", "error: transition monoid has more than 100 elements\n")
+
+
 def test_unknown_operation_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "complexity", "nope", "--m", "3", "--n", "3")
     assert code == 2

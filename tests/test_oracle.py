@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -9,7 +10,8 @@ from starbench.bounds import TABLE
 from starbench.core import Dfa, Transformation
 from starbench import oracle as oracle_module
 from starbench.oracle import SemanticOracle
-from starbench.verify import membership_oracle, run_pipeline, _operands_for
+from starbench.verify import (exhaustive_oracle, membership_oracle,
+                              run_pipeline, _operands_for)
 
 
 def test_epsilon_always_in_starred_side(witness):
@@ -279,7 +281,7 @@ def _flipped(final):
     return final.with_finals(final.finals ^ {state})
 
 
-@pytest.mark.parametrize("limit", [1, oracle_module._LEVEL_LIMIT, 1 << 30])
+@pytest.mark.parametrize("limit", [1, 50, oracle_module._LEVEL_LIMIT, 1 << 30])
 @pytest.mark.parametrize("op", ["K*∪L*", "(KL)*", "K∪L*", "star"])
 def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
     # against the pipeline DFA and a flipped copy, many words of one length
@@ -316,8 +318,9 @@ def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
 
 
 def test_merged_walk_memory_stays_bounded():
-    # the level dicts are capped at _LEVEL_LIMIT keys and the last level is
-    # never stored, so the walk holds little more than the depth-first one
+    # a group is walked as soon as it holds _LEVEL_LIMIT // |Σ| keys, so the
+    # walk holds at most one partial group per depth, and words of length
+    # maxlen are never stored
     left, right, _ = _operands_for("K*∪L*", 3, 3)
     final, _ = run_pipeline("K*∪L*", left, right)
     oracle = SemanticOracle("K*∪L*", left, right)
@@ -331,7 +334,7 @@ def test_merged_walk_memory_stays_bounded():
     assert peak < 1 << 20, peak
 
 
-@pytest.mark.parametrize("limit", [1, oracle_module._LEVEL_LIMIT])
+@pytest.mark.parametrize("limit", [1, 50, oracle_module._LEVEL_LIMIT])
 @pytest.mark.parametrize("op", ["K*∪L*", "K∪L*", "star"])
 def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit):
     # maxlen is the length of the flipped DFA's shortest disagreeing word,
@@ -348,6 +351,29 @@ def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit):
     assert len(wrong) > 1 and {len(w) for w in wrong} == {maxlen}
     assert oracle.compare_all(flipped, maxlen) == (len(words), len(wrong),
                                                    wrong[0])
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    # reversal's node is a tuple of |Q| bools, so a depth holds at most 2^|Q|
+    # keys and no group fills: a walk far deeper than the interpreter's
+    # recursion limit stays cheap, and must finish
+    maxlen = sys.getrecursionlimit() + 500
+    report = exhaustive_oracle("reversal", None, 3, maxlen)
+    assert report.disagreements == 0
+    assert report.words == sum(3**k for k in range(maxlen + 1))
+
+
+def test_compare_takes_letter_indices_and_returns_letters():
+    left, right, _ = _operands_for("K*L", 3, 3)
+    final, _ = run_pipeline("K*L", left, right)
+    flipped = _flipped(final)
+    oracle = SemanticOracle("K*L", left, right)
+    words = list(right.words(len(right.alphabet)))
+    wrong = [w for w in words if flipped.run(w) != oracle.member(w)]
+    indices = [tuple(map(right.alphabet.index, w)) for w in words]
+    assert wrong and all(isinstance(x, str) for x in wrong[0])
+    assert oracle.compare(flipped, indices) == (len(words), len(wrong),
+                                                wrong[0])
 
 
 def _choice_words(alphabet, count, maxlen, seed):

@@ -147,3 +147,16 @@ def test_package_exports_exactly_what_it_imports():
                 for alias in node.names}
     assert set(starbench.__all__) == imported
     assert len(starbench.__all__) == len(imported)
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    # each `print(...)  # value` line of the Library block must print that
+    # value, so the example cannot drift from the package
+    readme = (TRACING.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    claimed = [line.rsplit("#", 1)[1].strip().strip('"')
+               for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert claimed == ["24", "match"]
+    assert capsys.readouterr().out.splitlines() == claimed

@@ -157,6 +157,20 @@ def test_monoid_full_transformation_count(witness):
     assert monoid_size(witness("U3", 5)) == 3125
 
 
+def test_monoid_over_the_cap_is_refused(witness, monkeypatch):
+    # the full monoid on n states has n^n elements, so U:n=9 alone would
+    # need tens of GB; the walk stops once it holds more than the cap
+    from starbench import witnesses
+
+    monkeypatch.setattr(witnesses, "DEFAULT_SUBSET_CAP", 100)
+    with pytest.raises(ValueError, match="more than 100 elements"):
+        monoid_size(witness("U3", 4))
+    assert monoid_size(witness("U3", 4), "ab") == 24
+    # a monoid of exactly the cap's size still counts
+    monkeypatch.setattr(witnesses, "DEFAULT_SUBSET_CAP", 24)
+    assert monoid_size(witness("U3", 4), "ab") == 24
+
+
 def test_monoid_rejects_bad_letters(witness):
     with pytest.raises(ValueError):
         monoid_size(witness("U3", 3), "")
