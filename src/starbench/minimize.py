@@ -104,26 +104,19 @@ class SubsetDfa:
 
 
 def _closure_masks(nfa: EpsNfa) -> list[int]:
-    """Per-state epsilon-closure bit masks (state included in its closure)."""
-    n = nfa.size
-    direct = [1 << q for q in range(n)]
-    for q, targets in nfa.epsilon.items():
-        for t in targets:
-            direct[q] |= 1 << t
-    closure = list(direct)
-    changed = True
-    while changed:
-        changed = False
-        for q in range(n):
-            m = closure[q]
-            acc = m
-            while m:
-                low = m & -m
-                acc |= closure[low.bit_length() - 1]
-                m ^= low
-            if acc != closure[q]:
-                closure[q] = acc
-                changed = True
+    """Per-state epsilon-closure bit masks (state included in its closure),
+    each from one depth-first search along the epsilon edges."""
+    epsilon = nfa.epsilon
+    closure = []
+    for q in range(nfa.size):
+        mask = 1 << q
+        stack = [q]
+        while stack:
+            for t in epsilon.get(stack.pop(), ()):
+                if not mask >> t & 1:
+                    mask |= 1 << t
+                    stack.append(t)
+        closure.append(mask)
     return closure
 
 

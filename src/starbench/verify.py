@@ -1,14 +1,14 @@
 """Verification harness: run construction pipelines, compare measured
 minimal-DFA sizes against the bound table, and report.
 
-Each registry shape's construction is one row of `_SHAPES`: an NFA, which
-`run_pipeline` determinizes and minimizes at its one final site, or the
-minimal DFA of a closing boolean product. Every cell is a pure computation
-(build witnesses, construct, determinize, minimize, count), so tables can
-fan out over a process pool; assembly and ordering stay sequential and
-deterministic. An ABOVE-BOUND verdict is the loud one: a measured size
-above a proved upper bound means a broken pipeline or a refuted claim, and
-it alone fails the process.
+Each registry shape's construction is one row of `_SHAPES`: an NFA, or
+the DFA of a closing boolean product. `run_pipeline` determinizes an NFA
+and minimizes every row's automaton at its one final site. Every cell is a
+pure computation (build witnesses, construct, determinize, minimize,
+count), so tables can fan out over a process pool; assembly and ordering
+stay sequential and deterministic. An ABOVE-BOUND verdict is the loud
+one: a measured size above a proved upper bound means a broken pipeline or
+a refuted claim, and it alone fails the process.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ def _base_star_nfa(d: Dfa) -> EpsNfa:
 
 
 # Each registry shape's construction over the operands K, L, the entry's
-# boolean operation b and the subset cap: the NFA that run_pipeline
-# measures, or, for a shape that ends in a boolean product, that product's
-# minimal DFA. Rows call every layer through this module's names, the
-# names that bench/tracing.py patches to time each layer.
+# boolean operation b and the subset cap: an NFA or, for a shape that ends
+# in a boolean product, that product, which run_pipeline makes minimal.
+# Rows call every layer through this module's names, the names that
+# bench/tracing.py patches to time each layer.
 _SHAPES: dict[str, Callable[[Dfa | None, Dfa, BooleanOp | None, int],
                             EpsNfa | Dfa]] = {
     "star": lambda k, l, b, cap: star_nfa(l),
@@ -112,16 +112,17 @@ _SHAPES: dict[str, Callable[[Dfa | None, Dfa, BooleanOp | None, int],
     # the star's loop-backs fan out)
     "union_star": lambda k, l, b, cap: star_eps_nfa(
         union_nfa(dfa_to_nfa(k), dfa_to_nfa(l))),
+    # star the minimal product, whose fewer states mean fewer subsets
     "boolean_star": lambda k, l, b, cap: star_nfa(
         minimize(product_dfa(k, l, b))),
-    "boolean": lambda k, l, b, cap: minimize(product_dfa(k, l, b)),
-    "k_circ_lstar": lambda k, l, b, cap: minimize(
-        product_dfa(k, minimal_dfa(star_nfa(l), cap), b)),
-    "lstar_circ_k": lambda k, l, b, cap: minimize(
-        product_dfa(minimal_dfa(star_nfa(l), cap), k, b)),
-    "kstar_circ_lstar": lambda k, l, b, cap: minimize(product_dfa(
+    "boolean": lambda k, l, b, cap: product_dfa(k, l, b),
+    "k_circ_lstar": lambda k, l, b, cap: product_dfa(
+        k, minimal_dfa(star_nfa(l), cap), b),
+    "lstar_circ_k": lambda k, l, b, cap: product_dfa(
+        minimal_dfa(star_nfa(l), cap), k, b),
+    "kstar_circ_lstar": lambda k, l, b, cap: product_dfa(
         minimal_dfa(_base_star_nfa(k), cap),
-        minimal_dfa(_base_star_nfa(l), cap), b)),
+        minimal_dfa(_base_star_nfa(l), cap), b),
 }
 
 
@@ -129,7 +130,7 @@ def run_pipeline(
     op: str, left: Dfa | None, right: Dfa, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[Dfa, SubsetDfa | None]:
     """The construction for one operation, its registry shape's _SHAPES
-    row, ending in a minimal DFA.
+    row, determinized if it is an NFA and minimized here for every row.
 
     Also returns the subset DFA whose minimization is that final DFA, so a
     mismatch audit decodes labels of the measured automaton; None when the
@@ -138,10 +139,8 @@ def run_pipeline(
     entry = bounds.lookup(op)
     boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
     built = _SHAPES[entry.shape](left, right, boolean, cap)
-    if isinstance(built, Dfa):
-        return built, None
-    sd = determinize(built, cap)
-    return minimize(sd.dfa), sd
+    sd = None if isinstance(built, Dfa) else determinize(built, cap)
+    return minimize(built if sd is None else sd.dfa), sd
 
 
 def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:

@@ -128,16 +128,11 @@ class WitnessSpec:
 
 
 def build(spec: WitnessSpec) -> Dfa:
-    """Materialize the witness: canonical roles, initial 0, then letters
-    renamed so that order[i] performs role i."""
+    """Materialize the witness over the canonical alphabet, initial 0,
+    letter order[i] performing role i."""
     fam = FAMILIES[spec.family]
-    n = spec.n
-    canonical = spec.canonical_order()
-    d = Dfa(n, canonical, dict(zip(canonical, fam.roles(n))), 0, fam.finals(n))
-    if spec.order != canonical:
-        pi = dict(zip(canonical, spec.order))
-        d = d.permute_letters(pi)
-    return d
+    return Dfa(spec.n, spec.canonical_order(),
+               dict(zip(spec.order, fam.roles(spec.n))), 0, fam.finals(spec.n))
 
 
 def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:

@@ -241,6 +241,13 @@ def test_repeated_witness_field_is_usage_error(capsys):
     assert (code, out, err) == (2, "", "error: repeated witness field 'n'\n")
 
 
+def test_bare_witness_field_is_usage_error(capsys):
+    # a field without '=' is named as such, not as an unknown field
+    code, out, err = run_cli(capsys, "witness", "U:n=3:x")
+    assert (code, out, err) == (
+        2, "", "error: bad witness field 'x', expected key=value\n")
+
+
 def test_above_bound_cell_fails_the_process(capsys, monkeypatch):
     from starbench import verify
 

@@ -164,6 +164,15 @@ def test_read_short_row_is_incomplete_delta():
     (lambda t: t.replace("a 1 2 3 0", "b 1 2 3 0"), "expected row"),
     (lambda t: t + "extra\n", "trailing"),
     (lambda t: t.replace("a 1 2 3 0", "a 1 2 3 9"), "out of range"),
+    (lambda t: "dfa 4\n", "line 2: missing 'alphabet' line"),
+    (lambda t: t.replace("dfa 4", "dfb 4"), "expected 'dfa <n>'"),
+    (lambda t: t.replace("dfa 4", "dfa 0"), "must be positive"),
+    (lambda t: t.replace("alphabet a b c", "alphabet"),
+     "expected 'alphabet <letters>'"),
+    (lambda t: t.replace("finals 3", "final 3"), "expected 'finals"),
+    # the Dfa's own check, re-raised as a format error
+    (lambda t: t.replace("initial 0", "initial 9"),
+     "initial state 9 out of range"),
 ])
 def test_read_errors_name_line_and_cause(mangle, message):
     with pytest.raises(DfaFormatError, match=message):

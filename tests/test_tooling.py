@@ -136,6 +136,25 @@ def test_readme_witness_table_names_every_family():
     assert listed == {f.cli_name for f in FAMILIES.values()}
 
 
+def test_readme_operations_table_matches_the_registry():
+    # each row lists canonical names, their aliases in the same order (or
+    # `same` for none) and one status
+    from starbench.bounds import TABLE
+
+    readme = (TRACING.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Operations", 1)[1].split("###", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    listed = {}
+    for row in rows:
+        ops, aliases, status = (cell.strip() for cell in row.split("|")[1:4])
+        ops = re.findall(r"`([^`]*)`", ops)
+        aliases = ([None] * len(ops) if aliases == "same"
+                   else re.findall(r"`([^`]*)`", aliases))
+        assert len(aliases) == len(ops), row
+        listed.update((op, (alias, status)) for op, alias in zip(ops, aliases))
+    assert listed == {e.op: (e.alias, e.status) for e in TABLE.values()}
+
+
 def test_package_exports_exactly_what_it_imports():
     # __all__ is kept by hand beside the imports of __init__.py
     import starbench

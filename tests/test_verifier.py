@@ -269,6 +269,45 @@ def test_a_product_ending_cell_dumps_only_its_own_dfa(monkeypatch):
     assert cell.diagnostics == write_dfa(final)
 
 
+def test_a_large_offending_dfa_is_named_not_dumped(monkeypatch):
+    # above _DIAG_DFA_LIMIT states the minimal DFA is replaced by one line
+    # giving its size; the subset labels still follow
+    from starbench import bounds, verify
+    from starbench.verify import _operands_for, run_pipeline
+
+    left, right, _ = _operands_for("KL*", 3, 3)
+    final, sd = run_pipeline("KL*", left, right)
+    labels = " ".join(
+        "{" + ",".join(str(q) for q in sorted(label)) + "}"
+        for label in sd.labels[:20]
+    )
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size - 1)
+    monkeypatch.setattr(verify, "_DIAG_DFA_LIMIT", final.size - 1)
+    cell = verify_cell("KL*", 3, 3)
+    assert cell.verdict == "ABOVE-BOUND"
+    assert cell.diagnostics == (
+        f"(minimal DFA with {final.size} states not dumped)\n"
+        "subset labels: " + labels + "\n")
+
+
+def test_every_row_is_measured_minimal(monkeypatch):
+    # run_pipeline minimizes whatever a construction row returns, so a row
+    # that hands back a non-minimal DFA is still measured at its minimal
+    # size: K ∩ complement(K) has 3 reachable pairs and accepts nothing
+    from starbench import verify
+    from starbench.ops import BooleanOp, product_dfa
+    from starbench.verify import _operands_for, run_pipeline
+
+    def empty_product(k, l, b, cap):
+        return product_dfa(k, k.complement(), BooleanOp.INTERSECTION)
+
+    left, right, _ = _operands_for("bool-union", 3, 3)
+    assert empty_product(left, right, None, 0).size == 3
+    monkeypatch.setitem(verify._SHAPES, "boolean", empty_product)
+    final, sd = run_pipeline("bool-union", left, right)
+    assert (final.size, final.finals, sd) == (1, frozenset(), None)
+
+
 def test_base_star_is_the_star_of_an_end_final_operand():
     # the doubly-starred boolean rows star each operand in the shape of its
     # {n-1}-final base, which is plain star_nfa for such an operand only
