@@ -14,8 +14,14 @@ mask of each subset, packed at a fixed width into one bytes value;
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
 block is named by its least state, so no round mints new labels. The
-subset DFAs measured here are nearly all distinguishable and need few
-rounds, and they stop as soon as every block is a singleton. A DFA still
+subset DFAs measured here are nearly all distinguishable, and they stop as
+soon as every block is a singleton. A subset DFA's rounds start from keys
+instead of finality: a closed subset accepts w exactly when it meets R_w,
+the NFA states whose closure accepts w, so the sets R_w of a few hundred
+short words, found by walking the reversed NFA, already split nearly every
+subset from the others (the theorem behind Brzozowski's double reversal;
+Brzozowski and Tamm, "Theory of átomata", TCS 2014). Rounds from finality
+take 4 to 20 on the large cells; from these keys, 0 to 5. A DFA still
 splitting after 2·bit_length(n) rounds (a chain, say, which needs n) is
 refined from scratch by Hopcroft's algorithm on a refinable partition
 held in flat arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA
@@ -29,13 +35,21 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, filterfalse
+from operator import or_
 
 from .core import Dfa, EpsNfa, Transformation
 
 DEFAULT_SUBSET_CAP = 2_000_000
+# subset_keys draws one reverse word per _STATES_PER_KEY_BIT subset DFA
+# states, at most _KEY_BITS_MAX of them; below _KEY_BITS_MIN it gives no
+# keys, as under about 128 states the walk costs more than the rounds it
+# saves
+_KEY_BITS_MAX = 512
+_KEY_BITS_MIN = 8
+_STATES_PER_KEY_BIT = 16
 
 
 class SubsetCapExceeded(RuntimeError):
@@ -135,6 +149,19 @@ def _chunk_tables(succ: list[int]) -> list[list[int]]:
     return tables
 
 
+def _successor_words(nfa: EpsNfa, closure: list[int]) -> list[int]:
+    """succ[q] packs q's epsilon-closed successor masks, letter li at bits
+    li*n .. li*n+n-1; closure distributes over unions, so a subset's
+    moves are the OR of its states' words."""
+    n = nfa.size
+    succ = [0] * n
+    for li, x in enumerate(nfa.alphabet):
+        for q in range(n):
+            for t in nfa.moves.get((q, x), ()):
+                succ[q] |= closure[t] << li * n
+    return succ
+
+
 def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     """Subset construction with epsilon closure.
 
@@ -150,15 +177,7 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     n = nfa.size
     alphabet = nfa.alphabet
     closure = _closure_masks(nfa)
-    # succ[q] packs q's epsilon-closed successor masks, letter li at bits
-    # li*n .. li*n+n-1; closure distributes over unions, so a subset's
-    # moves are the OR of its states' words
-    succ = [0] * n
-    for li, x in enumerate(alphabet):
-        for q in range(n):
-            for t in nfa.moves.get((q, x), ()):
-                succ[q] |= closure[t] << li * n
-    tables = _chunk_tables(succ)
+    tables = _chunk_tables(_successor_words(nfa, closure))
 
     start = 0
     for q in nfa.initials:
@@ -197,14 +216,93 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     return SubsetDfa(dfa, bytes(packed), nbytes)
 
 
+def _reverse_masks(nfa: EpsNfa, limit: int) -> list[int]:
+    """Up to `limit` distinct masks R_w, the NFA states whose
+    epsilon-closure accepts w: R_ε first, then nonempty ones only; fewer
+    if no more exist.
+
+    The words are walked breadth first from ε, each one extended by a
+    letter in front, in alphabet order: R_xw holds the states q with some
+    epsilon-closed x-successor of a state in closure(q) in R_w. A word
+    whose mask is already known is not extended, since R_xw depends on
+    R_w alone. The walk ORs one predecessor word per state of R_w; chunk
+    tables, as in `determinize`, cost more to build than they save here.
+    """
+    n = nfa.size
+    closure = _closure_masks(nfa)
+    succ = _successor_words(nfa, closure)
+    # pred[t] packs, letter li at bits li*n .. li*n+n-1, the states q with
+    # t among the epsilon-closed li-successors of closure(q)
+    pred = [0] * n
+    for q, mask in enumerate(closure):
+        moves = 0
+        for p in _decode(mask):
+            moves |= succ[p]
+        for bit in _decode(moves):
+            pred[bit % n] |= 1 << bit - bit % n + q
+
+    finals_mask = sum(1 << q for q in nfa.finals)
+    accepting = sum(1 << q for q, mask in enumerate(closure) if mask & finals_mask)
+    found = [accepting]
+    seen = {0, accepting}
+    full = (1 << n) - 1
+    shifts = range(0, len(nfa.alphabet) * n, n)
+    for mask in found:  # grows as new masks are found
+        moves = 0
+        for t in _decode(mask):
+            moves |= pred[t]
+        for shift in shifts:
+            target = moves >> shift & full
+            if target not in seen:
+                if len(found) == limit:
+                    return found
+                seen.add(target)
+                found.append(target)
+    return found
+
+
+def subset_keys(nfa: EpsNfa, sd: SubsetDfa) -> Iterator[int] | None:
+    """Labels for `minimize(sd.dfa, ...)`, sd being `determinize(nfa)`:
+    per subset S in state order, the bits j with S ∩ R_j nonempty, for the
+    reverse word masks R_j of `_reverse_masks`; None when sd has too few
+    states to gain from them.
+
+    A closed subset accepts w exactly when it meets R_w, so subsets with
+    different keys are inequivalent, and bit 0, from R_ε, is finality.
+    The walk and each key are computed only as `minimize` draws them, and
+    no list of keys is kept.
+    """
+    limit = min(sd.dfa.size // _STATES_PER_KEY_BIT, _KEY_BITS_MAX)
+    if limit < _KEY_BITS_MIN:
+        return None
+    return _keys(nfa, sd, limit)
+
+
+def _keys(nfa: EpsNfa, sd: SubsetDfa, limit: int) -> Iterator[int]:
+    """The generator behind `subset_keys`: each key is the OR of one
+    chunk table entry per byte of the subset's packed mask, byte c of
+    every mask being the stride packed[c::width]."""
+    bits = [0] * nfa.size  # bits[q]: the j with q in R_j
+    for j, mask in enumerate(_reverse_masks(nfa, limit)):
+        for q in _decode(mask):
+            bits[q] |= 1 << j
+    tables = _chunk_tables(bits)
+    packed, width = sd.packed, sd.width
+    keys = map(tables[0].__getitem__, packed[0::width])
+    for c in range(1, width):
+        keys = map(or_, keys, map(tables[c].__getitem__, packed[c::width]))
+    yield from keys
+
+
 def _bfs_numbering(
     trans: list[list[int]], final: list[bool], initial: int
-) -> tuple[list[list[int]], list[bool]]:
+) -> tuple[list[list[int]], list[bool], list[int] | None]:
     """Keep the states reachable from `initial`, renumbered in BFS order
     with alphabet-ordered expansion (so `initial` becomes 0).
 
-    Returns (transitions per letter, finality flags); already-canonical
-    input comes back as it is.
+    Returns (transitions per letter, finality flags, the old number of
+    each new state); already-canonical input comes back as it is, with
+    None for the order.
     """
     index = [-1] * len(final)
     index[initial] = 0
@@ -216,10 +314,11 @@ def _bfs_numbering(
                 index[t] = len(order)
                 order.append(t)
     if order == list(range(len(final))):
-        return trans, final
+        return trans, final, None
     return (
         [list(map(index.__getitem__, map(col.__getitem__, order))) for col in trans],
         list(map(final.__getitem__, order)),
+        order,
     )
 
 
@@ -300,20 +399,25 @@ def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]
     return block_of
 
 
-def _capped_moore_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]:
+def _capped_moore_blocks(
+    trans: list[list[int]], final: list[bool], labels: Iterable[Hashable] | None = None
+) -> Sequence[int]:
     """Moore's rounds at C speed, at most 2·bit_length(n) of them; a DFA
     still splitting after that is refined by Hopcroft from scratch.
 
-    A round gives each state the signature (its block, its successors'
-    blocks) and names each new block by its least state, the first to
-    claim the signature, so labels are always ints of `states` and no
-    round mints new ones. The rounds stop when one splits nothing, or as
+    The first partition is by `labels`, one per state, if given (they
+    must refine finality and only tell apart inequivalent states), else
+    by finality; Hopcroft always starts from finality. A round gives each
+    state the signature (its block, its successors' blocks) and names
+    each new block by its least state, the first to claim the signature,
+    so block names are always ints of `states` and no round mints new
+    ones. The rounds stop when one splits nothing, or as
     soon as every block is a singleton, which needs no confirming round.
     """
     n = len(final)
     states = list(range(n))
     ids: dict = {}
-    block_of = list(map(ids.setdefault, final, states))
+    block_of = list(map(ids.setdefault, final if labels is None else labels, states))
     nblocks = len(ids)
     for _ in range(2 * n.bit_length()):
         if nblocks == n:
@@ -327,7 +431,7 @@ def _capped_moore_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[
     return block_of if nblocks == n else _hopcroft_blocks(trans, final)
 
 
-def minimize(d: Dfa) -> Dfa:
+def minimize(d: Dfa, labels: Iterable[Hashable] | None = None) -> Dfa:
     """The minimal complete DFA for L(d), canonically numbered.
 
     Unreachable states are dropped and the rest renumbered by BFS from the
@@ -336,18 +440,29 @@ def minimize(d: Dfa) -> Dfa:
     keeps that BFS numbering. So two equivalent DFAs over the same
     alphabet minimize to field-identical values, and a DFA already in
     that form is returned as it is.
+
+    `labels`, one per state of d in state order and drawn once, so they
+    may come lazily (`subset_keys` gives them), start the refinement from
+    a finer partition than finality. States with different labels must
+    be inequivalent, and labels must refine finality; the result is the
+    same with or without them.
     """
     images = [d.delta[x].image for x in d.alphabet]
-    trans, final = _bfs_numbering(
+    trans, final, order = _bfs_numbering(
         images, list(map(d.finals.__contains__, range(d.size))), d.initial
     )
-    block_of = _capped_moore_blocks(trans, final)
+    if labels is None:
+        block_of = _capped_moore_blocks(trans, final)
+    else:
+        if order is not None:
+            labels = map(list(labels).__getitem__, order)
+        block_of = _capped_moore_blocks(trans, final, labels)
     # Number the blocks by their least state. The input is BFS-numbered,
     # and then so is this quotient: the first edge into a block, in
     # (source, letter) order, is the first edge into its least state.
     least: dict[int, int] = {}  # block -> least state, in block number order
     deque(map(least.setdefault, block_of, count()), maxlen=0)
-    if trans is images and len(least) == d.size:
+    if order is None and len(least) == d.size:
         return d
     reps = list(least.values())
     number = dict(zip(least, count()))
@@ -362,7 +477,8 @@ def minimize(d: Dfa) -> Dfa:
 
 def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:
     """determinize then minimize; the standard measurement pipeline step."""
-    return minimize(determinize(nfa, cap).dfa)
+    sd = determinize(nfa, cap)
+    return minimize(sd.dfa, subset_keys(nfa, sd))
 
 
 def state_complexity(nfa: EpsNfa) -> int:

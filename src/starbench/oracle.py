@@ -76,11 +76,12 @@ class _Runner:
 
 
 # Boolean operations on bit masks of positions; on single bools they give
-# the boolean result (True & ~False == 1).
+# the boolean result. Difference is a & (a ^ b), not a & ~b: ~ on a bool
+# is deprecated since Python 3.12.
 _ROW_COMBINE: dict[str, Callable[[int, int], int]] = {
     "union": lambda a, b: a | b,
     "intersection": lambda a, b: a & b,
-    "difference": lambda a, b: a & ~b,
+    "difference": lambda a, b: a & (a ^ b),
     "symmetric-difference": lambda a, b: a ^ b,
 }
 

@@ -32,6 +32,7 @@ from .minimize import (
     determinize,
     minimal_dfa,
     minimize,
+    subset_keys,
 )
 from .ops import (
     BooleanOp,
@@ -139,8 +140,10 @@ def run_pipeline(
     entry = bounds.lookup(op)
     boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
     built = _SHAPES[entry.shape](left, right, boolean, cap)
-    sd = None if isinstance(built, Dfa) else determinize(built, cap)
-    return minimize(built if sd is None else sd.dfa), sd
+    if isinstance(built, Dfa):
+        return minimize(built), None
+    sd = determinize(built, cap)
+    return minimize(sd.dfa, subset_keys(built, sd)), sd
 
 
 def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:

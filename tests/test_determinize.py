@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from starbench.minimize import (
     minimal_dfa,
     minimize,
     state_complexity,
+    subset_keys,
 )
 from starbench.ops import (
     BooleanOp,
@@ -536,3 +538,136 @@ def test_packed_masks_match_reference_labels(witness):
     assert sd.width == 9
     assert len(sd.packed) == sd.width * sd.dfa.size
     assert sd.masks == tuple(sum(1 << q for q in label) for label in labels)
+
+
+def _accepts_from(nfa, q, word):
+    """Whether the NFA started in state q alone accepts word, by a direct
+    set-based run."""
+    current = nfa.eps_closure((q,))
+    for x in word:
+        current = nfa.eps_closure(
+            t for s in current for t in nfa.moves.get((s, x), ()))
+    return bool(current & nfa.finals)
+
+
+def _reference_reverse_masks(nfa, limit):
+    """The first `limit` distinct masks R_w = {q : q accepts w}, each run
+    word by word from every state: R_ε first, then the masks of nonempty
+    words, breadth first with letters put in front in alphabet order,
+    skipping the empty mask and words whose mask came earlier."""
+    found = {}
+    words = [()]
+    for word in words:  # grows as new masks are found
+        mask = sum(1 << q for q in range(nfa.size) if _accepts_from(nfa, q, word))
+        if mask in found or word and not mask:
+            continue
+        found[mask] = word
+        if len(found) == limit:
+            break
+        words.extend((x,) + word for x in nfa.alphabet)
+    return list(found)
+
+
+def _seed_nfas():
+    """Seeded random epsilon-NFAs, plus variants with an epsilon cycle
+    through their first half, with no finals, with all finals, and with
+    four more states that nothing enters."""
+    rng = random.Random(16)
+    cases = []
+    for size in (1, 3, 5, 8, 9, 12):
+        for _ in range(3):
+            nfa = random_nfa(rng, size)
+            half = size // 2
+            cycle = dict(nfa.epsilon)
+            for q in range(half + 1):
+                cycle[q] = cycle.get(q, frozenset()) | {q + 1 if q < half else 0}
+            # the four extra states lead into the NFA, and one is final
+            extra = range(size, size + 4)
+            cases += [
+                nfa,
+                replace(nfa, epsilon=cycle),
+                replace(nfa, finals=frozenset()),
+                replace(nfa, finals=frozenset(range(size))),
+                replace(nfa, size=size + 4,
+                        moves={**nfa.moves, **{(q, "a"): frozenset((0,)) for q in extra}},
+                        epsilon={**nfa.epsilon, size: frozenset((size + 1,))},
+                        finals=nfa.finals | {size + 2}),
+            ]
+    return cases
+
+
+def _registry_nfas():
+    """The NFA of every NFA-shape registry entry at m, n = 3..4, but for
+    the starred boolean products at (4,4), whose 31k to 49k subsets would
+    take most of a second each."""
+    from starbench.bounds import TABLE
+    from starbench.verify import _SHAPES, _operands_for
+
+    for op, entry in TABLE.items():
+        for m in ((3, 4) if entry.arity == 2 else (None,)):
+            for n in (3, 4):
+                if entry.shape == "boolean_star" and m == n == 4:
+                    continue
+                left, right, _ = _operands_for(op, m, n)
+                boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
+                built = _SHAPES[entry.shape](left, right, boolean, DEFAULT_SUBSET_CAP)
+                if isinstance(built, EpsNfa):
+                    yield built
+
+
+def test_reverse_masks_match_words_run_from_each_state():
+    # each mask is the set of states accepting its word, R_ε first, in the
+    # order of a breadth-first walk that skips masks already found
+    for nfa in _seed_nfas():
+        reference = _reference_reverse_masks(nfa, 10_000)
+        for limit in (1, 2, 5, 10_000):
+            assert MINIMIZE._reverse_masks(nfa, limit) == reference[:limit]
+    for nfa in _registry_nfas():
+        reference = _reference_reverse_masks(nfa, 40)
+        assert MINIMIZE._reverse_masks(nfa, 40) == reference
+
+
+def _assert_keys_seed_minimize(dfa, keys):
+    trans = [dfa.delta[x].image for x in dfa.alphabet]
+    final = [s in dfa.finals for s in range(dfa.size)]
+    blocks = _moore_blocks(trans, final)
+    # one key per Nerode block, and bit 0 is finality
+    assert len(keys) == dfa.size
+    assert len(set(zip(blocks, keys))) == len(set(blocks))
+    assert [bool(key & 1) for key in keys] == final
+    assert minimize(dfa, iter(keys)) == minimize(dfa)
+
+
+def test_subset_keys_seed_moore_within_nerode_blocks():
+    for nfa in _seed_nfas():
+        sd = determinize(nfa)
+        for limit in (2, 6, 512):
+            _assert_keys_seed_minimize(sd.dfa, list(MINIMIZE._keys(nfa, sd, limit)))
+    for nfa in _registry_nfas():
+        sd = determinize(nfa)
+        keys = subset_keys(nfa, sd)
+        assert (keys is None) == (sd.dfa.size < 128)
+        if keys is not None:
+            _assert_keys_seed_minimize(sd.dfa, list(keys))
+
+
+def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
+    # the reverse walk runs at the first key drawn, so a traced minimize
+    # span holds it; labels follow a renumbering of the DFA's states
+    walks = []
+    walk = MINIMIZE._reverse_masks
+    monkeypatch.setattr(MINIMIZE, "_reverse_masks",
+                        lambda nfa, limit: walks.append(limit) or walk(nfa, limit))
+    nfa = star_nfa(witness("U3", 8))
+    sd = determinize(nfa)
+    keys = subset_keys(nfa, sd)
+    assert walks == []
+    keys = list(keys)
+    assert walks == [sd.dfa.size // 16]
+    perm = list(range(sd.dfa.size))
+    random.Random(4).shuffle(perm)
+    shuffled = relabel_states(sd.dfa, perm)
+    relabelled = [0] * len(keys)
+    for s, key in enumerate(keys):
+        relabelled[perm[s]] = key
+    assert minimize(shuffled, relabelled) == minimize(sd.dfa)
