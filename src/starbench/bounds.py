@@ -208,23 +208,24 @@ def recipe(op: str, m: int | None, n: int) -> Recipe:
 
 
 def cells(
-    ops: list[str] | None, ms: list[int], ns: list[int]
+    ops: list[str] | None, ms: list[int] | None, ns: list[int]
 ) -> list[tuple[str, int | None, int]]:
     """The (op, m, n) cells of the named operations (every one when ops is
     None) over ms x ns, in table order: a unary operation has one cell per
-    n, with m None. Each cell is checked by its entry's `check_range`."""
+    n, with m None. Each cell is checked by its entry's `check_range`, so
+    a binary operation with ms None is refused."""
     chosen = TABLE if ops is None else {lookup(o).op for o in ops}
     cells = []
     for entry in TABLE.values():
         if entry.op in chosen:
-            for m in [None] if entry.arity == 1 else ms:
+            for m in [None] if entry.arity == 1 or ms is None else ms:
                 for n in ns:
                     entry.check_range(m, n)
                     cells.append((entry.op, m, n))
     return cells
 
 
-def table_csv(ms: list[int], ns: list[int]) -> str:
+def table_csv(ms: list[int] | None, ns: list[int]) -> str:
     """Dump the bound table as CSV: op, status, formula-text, m, n, value."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -141,12 +141,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "bound":
-        ns = args.n
-        ms = args.m if args.m is not None else ns
         if args.op == "all":
-            print(bounds.table_csv(ms, ns), end="")
+            print(bounds.table_csv(args.m, args.n), end="")
             return 0
-        cells = bounds.cells([args.op], ms, ns)
+        cells = bounds.cells([args.op], args.m, args.n)
         for _, m, n in cells:
             value = bounds.evaluate(args.op, m, n)
             if len(cells) > 1:

@@ -277,6 +277,26 @@ class EpsNfa:
             current = self.eps_closure(moved)
         return bool(current & self.finals)
 
+    def reverse(self) -> "EpsNfa":
+        """NFA for the reversed language: every move and epsilon edge
+        flipped, initials and finals swapped."""
+        moves: dict[tuple[int, str], set[int]] = {}
+        for (s, x), targets in self.moves.items():
+            for t in targets:
+                moves.setdefault((t, x), set()).add(s)
+        epsilon: dict[int, set[int]] = {}
+        for s, targets in self.epsilon.items():
+            for t in targets:
+                epsilon.setdefault(t, set()).add(s)
+        return EpsNfa(
+            size=self.size,
+            alphabet=self.alphabet,
+            moves={k: frozenset(v) for k, v in moves.items()},
+            epsilon={k: frozenset(v) for k, v in epsilon.items()},
+            initials=self.finals,
+            finals=self.initials,
+        )
+
 
 def write_dfa(d: Dfa) -> str:
     """Serialize to the line-oriented text format (LF, trailing newline)."""

@@ -17,16 +17,17 @@ block is named by its least state, so no round mints new labels. The
 subset DFAs measured here are nearly all distinguishable, and they stop as
 soon as every block is a singleton. A subset DFA's rounds start from keys
 instead of finality: a closed subset accepts w exactly when it meets R_w,
-the NFA states whose closure accepts w, so the sets R_w of a few hundred
-short words, found by walking the reversed NFA, already split nearly every
-subset from the others (the theorem behind Brzozowski's double reversal;
-Brzozowski and Tamm, "Theory of átomata", TCS 2014). Rounds from finality
-take 4 to 20 on the large cells; from these keys, 0 to 5. A DFA still
-splitting after 2·bit_length(n) rounds (a chain, say, which needs n) is
-refined from scratch by Hopcroft's algorithm on a refinable partition
-held in flat arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA
-minimization", IPL 2012), so the worst case stays O(kn log n). The
-uncapped Moore refinement both are checked against lives in the tests.
+the NFA states whose closure accepts w. These sets are the states of the
+reversed NFA's subset DFA, and its first few hundred, from the same subset
+construction, already split nearly every subset from the others (the
+theorem behind Brzozowski's double reversal; Brzozowski and Tamm, "Theory
+of átomata", TCS 2014). Rounds from finality take 4 to 20 on the large
+cells; from these keys, 0 to 5. A DFA still splitting after
+2·bit_length(n) rounds (a chain, say, which needs n) is refined from
+scratch by Hopcroft's algorithm on a refinable partition held in flat
+arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA minimization",
+IPL 2012), so the worst case stays O(kn log n). The uncapped Moore
+refinement both are checked against lives in the tests.
 Equivalence is the pair search of Hopcroft and Karp (1971), which also
 finds a shortest distinguishing word.
 """
@@ -162,12 +163,16 @@ def _successor_words(nfa: EpsNfa, closure: list[int]) -> list[int]:
     return succ
 
 
-def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
-    """Subset construction with epsilon closure.
+def _subset_walk(
+    nfa: EpsNfa, limit: int
+) -> tuple[list[int], list[list[int]], bytearray]:
+    """The subset construction's breadth-first walk: the closed subsets
+    from closure(initials), letters expanded in alphabet order, as bit
+    masks in discovery order, with one target column per letter and the
+    masks packed at ceil(n/8) bytes each.
 
-    BFS over closed subsets from closure(initials), letters expanded in
-    alphabet order (canonical numbering). The empty subset, if reached,
-    becomes an ordinary dead state, keeping the result complete.
+    It stops as soon as it discovers subset number `limit` (from 0), which
+    it appends last, so a walk that stopped holds more than `limit` masks.
 
     Successors come from 8-bit chunk tables: a subset's moves on all
     letters at once are the OR of one table entry per byte of its mask,
@@ -175,22 +180,17 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     successor mask is then a shifted slice of that word.
     """
     n = nfa.size
-    alphabet = nfa.alphabet
     closure = _closure_masks(nfa)
     tables = _chunk_tables(_successor_words(nfa, closure))
-
     start = 0
     for q in nfa.initials:
         start |= closure[q]
-    finals_mask = 0
-    for q in nfa.finals:
-        finals_mask |= 1 << q
 
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
     index: dict[int, int] = {start: 0}
     order = [start]
-    columns: list[list[int]] = [[] for _ in alphabet]
+    columns: list[list[int]] = [[] for _ in nfa.alphabet]
     letters = [(li * n, column) for li, column in enumerate(columns)]
     packed = bytearray()  # the masks of `order`, nbytes each
     for mask in order:  # grows as new subsets are discovered
@@ -204,73 +204,47 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
             ti = index.get(target)
             if ti is None:
                 ti = len(order)
-                if ti >= cap:
-                    raise SubsetCapExceeded(ti + 1, cap)
-                index[target] = ti
                 order.append(target)
+                if ti >= limit:
+                    return order, columns, packed
+                index[target] = ti
             column.append(ti)
+    return order, columns, packed
 
+
+def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
+    """Subset construction with epsilon closure.
+
+    BFS over closed subsets from closure(initials), letters expanded in
+    alphabet order (canonical numbering), by `_subset_walk`. The empty
+    subset, if reached, becomes an ordinary dead state, keeping the result
+    complete.
+    """
+    order, columns, packed = _subset_walk(nfa, cap)
+    if len(order) > cap:
+        raise SubsetCapExceeded(cap + 1, cap)
+    finals_mask = 0
+    for q in nfa.finals:
+        finals_mask |= 1 << q
+    alphabet = nfa.alphabet
     delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
     finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
     dfa = Dfa(len(order), alphabet, delta, 0, finals)
-    return SubsetDfa(dfa, bytes(packed), nbytes)
-
-
-def _reverse_masks(nfa: EpsNfa, limit: int) -> list[int]:
-    """Up to `limit` distinct masks R_w, the NFA states whose
-    epsilon-closure accepts w: R_ε first, then nonempty ones only; fewer
-    if no more exist.
-
-    The words are walked breadth first from ε, each one extended by a
-    letter in front, in alphabet order: R_xw holds the states q with some
-    epsilon-closed x-successor of a state in closure(q) in R_w. A word
-    whose mask is already known is not extended, since R_xw depends on
-    R_w alone. The walk ORs one predecessor word per state of R_w; chunk
-    tables, as in `determinize`, cost more to build than they save here.
-    """
-    n = nfa.size
-    closure = _closure_masks(nfa)
-    succ = _successor_words(nfa, closure)
-    # pred[t] packs, letter li at bits li*n .. li*n+n-1, the states q with
-    # t among the epsilon-closed li-successors of closure(q)
-    pred = [0] * n
-    for q, mask in enumerate(closure):
-        moves = 0
-        for p in _decode(mask):
-            moves |= succ[p]
-        for bit in _decode(moves):
-            pred[bit % n] |= 1 << bit - bit % n + q
-
-    finals_mask = sum(1 << q for q in nfa.finals)
-    accepting = sum(1 << q for q, mask in enumerate(closure) if mask & finals_mask)
-    found = [accepting]
-    seen = {0, accepting}
-    full = (1 << n) - 1
-    shifts = range(0, len(nfa.alphabet) * n, n)
-    for mask in found:  # grows as new masks are found
-        moves = 0
-        for t in _decode(mask):
-            moves |= pred[t]
-        for shift in shifts:
-            target = moves >> shift & full
-            if target not in seen:
-                if len(found) == limit:
-                    return found
-                seen.add(target)
-                found.append(target)
-    return found
+    return SubsetDfa(dfa, bytes(packed), (nfa.size + 7) // 8)
 
 
 def subset_keys(nfa: EpsNfa, sd: SubsetDfa) -> Iterator[int] | None:
     """Labels for `minimize(sd.dfa, ...)`, sd being `determinize(nfa)`:
     per subset S in state order, the bits j with S ∩ R_j nonempty, for the
-    reverse word masks R_j of `_reverse_masks`; None when sd has too few
-    states to gain from them.
+    first `limit` subsets R_j of the reversed NFA's subset DFA; None when
+    sd has too few states to gain from them.
 
-    A closed subset accepts w exactly when it meets R_w, so subsets with
-    different keys are inequivalent, and bit 0, from R_ε, is finality.
-    The walk and each key are computed only as `minimize` draws them, and
-    no list of keys is kept.
+    The reversed NFA's subset reached by reading w backwards is R_w, the
+    NFA states whose closure accepts w, and its first subset is R_ε. A
+    closed subset accepts w exactly when it meets R_w, so subsets with
+    different keys are inequivalent, and bit 0 is finality. The walk and
+    each key are computed only as `minimize` draws them, and no list of
+    keys is kept.
     """
     limit = min(sd.dfa.size // _STATES_PER_KEY_BIT, _KEY_BITS_MAX)
     if limit < _KEY_BITS_MIN:
@@ -283,7 +257,8 @@ def _keys(nfa: EpsNfa, sd: SubsetDfa, limit: int) -> Iterator[int]:
     chunk table entry per byte of the subset's packed mask, byte c of
     every mask being the stride packed[c::width]."""
     bits = [0] * nfa.size  # bits[q]: the j with q in R_j
-    for j, mask in enumerate(_reverse_masks(nfa, limit)):
+    masks = _subset_walk(nfa.reverse(), limit)[0]
+    for j, mask in enumerate(masks[:limit]):
         for q in _decode(mask):
             bits[q] |= 1 << j
     tables = _chunk_tables(bits)

@@ -136,19 +136,9 @@ def union_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
 
 
 def reverse_nfa(d: Dfa) -> EpsNfa:
-    """NFA for the reversal of L(d): edges flipped, finals become initials."""
-    moves: dict[tuple[int, str], set[int]] = {}
-    for x, t in d.delta.items():
-        for s in range(d.size):
-            moves.setdefault((t.image[s], x), set()).add(s)
-    return EpsNfa(
-        size=d.size,
-        alphabet=d.alphabet,
-        moves={k: frozenset(v) for k, v in moves.items()},
-        epsilon={},
-        initials=d.finals,
-        finals=frozenset((d.initial,)),
-    )
+    """NFA for the reversal of L(d): d's embedding reversed by
+    `EpsNfa.reverse`, the one construction that flips edges."""
+    return dfa_to_nfa(d).reverse()
 
 
 def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:

@@ -77,6 +77,18 @@ def test_bound_unary_range_prints_one_row_per_n(capsys):
     assert out == "12\n"
 
 
+def test_bound_of_a_binary_operation_needs_m(capsys):
+    # as `complexity` does: no silent m = n
+    assert run_cli(capsys, "bound", "K*L", "--n", "5") == (
+        2, "", "error: operation K*L needs m\n")
+    assert run_cli(capsys, "bound", "all", "--n", "3..4") == (
+        2, "", "error: operation product needs m\n")
+    assert run_cli(capsys, "complexity", "K*L", "--n", "5") == (
+        2, "", "error: operation K*L needs m\n")
+    # a unary operation still needs none
+    assert run_cli(capsys, "bound", "reversal", "--n", "5") == (0, "32\n", "")
+
+
 def test_verify_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "KL*", "--m", "3..4", "--n", "3..4")
     assert code == 0

@@ -103,6 +103,23 @@ def test_reverse_nfa_shape(witness):
     assert rev.finals == {0}
 
 
+def test_reverse_nfa_flips_the_dfa_embedding():
+    from starbench.witnesses import FAMILIES, WitnessSpec, build
+
+    for family in FAMILIES:
+        for n in (3, 4, 5):
+            d = build(WitnessSpec(family, n))
+            rev = reverse_nfa(d)
+            assert rev == dfa_to_nfa(d).reverse()
+            moves = {}
+            for x, t in d.delta.items():
+                for s, target in enumerate(t.image):
+                    moves.setdefault((target, x), set()).add(s)
+            assert rev.moves == moves
+            assert (rev.epsilon, rev.initials, rev.finals) == (
+                {}, d.finals, {d.initial})
+
+
 def test_reverse_of_reversal_closed_language():
     # even number of a's over {a,b}: closed under reversal
     t = {"a": Transformation((1, 0)), "b": Transformation((0, 1))}

@@ -615,16 +615,37 @@ def _registry_nfas():
                     yield built
 
 
+def test_reverse_accepts_exactly_the_reversed_words():
+    words = [w for length in range(7)
+             for w in itertools.product(("a", "b"), repeat=length)]
+    for nfa in _seed_nfas():
+        rev = nfa.reverse()
+        assert [rev.simulate(w) for w in words] == [
+            nfa.simulate(w[::-1]) for w in words]
+        assert rev.reverse() == nfa
+
+
+def _assert_key_walk_matches(nfa, limit, reference):
+    """The key walk's first `limit` masks, the first subsets of the
+    reversed NFA's subset DFA, are the reference's masks in its order.
+
+    The walk keeps the empty mask as the dead subset, which the reference
+    skips, so it is dropped from all but the first place."""
+    masks = MINIMIZE._subset_walk(nfa.reverse(), limit)[0][:limit]
+    nonempty = masks[:1] + [mask for mask in masks[1:] if mask]
+    assert nonempty == reference[:len(nonempty)]
+    assert len(masks) == min(limit, len(reference) + (0 in masks[1:]))
+
+
 def test_reverse_masks_match_words_run_from_each_state():
     # each mask is the set of states accepting its word, R_ε first, in the
     # order of a breadth-first walk that skips masks already found
     for nfa in _seed_nfas():
         reference = _reference_reverse_masks(nfa, 10_000)
         for limit in (1, 2, 5, 10_000):
-            assert MINIMIZE._reverse_masks(nfa, limit) == reference[:limit]
+            _assert_key_walk_matches(nfa, limit, reference)
     for nfa in _registry_nfas():
-        reference = _reference_reverse_masks(nfa, 40)
-        assert MINIMIZE._reverse_masks(nfa, 40) == reference
+        _assert_key_walk_matches(nfa, 40, _reference_reverse_masks(nfa, 40))
 
 
 def _assert_keys_seed_minimize(dfa, keys):
@@ -654,12 +675,12 @@ def test_subset_keys_seed_moore_within_nerode_blocks():
 def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
     # the reverse walk runs at the first key drawn, so a traced minimize
     # span holds it; labels follow a renumbering of the DFA's states
-    walks = []
-    walk = MINIMIZE._reverse_masks
-    monkeypatch.setattr(MINIMIZE, "_reverse_masks",
-                        lambda nfa, limit: walks.append(limit) or walk(nfa, limit))
     nfa = star_nfa(witness("U3", 8))
     sd = determinize(nfa)
+    walks = []
+    walk = MINIMIZE._subset_walk
+    monkeypatch.setattr(MINIMIZE, "_subset_walk",
+                        lambda nfa, limit: walks.append(limit) or walk(nfa, limit))
     keys = subset_keys(nfa, sd)
     assert walks == []
     keys = list(keys)
