@@ -147,6 +147,9 @@ _ENTRIES = (
     BoundEntry("K*⊕L*", "KsxLs", "theorem", "kstar_circ_lstar",
                _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba",
                "symmetric-difference"),
+    # the KL* and K*L* formulas hold for L with L* ≠ L; where L* = L (as
+    # for U0, whose only final state is its initial one) KL* is KL and
+    # K*L* is K*L, whose sizes can exceed them
     BoundEntry("KL*", "KLs", "theorem", "k_lstar",
                "m*(2^(n-1) + 2^(n-2)) - 2^(n-2)", "T", "T:order=bac"),
     BoundEntry("K*L", "KsL", "theorem", "kstar_l",

@@ -26,8 +26,12 @@ cells; from these keys, 0 to 5. A DFA still splitting after
 2·bit_length(n) rounds (a chain, say, which needs n) is refined from
 scratch by Hopcroft's algorithm on a refinable partition held in flat
 arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA minimization",
-IPL 2012), so the worst case stays O(kn log n). The uncapped Moore
-refinement both are checked against lives in the tests.
+IPL 2012), so the worst case stays O(kn log n); its blocks, too, are
+named by their least states. The uncapped Moore refinement both are
+checked against lives in the tests. `minimize` is refine, then one
+breadth-first numbering of the quotient: it refines the DFA as given,
+unreachable states included, and the numbering, the one canonical
+numbering here, keeps only the blocks reachable from the initial one.
 Equivalence is the pair search of Hopcroft and Karp (1971), which also
 finds a shortest distinguishing word.
 """
@@ -108,6 +112,8 @@ class SubsetDfa:
 
     def label(self, state: int) -> frozenset[int]:
         """The subset of one DFA state as a set, decoded from its mask."""
+        if not 0 <= state < self.dfa.size:
+            raise IndexError(f"state {state} out of range [0, {self.dfa.size})")
         width = self.width
         chunk = self.packed[state * width:(state + 1) * width]
         return _decode(int.from_bytes(chunk, "little"))
@@ -270,14 +276,14 @@ def _keys(nfa: EpsNfa, sd: SubsetDfa, limit: int) -> Iterator[int]:
 
 
 def _bfs_numbering(
-    trans: list[list[int]], final: list[bool], initial: int
-) -> tuple[list[list[int]], list[bool], list[int] | None]:
+    trans: Sequence[Sequence[int]], final: list[bool], initial: int
+) -> tuple[list[tuple[int, ...]], list[bool]] | None:
     """Keep the states reachable from `initial`, renumbered in BFS order
-    with alphabet-ordered expansion (so `initial` becomes 0).
+    with alphabet-ordered expansion (so `initial` becomes 0): the one
+    canonical numbering, which `minimize` applies to the quotient.
 
-    Returns (transitions per letter, finality flags, the old number of
-    each new state); already-canonical input comes back as it is, with
-    None for the order.
+    Returns (transitions per letter, finality flags), or None when the
+    numbering keeps every state in place, so the input is its own result.
     """
     index = [-1] * len(final)
     index[initial] = 0
@@ -289,18 +295,18 @@ def _bfs_numbering(
                 index[t] = len(order)
                 order.append(t)
     if order == list(range(len(final))):
-        return trans, final, None
+        return None
     return (
-        [list(map(index.__getitem__, map(col.__getitem__, order))) for col in trans],
+        [tuple(map(index.__getitem__, map(col.__getitem__, order))) for col in trans],
         list(map(final.__getitem__, order)),
-        order,
     )
 
 
 def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]:
     """Hopcroft's algorithm on a refinable partition (Valmari 2012).
 
-    Returns block_of: state -> block id, ids 0..k-1. Each block is a range
+    Returns block_of: state -> block, each block named by its least state
+    as the capped Moore rounds name theirs. Each block is a range
     [first, end) of the permutation `elems` of the states, and `loc` is its
     inverse. Refining by a splitter and a letter marks each predecessor by
     swapping it into its block's marked prefix [first, mid). A block marked
@@ -371,7 +377,8 @@ def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]
                 for s in elems[lo:hi]:
                     block_of[s] = new
                 work.append(new)
-    return block_of
+    least = [min(elems[f:e]) for f, e in zip(first, end)]
+    return list(map(least.__getitem__, block_of))
 
 
 def _capped_moore_blocks(
@@ -409,12 +416,14 @@ def _capped_moore_blocks(
 def minimize(d: Dfa, labels: Iterable[Hashable] | None = None) -> Dfa:
     """The minimal complete DFA for L(d), canonically numbered.
 
-    Unreachable states are dropped and the rest renumbered by BFS from the
-    initial state with alphabet-ordered expansion; _capped_moore_blocks
-    then merges indistinguishable states into blocks, and the quotient
-    keeps that BFS numbering. So two equivalent DFAs over the same
-    alphabet minimize to field-identical values, and a DFA already in
-    that form is returned as it is.
+    Refine, then one breadth-first numbering of the quotient:
+    _capped_moore_blocks merges indistinguishable states of d into blocks,
+    each named by its least state, so the quotient's transitions are its
+    states' own mapped to blocks; _bfs_numbering then keeps the blocks
+    reachable from the initial one, numbered by BFS with alphabet-ordered
+    expansion. So two equivalent DFAs over the same alphabet minimize to
+    field-identical values, and a DFA already in that form is returned as
+    it is.
 
     `labels`, one per state of d in state order and drawn once, so they
     may come lazily (`subset_keys` gives them), start the refinement from
@@ -422,32 +431,17 @@ def minimize(d: Dfa, labels: Iterable[Hashable] | None = None) -> Dfa:
     be inequivalent, and labels must refine finality; the result is the
     same with or without them.
     """
-    images = [d.delta[x].image for x in d.alphabet]
-    trans, final, order = _bfs_numbering(
-        images, list(map(d.finals.__contains__, range(d.size))), d.initial
-    )
-    if labels is None:
-        block_of = _capped_moore_blocks(trans, final)
-    else:
-        if order is not None:
-            labels = map(list(labels).__getitem__, order)
-        block_of = _capped_moore_blocks(trans, final, labels)
-    # Number the blocks by their least state. The input is BFS-numbered,
-    # and then so is this quotient: the first edge into a block, in
-    # (source, letter) order, is the first edge into its least state.
-    least: dict[int, int] = {}  # block -> least state, in block number order
-    deque(map(least.setdefault, block_of, count()), maxlen=0)
-    if order is None and len(least) == d.size:
+    trans = [d.delta[x].image for x in d.alphabet]
+    final = list(map(d.finals.__contains__, range(d.size)))
+    block_of = _capped_moore_blocks(trans, final, labels)
+    if block_of != list(range(d.size)):
+        trans = [list(map(block_of.__getitem__, col)) for col in trans]
+    numbered = _bfs_numbering(trans, final, block_of[d.initial])
+    if numbered is None:
         return d
-    reps = list(least.values())
-    number = dict(zip(least, count()))
-    quotient = list(map(number.__getitem__, block_of))
-    delta = {
-        x: Transformation(tuple(map(quotient.__getitem__, map(col.__getitem__, reps))))
-        for x, col in zip(d.alphabet, trans)
-    }
-    finals = frozenset(compress(count(), map(final.__getitem__, reps)))
-    return Dfa(len(reps), d.alphabet, delta, 0, finals)
+    trans, final = numbered
+    delta = {x: Transformation(col) for x, col in zip(d.alphabet, trans)}
+    return Dfa(len(final), d.alphabet, delta, 0, frozenset(compress(count(), final)))
 
 
 def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:

@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -216,11 +217,14 @@ def verify_table(
     cap: int = DEFAULT_SUBSET_CAP,
     jobs: int = 1,
 ) -> list[VerificationCell]:
-    """All requested cells in deterministic (op, m, n) order."""
+    """All requested cells in deterministic (op, m, n) order, on at most
+    `jobs` worker processes, and never more than there are cells or CPUs:
+    a fork-started pool starts all its workers at the first submit."""
     cells = bounds.cells(ops, ms, ns)
-    if jobs <= 1 or len(cells) <= 1:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         return [verify_cell(op, m, n, cap) for op, m, n in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(verify_cell, *zip(*cells), [cap] * len(cells),
                              chunksize=1))
 

@@ -38,24 +38,26 @@ def _moore_blocks(trans, final):
     rounds and Hopcroft are checked against.
 
     Each round renames every state by its block and its successors' blocks,
-    numbered in order of first appearance, until no block splits.
+    each block named by its least state, until no block splits.
     """
     block_of = [1 if f else 0 for f in final]
     nblocks = len(set(block_of))
     while True:
         successors = (map(block_of.__getitem__, col) for col in trans)
-        signatures = list(zip(block_of, *successors))
-        ids = dict(zip(dict.fromkeys(signatures), itertools.count()))
-        block_of = list(map(ids.__getitem__, signatures))
+        signatures = zip(block_of, *successors)
+        ids = {}
+        block_of = list(map(ids.setdefault, signatures, itertools.count()))
         if len(ids) == nblocks:
             return block_of
         nblocks = len(ids)
 
 
 def minimize_by(monkeypatch, refine, d):
-    """minimize(d) with `refine` in place of the capped Moore rounds."""
+    """minimize(d) with `refine`, which starts from finality, in place of
+    the capped Moore rounds."""
     with monkeypatch.context() as patch:
-        patch.setattr(MINIMIZE, "_capped_moore_blocks", refine)
+        patch.setattr(MINIMIZE, "_capped_moore_blocks",
+                      lambda trans, final, labels=None: refine(trans, final))
         return minimize(d)
 
 
@@ -539,6 +541,17 @@ def test_packed_masks_match_reference_labels(witness):
     assert len(sd.packed) == sd.width * sd.dfa.size
     assert sd.masks == tuple(sum(1 << q for q in label) for label in labels)
 
+
+
+def test_label_refuses_states_out_of_range(witness):
+    # no slice of the packed masks past either end may pass for the
+    # dead state's empty subset, nor a negative state for another's
+    sd = determinize(star_nfa(witness("U3", 4)))
+    assert sd.dfa.size == 12
+    assert sd.label(0) == frozenset((4,)) and sd.label(11) == sd.labels[11]
+    for state in (-2, -1, 12, 13):
+        with pytest.raises(IndexError):
+            sd.label(state)
 
 def _accepts_from(nfa, q, word):
     """Whether the NFA started in state q alone accepts word, by a direct

@@ -1,8 +1,11 @@
+import importlib
 import json
+import os
 
 import pytest
 
 from starbench.bounds import TABLE, evaluate
+from starbench.oracle import SemanticOracle
 from starbench.verify import (
     VerificationCell,
     any_above_bound,
@@ -11,9 +14,13 @@ from starbench.verify import (
     render_json,
     render_text,
     summary_counts,
+    run_pipeline,
     verify_cell,
     verify_table,
 )
+from starbench.witnesses import build, parse_witness
+
+VERIFY = importlib.import_module("starbench.verify")
 
 
 @pytest.mark.parametrize("op, m, n, measured", [
@@ -118,6 +125,56 @@ def test_verify_table_all_small_with_cap():
             assert cell.verdict == "match", (op, cell)
             assert cell.measured == evaluate(op, 3, 3)
 
+
+@pytest.mark.parametrize("op, left, right, m, n, measured", [
+    ("KL*", "U:n=4", "U0:n=3", 4, 3, 27),
+    ("KL*", "U:n=3", "U0:n=4", 3, 4, 40),
+    ("K*L*", "U:n=4:order=abcd", "U0:n=3:order=dcba", 4, 3, 65),
+    ("K*L*", "U:n=3:order=abcd", "U0:n=4:order=dcba", 3, 4, 61),
+])
+def test_lstar_formulas_bound_only_operands_with_lstar_not_l(
+        op, left, right, m, n, measured):
+    # a finding, not a failure: U0's only final state is its initial one,
+    # so L* = L and the pipeline measures KL (K*L), which can exceed the
+    # KL* (K*L*) formula; the oracle agrees with every measured DFA
+    k, l = (build(parse_witness(spec)) for spec in (left, right))
+    final, _ = run_pipeline(op, k, l)
+    assert final.size == measured > evaluate(op, m, n)
+    without_star = "product" if op == "KL*" else "K*L"
+    assert final == run_pipeline(without_star, k, l)[0]
+    assert measured <= evaluate(without_star, m, n)
+    assert SemanticOracle(op, k, l).compare_all(final, 7)[1:] == (0, None)
+
+
+def test_verify_table_starts_no_more_workers_than_cells_or_cpus(monkeypatch):
+    # a fork-started pool starts every worker at its first submit; a
+    # serial stand-in records the pool size, so no process starts here
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(VERIFY, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = [c.measured for c in verify_table(["star"], None, [3, 4, 5, 6])]
+    for ns, jobs, size in (([3, 4], 100_000, 2), ([3, 4, 5, 6], 100_000, 3),
+                           ([3, 4, 5, 6], 2, 2)):
+        cells = verify_table(["star"], None, ns, jobs=jobs)
+        assert [c.measured for c in cells] == serial[:len(ns)]
+        assert sizes.pop() == size
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    verify_table(["star"], None, [3, 4], jobs=4)
+    assert sizes == []
 
 def test_verify_table_parallel_matches_serial():
     serial = verify_table(["KL*", "star"], [3, 4], [3, 4], jobs=1)
