@@ -9,7 +9,8 @@ per-subset successor computation and the partition refinement.
 The subset construction reads successors from 8-bit chunk tables, so a
 subset costs ceil(n/8) lookups whatever its size, and keeps only the bit
 mask of each subset, packed at a fixed width into one bytes value;
-`SubsetDfa.label` and `SubsetDfa.labels` decode them when asked.
+`SubsetDfa.label` and `SubsetDfa.labels` decode them when asked. The
+SubsetDfa also keeps its NFA, so `minimize` draws the keys below itself.
 
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
@@ -48,8 +49,8 @@ from operator import or_
 from .core import Dfa, EpsNfa, Transformation
 
 DEFAULT_SUBSET_CAP = 2_000_000
-# subset_keys draws one reverse word per _STATES_PER_KEY_BIT subset DFA
-# states, at most _KEY_BITS_MAX of them; below _KEY_BITS_MIN it gives no
+# minimize draws one reverse word per _STATES_PER_KEY_BIT subset DFA
+# states, at most _KEY_BITS_MAX of them; below _KEY_BITS_MIN it draws no
 # keys, as under about 128 states the walk costs more than the rounds it
 # saves
 _KEY_BITS_MAX = 512
@@ -89,8 +90,9 @@ def _decode(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SubsetDfa:
-    """A determinization result: the DFA plus, per DFA state, the bit mask
-    of the NFA states it denotes (mask 0 is the explicit dead state).
+    """A determinization result: the DFA, the NFA it determinizes and, per
+    DFA state, the bit mask of the NFA states it denotes (mask 0 is the
+    explicit dead state). `minimize` reads the NFA to draw its keys.
 
     The masks are packed little-endian, `width` bytes each, into the one
     bytes value `packed`: a few bytes per state, where a tuple of ints
@@ -99,16 +101,12 @@ class SubsetDfa:
 
     dfa: Dfa
     packed: bytes
-    width: int
+    nfa: EpsNfa
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        """The bit mask of each DFA state's subset, in state order."""
-        packed, width = self.packed, self.width
-        return tuple(
-            int.from_bytes(packed[i * width:(i + 1) * width], "little")
-            for i in range(self.dfa.size)
-        )
+    def width(self) -> int:
+        """Bytes per packed mask: one per 8 NFA states."""
+        return (self.nfa.size + 7) // 8
 
     def label(self, state: int) -> frozenset[int]:
         """The subset of one DFA state as a set, decoded from its mask."""
@@ -236,34 +234,23 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
     finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
     dfa = Dfa(len(order), alphabet, delta, 0, finals)
-    return SubsetDfa(dfa, bytes(packed), (nfa.size + 7) // 8)
+    return SubsetDfa(dfa, bytes(packed), nfa)
 
 
-def subset_keys(nfa: EpsNfa, sd: SubsetDfa) -> Iterator[int] | None:
-    """Labels for `minimize(sd.dfa, ...)`, sd being `determinize(nfa)`:
-    per subset S in state order, the bits j with S ∩ R_j nonempty, for the
-    first `limit` subsets R_j of the reversed NFA's subset DFA; None when
-    sd has too few states to gain from them.
+def _keys(sd: SubsetDfa, limit: int) -> Iterator[int]:
+    """Per subset S of sd in state order, the bits j with S ∩ R_j
+    nonempty, for the first `limit` subsets R_j of the reversed NFA's
+    subset DFA.
 
     The reversed NFA's subset reached by reading w backwards is R_w, the
     NFA states whose closure accepts w, and its first subset is R_ε. A
     closed subset accepts w exactly when it meets R_w, so subsets with
-    different keys are inequivalent, and bit 0 is finality. The walk and
-    each key are computed only as `minimize` draws them, and no list of
-    keys is kept.
-    """
-    limit = min(sd.dfa.size // _STATES_PER_KEY_BIT, _KEY_BITS_MAX)
-    if limit < _KEY_BITS_MIN:
-        return None
-    return _keys(nfa, sd, limit)
-
-
-def _keys(nfa: EpsNfa, sd: SubsetDfa, limit: int) -> Iterator[int]:
-    """The generator behind `subset_keys`: each key is the OR of one
-    chunk table entry per byte of the subset's packed mask, byte c of
-    every mask being the stride packed[c::width]."""
-    bits = [0] * nfa.size  # bits[q]: the j with q in R_j
-    masks = _subset_walk(nfa.reverse(), limit)[0]
+    different keys are inequivalent, and bit 0 is finality. The walk runs
+    at the first key drawn and no list of keys is kept. Each key is the
+    OR of one chunk table entry per byte of the subset's packed mask,
+    byte c of every mask being the stride packed[c::width]."""
+    bits = [0] * sd.nfa.size  # bits[q]: the j with q in R_j
+    masks = _subset_walk(sd.nfa.reverse(), limit)[0]
     for j, mask in enumerate(masks[:limit]):
         for q in _decode(mask):
             bits[q] |= 1 << j
@@ -413,8 +400,9 @@ def _capped_moore_blocks(
     return block_of if nblocks == n else _hopcroft_blocks(trans, final)
 
 
-def minimize(d: Dfa, labels: Iterable[Hashable] | None = None) -> Dfa:
-    """The minimal complete DFA for L(d), canonically numbered.
+def minimize(d: Dfa | SubsetDfa) -> Dfa:
+    """The minimal complete DFA for L(d), canonically numbered; a subset
+    DFA stands for its `dfa`.
 
     Refine, then one breadth-first numbering of the quotient:
     _capped_moore_blocks merges indistinguishable states of d into blocks,
@@ -425,12 +413,18 @@ def minimize(d: Dfa, labels: Iterable[Hashable] | None = None) -> Dfa:
     field-identical values, and a DFA already in that form is returned as
     it is.
 
-    `labels`, one per state of d in state order and drawn once, so they
-    may come lazily (`subset_keys` gives them), start the refinement from
-    a finer partition than finality. States with different labels must
-    be inequivalent, and labels must refine finality; the result is the
-    same with or without them.
+    A subset DFA of at least _KEY_BITS_MIN * _STATES_PER_KEY_BIT (128)
+    states starts its refinement from the reverse-word keys of `_keys`,
+    drawn lazily by the first round, in place of finality: a finer
+    partition that splits only inequivalent states, so the result is the
+    same, in fewer rounds.
     """
+    labels = None
+    if isinstance(d, SubsetDfa):
+        limit = min(d.dfa.size // _STATES_PER_KEY_BIT, _KEY_BITS_MAX)
+        if limit >= _KEY_BITS_MIN:
+            labels = _keys(d, limit)
+        d = d.dfa
     trans = [d.delta[x].image for x in d.alphabet]
     final = list(map(d.finals.__contains__, range(d.size)))
     block_of = _capped_moore_blocks(trans, final, labels)
@@ -446,8 +440,7 @@ def minimize(d: Dfa, labels: Iterable[Hashable] | None = None) -> Dfa:
 
 def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:
     """determinize then minimize; the standard measurement pipeline step."""
-    sd = determinize(nfa, cap)
-    return minimize(sd.dfa, subset_keys(nfa, sd))
+    return minimize(determinize(nfa, cap))
 
 
 def state_complexity(nfa: EpsNfa) -> int:

@@ -20,7 +20,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +32,6 @@ from .minimize import (
     determinize,
     minimal_dfa,
     minimize,
-    subset_keys,
 )
 from .ops import (
     BooleanOp,
@@ -144,7 +142,7 @@ def run_pipeline(
     if isinstance(built, Dfa):
         return minimize(built), None
     sd = determinize(built, cap)
-    return minimize(sd.dfa, subset_keys(built, sd)), sd
+    return minimize(sd), sd
 
 
 def _diagnostics(final: Dfa, labels: Iterable[frozenset[int]] | None) -> str:
@@ -224,6 +222,8 @@ def verify_table(
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         return [verify_cell(op, m, n, cap) for op, m, n in cells]
+    # imported here, so importing starbench loads no process machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(verify_cell, *zip(*cells), [cap] * len(cells),
                              chunksize=1))

@@ -147,14 +147,16 @@ def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
     if unknown:
         raise ValueError(f"letters not in alphabet: {sorted(unknown)}")
     gens = [d.delta[x].image for x in chosen]
-    identity = tuple(range(d.size))
+    # an element is the str of chr(image) per state, 1 to 4 bytes each,
+    # and str.translate composes it with a letter's image in C
+    identity = "".join(map(chr, range(d.size)))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for img in frontier:
             for g in gens:
-                prod = tuple(g[t] for t in img)
+                prod = img.translate(g)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

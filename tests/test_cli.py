@@ -176,6 +176,19 @@ def test_oracle_random(capsys):
     assert "seed=7" in out
 
 
+def test_oracle_defaults_are_the_membership_oracles():
+    # the verb and the library call are two spellings of one sample
+    import inspect
+
+    from starbench.cli import _build_parser
+    from starbench.verify import membership_oracle
+
+    args = _build_parser().parse_args(["oracle", "star", "--n", "3"])
+    params = inspect.signature(membership_oracle).parameters
+    assert (int(args.words), args.maxlen, args.seed) == tuple(
+        params[name].default for name in ("count", "maxlen", "seed"))
+
+
 def test_oracle_exhaustive(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "star", "--n", "3", "--words", "all", "--maxlen", "6"

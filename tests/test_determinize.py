@@ -16,7 +16,6 @@ from starbench.minimize import (
     minimal_dfa,
     minimize,
     state_complexity,
-    subset_keys,
 )
 from starbench.ops import (
     BooleanOp,
@@ -539,7 +538,7 @@ def test_packed_masks_match_reference_labels(witness):
     sd = determinize(nfa)
     assert sd.width == 9
     assert len(sd.packed) == sd.width * sd.dfa.size
-    assert sd.masks == tuple(sum(1 << q for q in label) for label in labels)
+    assert sd.labels == labels
 
 
 
@@ -650,6 +649,21 @@ def _assert_key_walk_matches(nfa, limit, reference):
     assert len(masks) == min(limit, len(reference) + (0 in masks[1:]))
 
 
+def test_subset_walk_stops_right_after_subset_number_limit():
+    # a walk whose limit is below the subset count holds exactly limit + 1
+    # masks, the full walk's first ones, the last just discovered; any
+    # other walk holds them all
+    for nfa in _seed_nfas():
+        full = MINIMIZE._subset_walk(nfa, DEFAULT_SUBSET_CAP)
+        masks = full[0]
+        for limit in range(1, len(masks) + 2):
+            walk = MINIMIZE._subset_walk(nfa, limit)
+            if limit < len(masks):
+                assert walk[0] == masks[:limit + 1]
+            else:
+                assert walk == full
+
+
 def test_reverse_masks_match_words_run_from_each_state():
     # each mask is the set of states accepting its word, R_ε first, in the
     # order of a breadth-first walk that skips masks already found
@@ -669,39 +683,59 @@ def _assert_keys_seed_minimize(dfa, keys):
     assert len(keys) == dfa.size
     assert len(set(zip(blocks, keys))) == len(set(blocks))
     assert [bool(key & 1) for key in keys] == final
-    assert minimize(dfa, iter(keys)) == minimize(dfa)
+    refine = MINIMIZE._capped_moore_blocks
+    assert refine(trans, final, iter(keys)) == refine(trans, final)
 
 
 def test_subset_keys_seed_moore_within_nerode_blocks():
     for nfa in _seed_nfas():
         sd = determinize(nfa)
         for limit in (2, 6, 512):
-            _assert_keys_seed_minimize(sd.dfa, list(MINIMIZE._keys(nfa, sd, limit)))
+            _assert_keys_seed_minimize(sd.dfa, list(MINIMIZE._keys(sd, limit)))
     for nfa in _registry_nfas():
         sd = determinize(nfa)
-        keys = subset_keys(nfa, sd)
-        assert (keys is None) == (sd.dfa.size < 128)
-        if keys is not None:
-            _assert_keys_seed_minimize(sd.dfa, list(keys))
+        if sd.dfa.size >= 128:
+            limit = min(sd.dfa.size // 16, 512)
+            _assert_keys_seed_minimize(sd.dfa, list(MINIMIZE._keys(sd, limit)))
+        assert minimize(sd) == minimize(sd.dfa)
 
 
 def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
-    # the reverse walk runs at the first key drawn, so a traced minimize
-    # span holds it; labels follow a renumbering of the DFA's states
-    nfa = star_nfa(witness("U3", 8))
-    sd = determinize(nfa)
+    # minimize draws keys from a subset DFA of 128 states or more, and the
+    # reverse walk runs at the first key the rounds draw, so a traced
+    # minimize span holds it; a plain DFA or a smaller subset DFA gets none
+    small = determinize(star_nfa(witness("U3", 4)))
+    sd = determinize(star_nfa(witness("U3", 8)))
+    assert small.dfa.size < 128 <= sd.dfa.size
     walks = []
     walk = MINIMIZE._subset_walk
     monkeypatch.setattr(MINIMIZE, "_subset_walk",
                         lambda nfa, limit: walks.append(limit) or walk(nfa, limit))
-    keys = subset_keys(nfa, sd)
-    assert walks == []
-    keys = list(keys)
+    refine = MINIMIZE._capped_moore_blocks
+    drawn = []
+
+    def rounds(trans, final, labels=None):
+        drawn.append((labels is not None, len(walks)))
+        return refine(trans, final, labels)
+
+    monkeypatch.setattr(MINIMIZE, "_capped_moore_blocks", rounds)
+    assert minimize(small) == minimize(small.dfa)
+    assert minimize(sd) == minimize(sd.dfa)
+    assert drawn == [(False, 0), (False, 0), (True, 0), (False, 1)]
     assert walks == [sd.dfa.size // 16]
+
+
+def test_keys_follow_a_renumbering_of_the_states(witness):
+    # the rounds read labels in the DFA's own state order
+    sd = determinize(star_nfa(witness("U3", 8)))
+    keys = list(MINIMIZE._keys(sd, sd.dfa.size // 16))
     perm = list(range(sd.dfa.size))
     random.Random(4).shuffle(perm)
     shuffled = relabel_states(sd.dfa, perm)
     relabelled = [0] * len(keys)
     for s, key in enumerate(keys):
         relabelled[perm[s]] = key
-    assert minimize(shuffled, relabelled) == minimize(sd.dfa)
+    trans = [shuffled.delta[x].image for x in shuffled.alphabet]
+    final = [s in shuffled.finals for s in range(shuffled.size)]
+    refine = MINIMIZE._capped_moore_blocks
+    assert refine(trans, final, relabelled) == refine(trans, final)

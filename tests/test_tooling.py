@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,6 +88,18 @@ def test_oracle_imports_nothing_from_the_pipeline(module, allowed):
             inside.update(a.name for a in node.names
                           if a.name.startswith("starbench"))
     assert inside == allowed
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    # verify_table imports its process pool only when it starts workers,
+    # so a serial caller never loads concurrent.futures or multiprocessing
+    src = TRACING.parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import starbench; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_package_imports_only_the_standard_library():

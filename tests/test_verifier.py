@@ -1,4 +1,4 @@
-import importlib
+import concurrent.futures
 import json
 import os
 
@@ -19,8 +19,6 @@ from starbench.verify import (
     verify_table,
 )
 from starbench.witnesses import build, parse_witness
-
-VERIFY = importlib.import_module("starbench.verify")
 
 
 @pytest.mark.parametrize("op, m, n, measured", [
@@ -164,7 +162,7 @@ def test_verify_table_starts_no_more_workers_than_cells_or_cpus(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(VERIFY, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = [c.measured for c in verify_table(["star"], None, [3, 4, 5, 6])]
     for ns, jobs, size in (([3, 4], 100_000, 2), ([3, 4, 5, 6], 100_000, 3),

@@ -132,6 +132,8 @@ def test_monoid_sizes(witness):
     assert monoid_size(witness("U3", 4), "ab") == 24
     # a lone identity letter generates only the identity
     assert monoid_size(witness("W4", 5), "d") == 1
+    # state numbers past one byte: the cycle on 300 states has order 300
+    assert monoid_size(witness("U3", 300), "a") == 300
 
 
 def test_cycle_and_transposition_generate_all_permutations(witness):
