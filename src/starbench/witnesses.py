@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import Dfa, Transformation
-from .minimize import DEFAULT_SUBSET_CAP
 
 CANONICAL_LETTERS = "abcdef"
+
+# monoid_size holds at most this many elements times states: 2,000,000
+# elements at n = 9, 60,000 at n = 300
+MONOID_BUDGET = 18_000_000
 
 _T = Transformation
 
@@ -31,11 +34,9 @@ def _zero(n: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Family:
-    """A witness family. `cli_name` is its CLI spelling; families sharing
-    one differ in arity, and the smallest arity is the default."""
+    """The roles and finals of a witness family at one arity. FAMILIES
+    files it under its witness-syntax name and its arity."""
 
-    name: str
-    cli_name: str
     arity: int
     roles: Callable[[int], tuple[Transformation, ...]]
     finals: Callable[[int], frozenset[int]]
@@ -57,89 +58,97 @@ def _w_roles(n: int) -> tuple[Transformation, ...]:
             _T.singular(n, 1, 0), _T.identity(n))
 
 
-FAMILIES: dict[str, Family] = {
-    f.name: f
-    for f in (
-        Family("U3", "U", 3, _u_roles, _last),
-        Family("U0_3", "U0", 3, _u_roles, _zero),
-        # like U but the singular sends 1 -> 0
-        Family("T3", "T", 3,
-               lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                          _T.singular(n, 1, 0)),
-               _last),
-        Family("W4", "W", 4, _w_roles, _last),
-        Family("W0_4", "W0", 4, _w_roles, _zero),
-        Family("U4", "U", 4, _u4_roles, _last),
-        Family("U0_4", "U0", 4, _u4_roles, _zero),
-        # U4 plus the subcycle on 1..n-1
-        Family("U5", "U5L", 5,
-               lambda n: _u4_roles(n) + (_T.subcycle(n, 1, n - 1),),
-               _last),
-        # binary: cycle and 0 -> 1, final {0}
-        Family("S2", "S", 2,
-               lambda n: (_T.cycle(n), _T.singular(n, 0, 1)),
-               _zero),
-        # the six-letter intersection pair
-        Family("JO6_K", "JO6K", 6,
-               lambda n: (_T.cycle(n), _T.identity(n),
-                          _T.subcycle(n, 1, n - 1), _T.identity(n),
-                          _T.singular(n, 1, 0), _T.identity(n)),
-               _last),
-        Family("JO6_L", "JO6L", 6,
-               lambda n: (_T.cycle(n), _T.cycle(n),
-                          _T.identity(n), _T.subcycle(n, 1, n - 1),
-                          _T.identity(n), _T.singular(n, 1, 0)),
-               _last),
-    )
-}
+def _by_name(*rows: tuple[str, Family]) -> dict[str, dict[int, Family]]:
+    families: dict[str, dict[int, Family]] = {}
+    for name, fam in rows:
+        families.setdefault(name, {})[fam.arity] = fam
+    return families
+
+
+FAMILIES = _by_name(
+    ("U", Family(3, _u_roles, _last)),
+    ("U0", Family(3, _u_roles, _zero)),
+    # like U but the singular sends 1 -> 0
+    ("T", Family(3, lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
+                               _T.singular(n, 1, 0)),
+                 _last)),
+    ("W", Family(4, _w_roles, _last)),
+    ("W0", Family(4, _w_roles, _zero)),
+    ("U", Family(4, _u4_roles, _last)),
+    ("U0", Family(4, _u4_roles, _zero)),
+    # the four-letter U plus the subcycle on 1..n-1
+    ("U5L", Family(5, lambda n: _u4_roles(n) + (_T.subcycle(n, 1, n - 1),),
+                   _last)),
+    # binary: cycle and 0 -> 1, final {0}
+    ("S", Family(2, lambda n: (_T.cycle(n), _T.singular(n, 0, 1)), _zero)),
+    # the six-letter intersection pair
+    ("JO6K", Family(6, lambda n: (_T.cycle(n), _T.identity(n),
+                                  _T.subcycle(n, 1, n - 1), _T.identity(n),
+                                  _T.singular(n, 1, 0), _T.identity(n)),
+                    _last)),
+    ("JO6L", Family(6, lambda n: (_T.cycle(n), _T.cycle(n),
+                                  _T.identity(n), _T.subcycle(n, 1, n - 1),
+                                  _T.identity(n), _T.singular(n, 1, 0)),
+                    _last)),
+)
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """One witness DFA, named by family, size, and letter-role order."""
+    """One witness DFA: a family by its witness-syntax name (`U`, `U5L`,
+    `JO6K`, ...), the size n, and the letter order, whose i-th letter
+    performs role i. The order's length picks the family's arity; without
+    an order the smallest arity performs its roles in canonical order, and
+    that order given explicitly is stored as None; any other is stored as
+    a tuple."""
 
     family: str
     n: int
     letter_order: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        fam = FAMILIES.get(self.family)
-        if fam is None:
-            raise ValueError(f"unknown witness family {self.family!r}")
+        arities = FAMILIES.get(self.family)
+        if arities is None:
+            raise ValueError(f"unknown witness family {self.family!r}; "
+                             f"known: {sorted(FAMILIES)}")
+        default = min(arities)
+        order = None if self.letter_order is None else tuple(self.letter_order)
+        arity = default if order is None else len(order)
+        if arity not in arities:
+            raise ValueError(f"family {self.family!r} does not come with "
+                             f"{arity} letters")
         if self.n < 3:
             raise ValueError(f"witness size must be >= 3, got {self.n}")
-        canonical = self.canonical_order()
-        if self.letter_order is not None:
-            if sorted(self.letter_order) != sorted(canonical):
-                raise ValueError(
-                    f"letter_order {self.letter_order} is not a permutation "
-                    f"of {canonical}"
-                )
-            if self.letter_order == canonical:
-                # one spec per witness: the canonical order is the default
-                object.__setattr__(self, "letter_order", None)
-
-    def canonical_order(self) -> tuple[str, ...]:
-        return tuple(CANONICAL_LETTERS[: FAMILIES[self.family].arity])
+        canonical = tuple(CANONICAL_LETTERS[:arity])
+        if order is not None and sorted(order) != list(canonical):
+            raise ValueError(
+                f"letter_order {order} is not a permutation of {canonical}")
+        if order == canonical and arity == default:
+            order = None
+        object.__setattr__(self, "letter_order", order)
 
     @property
     def order(self) -> tuple[str, ...]:
-        return self.letter_order or self.canonical_order()
+        if self.letter_order is not None:
+            return self.letter_order
+        return tuple(CANONICAL_LETTERS[:min(FAMILIES[self.family])])
 
 
 def build(spec: WitnessSpec) -> Dfa:
     """Materialize the witness over the canonical alphabet, initial 0,
     letter order[i] performing role i."""
-    fam = FAMILIES[spec.family]
-    return Dfa(spec.n, spec.canonical_order(),
-               dict(zip(spec.order, fam.roles(spec.n))), 0, fam.finals(spec.n))
+    order = spec.order
+    fam = FAMILIES[spec.family][len(order)]
+    return Dfa(spec.n, tuple(sorted(order)),
+               dict(zip(order, fam.roles(spec.n))), 0, fam.finals(spec.n))
 
 
 def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
     """Size of the transition monoid generated by the given letters
-    (all letters by default), including the empty word's identity. A monoid
-    of more than DEFAULT_SUBSET_CAP elements raises ValueError as soon as
-    that many are held, as the full one on n states has n^n."""
+    (all letters by default), including the empty word's identity. An
+    element holds one character per state, so a monoid of more than
+    MONOID_BUDGET // d.size elements raises ValueError as soon as that
+    many are held; the full one on n states has n^n."""
     chosen = tuple(letters) if letters is not None else d.alphabet
     if not chosen:
         raise ValueError("letters must be nonempty")
@@ -147,6 +156,7 @@ def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
     if unknown:
         raise ValueError(f"letters not in alphabet: {sorted(unknown)}")
     gens = [d.delta[x].image for x in chosen]
+    limit = MONOID_BUDGET // d.size
     # an element is the str of chr(image) per state, 1 to 4 bytes each,
     # and str.translate composes it with a letter's image in C
     identity = "".join(map(chr, range(d.size)))
@@ -160,33 +170,24 @@ def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
-                    if len(seen) > DEFAULT_SUBSET_CAP:
-                        raise ValueError(f"transition monoid has more than "
-                                         f"{DEFAULT_SUBSET_CAP} elements")
+                    if len(seen) > limit:
+                        raise ValueError(
+                            f"transition monoid has more than {limit} "
+                            f"elements, the limit for {d.size} states")
         frontier = nxt
     return len(seen)
 
 
-def _cli_arities(name: str) -> dict[int, str]:
-    """Arity -> family for one CLI family name."""
-    return {f.arity: f.name for f in FAMILIES.values() if f.cli_name == name}
-
-
 def parse_witness(text: str) -> WitnessSpec:
-    """Parse a CLI witness name like `U:n=5:order=dcba` or `JO6K:n=4`."""
-    parts = text.split(":")
-    name = parts[0]
-    arities = _cli_arities(name)
-    if not arities:
-        known = sorted({f.cli_name for f in FAMILIES.values()})
-        raise ValueError(f"unknown witness family {name!r}; known: {known}")
+    """Parse a witness name like `U:n=5:order=dcba` or `JO6K:n=4`."""
+    name, *fields = text.split(":")
     n = None
     order: tuple[str, ...] | None = None
-    keys = [part.partition("=")[0] for part in parts[1:]]
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
+    keys = [field.partition("=")[0] for field in fields]
+    for field in fields:
+        key, sep, value = field.partition("=")
         if not sep:
-            raise ValueError(f"bad witness field {part!r}, expected key=value")
+            raise ValueError(f"bad witness field {field!r}, expected key=value")
         if key == "n":
             try:
                 n = int(value)
@@ -200,21 +201,12 @@ def parse_witness(text: str) -> WitnessSpec:
             raise ValueError(f"repeated witness field {key!r}")
     if n is None:
         raise ValueError(f"witness {text!r} is missing n=<size>")
-    arity = len(order) if order is not None else min(arities)
-    family = arities.get(arity)
-    if family is None:
-        raise ValueError(
-            f"family {name!r} does not come with {arity} letters"
-        )
-    return WitnessSpec(family, n, order)
+    return WitnessSpec(name, n, order)
 
 
 def format_witness(spec: WitnessSpec) -> str:
-    """Inverse of parse_witness; order spelled out whenever it carries
-    information (non-canonical, or arity above the CLI default)."""
-    fam = FAMILIES[spec.family]
-    text = f"{fam.cli_name}:n={spec.n}"
-    if (spec.order != spec.canonical_order()
-            or fam.arity != min(_cli_arities(fam.cli_name))):
-        text += ":order=" + "".join(spec.order)
+    """Inverse of parse_witness."""
+    text = f"{spec.family}:n={spec.n}"
+    if spec.letter_order is not None:
+        text += ":order=" + "".join(spec.letter_order)
     return text

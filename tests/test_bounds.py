@@ -128,36 +128,36 @@ def test_formulas_are_integers():
 
 def test_recipe_witness_pairs():
     r = recipe("K⊕L*", 4, 5)
-    assert r.left == WitnessSpec("U3", 4)
-    assert r.right == WitnessSpec("U3", 5, tuple("bac"))
+    assert r.left == WitnessSpec("U", 4)
+    assert r.right == WitnessSpec("U", 5, tuple("bac"))
     assert TABLE["K⊕L*"].shape == "k_circ_lstar"  # K x det-min(star_nfa(L))
     assert TABLE["K⊕L*"].boolean == "symmetric-difference"
 
     r = recipe("K∩L*", 4, 5)
-    assert r.left == WitnessSpec("U0_3", 4)
+    assert r.left == WitnessSpec("U0", 4)
 
     r = recipe("K*∩L*", 4, 5)
-    assert r.left == WitnessSpec("W4", 4)
-    assert r.right == WitnessSpec("W4", 5, tuple("dcba"))
+    assert r.left == WitnessSpec("W", 4)
+    assert r.right == WitnessSpec("W", 5, tuple("dcba"))
 
     r = recipe("K*⊕L*", 4, 5)
-    assert r.left == WitnessSpec("W0_4", 4)
+    assert r.left == WitnessSpec("W0", 4)
 
     r = recipe("KL*", 4, 5)
-    assert (r.left, r.right) == (WitnessSpec("T3", 4), WitnessSpec("T3", 5, tuple("bac")))
+    assert (r.left, r.right) == (WitnessSpec("T", 4), WitnessSpec("T", 5, tuple("bac")))
 
     r = recipe("K*L", 4, 5)
-    assert (r.left, r.right) == (WitnessSpec("U4", 4), WitnessSpec("U4", 5, tuple("dcba")))
+    assert (r.left, r.right) == (WitnessSpec("U", 4, tuple("abcd")), WitnessSpec("U", 5, tuple("dcba")))
     assert recipe("KsL", 4, 5) == r
 
     r = recipe("(K∪L)*", 4, 5)
-    assert (r.left, r.right) == (WitnessSpec("S2", 4), WitnessSpec("S2", 5, tuple("ba")))
+    assert (r.left, r.right) == (WitnessSpec("S", 4), WitnessSpec("S", 5, tuple("ba")))
 
     r = recipe("(K∩L)*-conjecture", 3, 4)
-    assert (r.left, r.right) == (WitnessSpec("U5", 3), WitnessSpec("U5", 4, tuple("ecbad")))
+    assert (r.left, r.right) == (WitnessSpec("U5L", 3), WitnessSpec("U5L", 4, tuple("ecbad")))
 
     r = recipe("(K\\L)*", 3, 3)
-    assert (r.left, r.right) == (WitnessSpec("JO6_K", 3), WitnessSpec("JO6_L", 3))
+    assert (r.left, r.right) == (WitnessSpec("JO6K", 3), WitnessSpec("JO6L", 3))
     assert r.complement_right
 
     r = recipe("star", 3, 4)

@@ -243,10 +243,11 @@ def test_monoid_with_no_letters_is_usage_error(capsys):
 def test_monoid_over_the_cap_is_usage_error(capsys, monkeypatch):
     from starbench import witnesses
 
-    monkeypatch.setattr(witnesses, "DEFAULT_SUBSET_CAP", 100)
+    monkeypatch.setattr(witnesses, "MONOID_BUDGET", 400)
     code, out, err = run_cli(capsys, "monoid", "U:n=4")
     assert (code, out, err) == (
-        2, "", "error: transition monoid has more than 100 elements\n")
+        2, "", "error: transition monoid has more than 100 elements, "
+               "the limit for 4 states\n")
 
 
 def test_unknown_operation_is_usage_error(capsys):
@@ -293,6 +294,18 @@ def test_measured_size_above_the_bound_fails_the_process(capsys, monkeypatch):
     assert code == 1
     assert "ABOVE-BOUND" in out
     assert "subset labels: " in out
+
+
+def test_complexity_above_the_bound_fails_the_process(capsys, monkeypatch):
+    # the size still goes to stdout; the cell's note goes to stderr
+    from starbench import bounds
+
+    monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: 15)
+    code, out, err = run_cli(capsys, "complexity", "KL*", "--m", "3",
+                             "--n", "3")
+    assert (code, out) == (1, "16\n")
+    assert err == ("measured size exceeds a proved upper bound: "
+                   "pipeline bug or refuted claim\n")
 
 
 def test_complexity_of_a_skipped_cell_names_the_skip(capsys):

@@ -26,7 +26,7 @@ def random_words(alphabet, count, maxlen, seed):
 
 
 def test_dfa_to_nfa_embedding(witness):
-    u3 = witness("U3", 3)
+    u3 = witness("U", 3)
     nfa = dfa_to_nfa(u3)
     assert nfa.size == 3
     assert nfa.initials == {0}
@@ -40,7 +40,7 @@ def test_dfa_to_nfa_embedding(witness):
 def test_star_nfa_shape(witness):
     # star of U_5(b,a,c): six states, the new state is sole initial and final
     # together with the old final, and copies state 0's rows
-    d = witness("U3", 5, "bac")
+    d = witness("U", 5, "bac")
     nfa = star_nfa(d)
     assert nfa.size == 6
     assert nfa.initials == {5}
@@ -53,7 +53,7 @@ def test_star_nfa_shape(witness):
 
 def test_star_membership_against_dp_oracle(witness):
     # independent split-point DP vs direct NFA simulation
-    d = witness("U3", 4)
+    d = witness("U", 4)
     nfa = star_nfa(d)
     oracle = SemanticOracle("star", None, d)
     for w in random_words(d.alphabet, 500, 12, seed=7):
@@ -61,8 +61,8 @@ def test_star_membership_against_dp_oracle(witness):
 
 
 def test_concat_nfa_wiring(witness):
-    left = dfa_to_nfa(witness("T3", 4))
-    right = star_nfa(witness("T3", 5, "bac"))
+    left = dfa_to_nfa(witness("T", 4))
+    right = star_nfa(witness("T", 5, "bac"))
     nfa = concat_nfa(left, right)
     assert nfa.size == 10
     assert nfa.initials == {0}
@@ -72,7 +72,7 @@ def test_concat_nfa_wiring(witness):
 
 
 def test_concat_with_epsilon_language_is_identity(witness):
-    d = witness("U3", 3)
+    d = witness("U", 3)
     # two-state DFA for {empty word}: initial final, everything to a sink
     t = {x: Transformation((1, 1)) for x in d.alphabet}
     eps_dfa = Dfa(2, d.alphabet, t, 0, frozenset((0,)))
@@ -83,8 +83,8 @@ def test_concat_with_epsilon_language_is_identity(witness):
 
 
 def test_concat_membership_against_dp_oracle(witness):
-    k = witness("U3", 3)
-    l = witness("U3", 4)
+    k = witness("U", 3)
+    l = witness("U", 4)
     nfa = concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l))
     oracle = SemanticOracle("product", k, l)
     for w in random_words(k.alphabet, 500, 12, seed=13):
@@ -93,22 +93,22 @@ def test_concat_membership_against_dp_oracle(witness):
 
 def test_concat_alphabet_mismatch(witness):
     with pytest.raises(ValueError):
-        concat_nfa(dfa_to_nfa(witness("U3", 3)), dfa_to_nfa(witness("W4", 3)))
+        concat_nfa(dfa_to_nfa(witness("U", 3)), dfa_to_nfa(witness("W", 3)))
 
 
 def test_reverse_nfa_shape(witness):
-    u3 = witness("U3", 3)
+    u3 = witness("U", 3)
     rev = reverse_nfa(u3)
     assert rev.initials == {2}
     assert rev.finals == {0}
 
 
-def test_reverse_nfa_flips_the_dfa_embedding():
-    from starbench.witnesses import FAMILIES, WitnessSpec, build
+def test_reverse_nfa_flips_the_dfa_embedding(every_family):
+    from starbench.witnesses import WitnessSpec, build
 
-    for family in FAMILIES:
+    for family, order in every_family:
         for n in (3, 4, 5):
-            d = build(WitnessSpec(family, n))
+            d = build(WitnessSpec(family, n, order))
             rev = reverse_nfa(d)
             assert rev == dfa_to_nfa(d).reverse()
             moves = {}
@@ -133,21 +133,21 @@ def test_reverse_of_reversal_closed_language():
 def test_reverse_twice_is_equivalent(witness):
     from starbench.minimize import equivalent
 
-    d = witness("U3", 4)
+    d = witness("U", 4)
     once = minimal_dfa(reverse_nfa(d))
     twice = minimal_dfa(reverse_nfa(once))
     assert equivalent(twice, minimize(d))
 
 
 def test_reverse_membership(witness):
-    d = witness("T3", 4)
+    d = witness("T", 4)
     rev = reverse_nfa(d)
     for w in random_words(d.alphabet, 300, 10, seed=3):
         assert rev.simulate(w) == d.run(tuple(reversed(w)))
 
 
 def test_star_eps_nfa_matches_star_nfa_on_dfa_operands(witness):
-    d = witness("U3", 4)
+    d = witness("U", 4)
     a = star_nfa(d)
     b = star_eps_nfa(dfa_to_nfa(d))
     for w in random_words(d.alphabet, 300, 10, seed=21):
@@ -155,12 +155,12 @@ def test_star_eps_nfa_matches_star_nfa_on_dfa_operands(witness):
 
 
 def test_product_union_of_permutational_pair(witness):
-    prod = product_dfa(witness("U3", 4), witness("U3", 5, "bac"), BooleanOp.UNION)
+    prod = product_dfa(witness("U", 4), witness("U", 5, "bac"), BooleanOp.UNION)
     assert minimize(prod).size == 20
 
 
 def test_product_trivial_identities(witness):
-    d = witness("U3", 4)
+    d = witness("U", 4)
     assert minimize(product_dfa(d, d, BooleanOp.DIFFERENCE)).size == 1
     from starbench.minimize import equivalent
 
@@ -168,8 +168,8 @@ def test_product_trivial_identities(witness):
 
 
 def test_product_semantics_per_word(witness):
-    k = witness("U3", 3)
-    l = witness("U3", 4, "bac")
+    k = witness("U", 3)
+    l = witness("U", 4, "bac")
     for op in BooleanOp:
         prod = product_dfa(k, l, op)
         for w in random_words(k.alphabet, 200, 10, seed=5):
@@ -178,11 +178,11 @@ def test_product_semantics_per_word(witness):
 
 def test_product_alphabet_mismatch(witness):
     with pytest.raises(ValueError):
-        product_dfa(witness("U3", 3), witness("S2", 3), BooleanOp.UNION)
+        product_dfa(witness("U", 3), witness("S", 3), BooleanOp.UNION)
 
 
 def test_constructions_leave_inputs_unmodified(witness):
-    d = witness("U3", 4)
+    d = witness("U", 4)
     snapshot = (d.size, d.alphabet, dict(d.delta), d.initial, set(d.finals))
     star_nfa(d)
     reverse_nfa(d)
@@ -193,7 +193,7 @@ def test_constructions_leave_inputs_unmodified(witness):
 
 def test_star_uv_concatenations_accepted(witness):
     # u, v in L implies uv in star(L); the empty word always accepted
-    d = witness("U3", 3)
+    d = witness("U", 3)
     nfa = star_nfa(d)
     members = [w for length in range(5)
                for w in itertools.product(d.alphabet, repeat=length)

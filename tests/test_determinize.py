@@ -103,19 +103,19 @@ def relabel_states(d, perm):
 
 def test_star_of_binary_restriction_measures_six(witness):
     # 2^2 + 2^1 at n = 3
-    nfa = star_nfa(witness("U3", 3).restrict("ab"))
+    nfa = star_nfa(witness("U", 3).restrict("ab"))
     assert state_complexity(nfa) == 6
 
 
 def test_determinizing_a_minimal_dfa_is_identity(witness):
-    d = witness("U3", 4)
+    d = witness("U", 4)
     assert minimal_dfa(dfa_to_nfa(d)) == minimize(d)
 
 
 def test_initial_subset_label_of_kstar_l(witness):
     # concat(star(K), L): the initial subset holds the new state and L's 0
-    left = star_nfa(witness("U4", 4))
-    right = dfa_to_nfa(witness("U4", 5, "dcba"))
+    left = star_nfa(witness("U", 4, "abcd"))
+    right = dfa_to_nfa(witness("U", 5, "dcba"))
     sd = determinize(concat_nfa(left, right))
     assert sd.labels[0] == frozenset((4, 5))
     assert sd.dfa.initial == 0
@@ -150,7 +150,7 @@ def test_chained_epsilon_closure():
 
 
 def test_reverse_of_empty_language(witness):
-    d = witness("U3", 3)
+    d = witness("U", 3)
     empty = Dfa(d.size, d.alphabet, dict(d.delta), 0, frozenset())
     m = minimal_dfa(reverse_nfa(empty))
     assert m.size == 1
@@ -158,14 +158,14 @@ def test_reverse_of_empty_language(witness):
 
 
 def test_determinize_cap():
-    d = build(WitnessSpec("U3", 6))
+    d = build(WitnessSpec("U", 6))
     with pytest.raises(SubsetCapExceeded):
         determinize(star_nfa(d.restrict("ab")), cap=10)
 
 
 def test_minimize_witnesses_are_minimal(witness):
     for n in range(3, 9):
-        assert minimize(witness("U3", n)).size == n
+        assert minimize(witness("U", n)).size == n
 
 
 def test_minimize_merges_duplicate_sinks():
@@ -178,7 +178,7 @@ def test_minimize_merges_duplicate_sinks():
 
 
 def test_minimize_empty_intersection_is_one_state(witness):
-    d = witness("U3", 4)
+    d = witness("U", 4)
     prod = product_dfa(d, d.complement(), BooleanOp.INTERSECTION)
     assert minimize(prod).size == 1
 
@@ -292,7 +292,7 @@ def test_table_cells_need_no_fallback(monkeypatch):
 
 
 def test_minimize_returns_canonical_minimal_dfa_itself(witness):
-    m = minimize(witness("U3", 6))
+    m = minimize(witness("U", 6))
     assert minimize(m) is m
     # a subset DFA is BFS-numbered already; this one is also minimal
     d = _conjecture_subset_dfa(3, 3)
@@ -338,7 +338,7 @@ def test_minimized_states_all_reachable_and_distinguishable():
 def test_canonical_form_across_different_constructions(witness):
     # two structurally different automata for the same language minimize to
     # field-identical values
-    d = witness("U3", 4)
+    d = witness("U", 4)
     via_product = minimize(product_dfa(d, d, BooleanOp.UNION))
     via_double_reverse = minimal_dfa(reverse_nfa(minimal_dfa(reverse_nfa(d))))
     assert via_product == minimize(d)
@@ -348,9 +348,9 @@ def test_canonical_form_across_different_constructions(witness):
 def test_language_preserved_through_pipeline(witness):
     rng = random.Random(99)
     cases = [
-        star_nfa(witness("U3", 4)),
-        reverse_nfa(witness("T3", 4)),
-        concat_nfa(dfa_to_nfa(witness("U3", 3)), star_nfa(witness("U3", 4, "bac"))),
+        star_nfa(witness("U", 4)),
+        reverse_nfa(witness("T", 4)),
+        concat_nfa(dfa_to_nfa(witness("U", 3)), star_nfa(witness("U", 4, "bac"))),
     ]
     for nfa in cases:
         d = minimal_dfa(nfa)
@@ -369,24 +369,24 @@ def test_monotone_size_bound():
 
 
 def test_state_complexity_examples(witness):
-    assert state_complexity(star_nfa(witness("U3", 4).restrict("ab"))) == 12
-    assert state_complexity(dfa_to_nfa(witness("U3", 5))) == 5
-    assert state_complexity(reverse_nfa(witness("U3", 3))) == 8
+    assert state_complexity(star_nfa(witness("U", 4).restrict("ab"))) == 12
+    assert state_complexity(dfa_to_nfa(witness("U", 5))) == 5
+    assert state_complexity(reverse_nfa(witness("U", 3))) == 8
 
 
 def test_equivalent_basics(witness):
-    d = witness("U3", 4)
+    d = witness("U", 4)
     assert equivalent(d, minimize(d))
     assert not equivalent(d, d.complement())
     with pytest.raises(ValueError):
-        equivalent(d, witness("W4", 4))
+        equivalent(d, witness("W", 4))
 
 
 def test_permutational_pair_not_equivalent(witness):
     # "ab" does not separate the pair (both reject); the shortest separator
     # is "aaa", accepted by U_4(a,b,c) only
-    d1 = witness("U3", 4)
-    d2 = witness("U3", 4, "bac")
+    d1 = witness("U", 4)
+    d2 = witness("U", 4, "bac")
     assert not equivalent(d1, d2)
     assert not d1.run("ab") and not d2.run("ab")
     word = distinguishing_word(d1, d2)
@@ -505,15 +505,15 @@ def test_determinize_matches_reference_on_random_nfas(size):
 
 def test_determinize_matches_reference_past_64_bits(witness):
     # 70 states: a 69-state cycle with its star's epsilon loop-back
-    nfa = star_nfa(witness("U3", 69).restrict("a"))
+    nfa = star_nfa(witness("U", 69).restrict("a"))
     assert nfa.size == 70
     assert _assert_same_determinization(nfa)
-    assert _assert_same_determinization(reverse_nfa(witness("U3", 70)), cap=2000) is False
-    assert _assert_same_determinization(dfa_to_nfa(witness("U3", 70)))
+    assert _assert_same_determinization(reverse_nfa(witness("U", 70)), cap=2000) is False
+    assert _assert_same_determinization(dfa_to_nfa(witness("U", 70)))
 
 
 def test_determinize_matches_reference_on_constructions(witness):
-    k, l = witness("U3", 4), witness("U3", 5, "bac")
+    k, l = witness("U", 4), witness("U", 5, "bac")
     cases = [
         EpsNfa(4, ("a",), {(3, "a"): frozenset((3,))},
                {0: frozenset((1,)), 1: frozenset((2,))},
@@ -533,7 +533,7 @@ def test_determinize_matches_reference_on_constructions(witness):
 
 def test_packed_masks_match_reference_labels(witness):
     # 70 states need 9 bytes per mask, past the 64-bit word
-    nfa = star_nfa(witness("U3", 69).restrict("a"))
+    nfa = star_nfa(witness("U", 69).restrict("a"))
     _, labels = _reference_determinize(nfa)
     sd = determinize(nfa)
     assert sd.width == 9
@@ -545,7 +545,7 @@ def test_packed_masks_match_reference_labels(witness):
 def test_label_refuses_states_out_of_range(witness):
     # no slice of the packed masks past either end may pass for the
     # dead state's empty subset, nor a negative state for another's
-    sd = determinize(star_nfa(witness("U3", 4)))
+    sd = determinize(star_nfa(witness("U", 4)))
     assert sd.dfa.size == 12
     assert sd.label(0) == frozenset((4,)) and sd.label(11) == sd.labels[11]
     for state in (-2, -1, 12, 13):
@@ -704,8 +704,8 @@ def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
     # minimize draws keys from a subset DFA of 128 states or more, and the
     # reverse walk runs at the first key the rounds draw, so a traced
     # minimize span holds it; a plain DFA or a smaller subset DFA gets none
-    small = determinize(star_nfa(witness("U3", 4)))
-    sd = determinize(star_nfa(witness("U3", 8)))
+    small = determinize(star_nfa(witness("U", 4)))
+    sd = determinize(star_nfa(witness("U", 8)))
     assert small.dfa.size < 128 <= sd.dfa.size
     walks = []
     walk = MINIMIZE._subset_walk
@@ -727,7 +727,7 @@ def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
 
 def test_keys_follow_a_renumbering_of_the_states(witness):
     # the rounds read labels in the DFA's own state order
-    sd = determinize(star_nfa(witness("U3", 8)))
+    sd = determinize(star_nfa(witness("U", 8)))
     keys = list(MINIMIZE._keys(sd, sd.dfa.size // 16))
     perm = list(range(sd.dfa.size))
     random.Random(4).shuffle(perm)

@@ -17,20 +17,20 @@ c 0 1 2 0
 
 
 def test_run_traces_u3(witness):
-    u3 = witness("U3", 3)
+    u3 = witness("U", 3)
     assert u3.run("aa")  # 0 -> 1 -> 2, final
     assert not u3.run("")
-    assert witness("U0_3", 3).run("")  # {0} finals accept the empty word
+    assert witness("U0", 3).run("")  # {0} finals accept the empty word
 
 
 def test_run_unknown_letter(witness):
     with pytest.raises(ValueError):
-        witness("U3", 3).run("ax")
+        witness("U", 3).run("ax")
 
 
 def test_word_action_matches_run(witness):
     # run(d, w) equals finals-membership of the composed word transformation
-    d = witness("U3", 4)
+    d = witness("U", 4)
     rng = random.Random(11)
     for _ in range(200):
         w = [rng.choice(d.alphabet) for _ in range(rng.randint(0, 10))]
@@ -39,13 +39,13 @@ def test_word_action_matches_run(witness):
 
 
 def test_complement_involution_and_finals(witness):
-    u3 = witness("U3", 3)
+    u3 = witness("U", 3)
     assert u3.complement().finals == frozenset((0, 1))
     assert u3.complement().complement() == u3
 
 
 def test_complement_flips_membership_all_words(witness):
-    d = witness("U3", 3)
+    d = witness("U", 3)
     c = d.complement()
     for length in range(7):
         for w in itertools.product(d.alphabet, repeat=length):
@@ -53,14 +53,14 @@ def test_complement_flips_membership_all_words(witness):
 
 
 def test_permute_letters_swap(witness):
-    swapped = witness("U3", 4).permute_letters({"a": "b", "b": "a", "c": "c"})
-    assert swapped == witness("U3", 4, "bac")
+    swapped = witness("U", 4).permute_letters({"a": "b", "b": "a", "c": "c"})
+    assert swapped == witness("U", 4, "bac")
     assert swapped.delta["b"] == Transformation.cycle(4)
     assert swapped.delta["a"] == Transformation.transposition(4, 0, 1)
 
 
 def test_permute_letters_identity_and_inverse(witness):
-    d = witness("W4", 5)
+    d = witness("W", 5)
     ident = {x: x for x in d.alphabet}
     assert d.permute_letters(ident) == d
     pi = {"a": "d", "b": "c", "c": "b", "d": "a"}
@@ -74,15 +74,15 @@ def test_permute_letters_identity_and_inverse(witness):
 
 def test_permute_letters_rejects_non_bijection(witness):
     with pytest.raises(ValueError):
-        witness("U3", 3).permute_letters({"a": "a", "b": "a", "c": "c"})
+        witness("U", 3).permute_letters({"a": "a", "b": "a", "c": "c"})
 
 
 def test_restrict_projects_alphabet(witness):
-    d = witness("U3", 4).restrict("ab")
+    d = witness("U", 4).restrict("ab")
     assert d.alphabet == ("a", "b")
     assert set(d.delta) == {"a", "b"}
     with pytest.raises(ValueError):
-        witness("U3", 4).restrict("az")
+        witness("U", 4).restrict("az")
 
 
 def test_dfa_validation():
@@ -130,17 +130,17 @@ def test_eps_nfa_validation_names_the_first_offender():
 
 
 def test_write_u4_exact_block(witness):
-    assert write_dfa(witness("U3", 4)) == U4_TEXT
+    assert write_dfa(witness("U", 4)) == U4_TEXT
 
 
 def test_read_write_round_trip(witness):
-    for d in (witness("U3", 4), witness("W4", 5, "dcba"),
-              witness("S2", 6, "ba"), witness("U3", 3).complement()):
+    for d in (witness("U", 4), witness("W", 5, "dcba"),
+              witness("S", 6, "ba"), witness("U", 3).complement()):
         assert read_dfa(write_dfa(d)) == d
 
 
 def test_round_trip_empty_finals(witness):
-    d = witness("U3", 3)
+    d = witness("U", 3)
     empty = Dfa(d.size, d.alphabet, dict(d.delta), 0, frozenset())
     assert read_dfa(write_dfa(empty)) == empty
 

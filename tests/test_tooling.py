@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -67,27 +68,41 @@ def test_every_shape_reports_its_layers_to_the_trace():
                     if module == "starbench.verify"}
 
 
+def _package_imports(module):
+    """The package modules that `module` imports by name, anywhere in it."""
+    path = TRACING.parent.parent / "src" / "starbench" / f"{module}.py"
+    inside = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").startswith("starbench"):
+                # `from . import x` imports the module x
+                names = ([node.module] if node.module
+                         else [a.name for a in node.names])
+                inside.update(n.removeprefix("starbench").lstrip(".")
+                              for n in names)
+        elif isinstance(node, ast.Import):
+            inside.update(a.name.removeprefix("starbench.")
+                          for a in node.names if a.name.startswith("starbench"))
+    return inside
+
+
 @pytest.mark.parametrize("module, allowed", [
-    # the oracle is the independent route: within the package it may use
-    # the value types and the registry, never the constructions it checks
-    ("oracle", {"core", "bounds"}),
+    # the oracle is the independent route: within the package it may reach
+    # the value types, the registry and the witnesses the registry names,
+    # never the constructions it checks
+    ("oracle", {"core", "bounds", "witnesses"}),
     # the instrument decides equivalence by pair search, so it must not
     # lean on the product construction that the pipeline shares
     ("minimize", {"core"}),
 ], ids=["oracle", "minimize"])
 def test_oracle_imports_nothing_from_the_pipeline(module, allowed):
-    path = TRACING.parent.parent / "src" / "starbench" / f"{module}.py"
-    inside = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            name = node.module or ""
-            if node.level or name.startswith("starbench"):
-                # `from . import x` has no module name and is refused
-                inside.add(name.removeprefix("starbench").lstrip(".") or "?")
-        elif isinstance(node, ast.Import):
-            inside.update(a.name for a in node.names
-                          if a.name.startswith("starbench"))
-    assert inside == allowed
+    # followed transitively: importing a module loads all it reaches
+    reached, todo = set(), [module]
+    while todo:
+        for name in _package_imports(todo.pop()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert reached == allowed
 
 
 def test_importing_the_package_starts_no_process_machinery():
@@ -146,7 +161,7 @@ def test_readme_witness_table_names_every_family():
     rows = [line for line in section.splitlines() if line.startswith("|")][2:]
     listed = {name for row in rows
               for name in re.findall(r"`([^`]*)`", row.split("|")[1])}
-    assert listed == {f.cli_name for f in FAMILIES.values()}
+    assert listed == set(FAMILIES)
 
 
 def test_readme_operations_table_matches_the_registry():
@@ -192,3 +207,20 @@ def test_readme_library_example_prints_what_it_says(capsys):
     exec(compile(block, "README.md", "exec"), {})
     assert claimed == ["24", "match"]
     assert capsys.readouterr().out.splitlines() == claimed
+
+
+def test_readme_command_examples_print_what_they_say(capsys):
+    # each `starbench ...  # ...: value` line of the Command line block
+    # must print that value, so its witness names and numbers cannot drift
+    from starbench.cli import main
+
+    readme = (TRACING.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    examples = [re.fullmatch(r"starbench (.*?)\s+#.*: (\S+)", line)
+                for line in block.splitlines()]
+    examples = [(shlex.split(e[1]), e[2]) for e in examples if e]
+    assert [value for _, value in examples] == ["281", "281", "24"]
+    for argv, value in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == value + "\n", argv

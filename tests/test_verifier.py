@@ -226,8 +226,8 @@ def test_non_dialect_intersection_falls_below_bound():
     from starbench.verify import run_pipeline
     from starbench.witnesses import WitnessSpec, build
 
-    k = build(WitnessSpec("U3", 4))
-    l = build(WitnessSpec("U3", 5, tuple("bac")))
+    k = build(WitnessSpec("U", 4))
+    l = build(WitnessSpec("U", 5, tuple("bac")))
     measured = run_pipeline("K∩L*", k, l)[0].size
     assert measured < evaluate("K∩L*", 4, 5)
     assert run_pipeline("KiLs", k, l)[0].size == measured
@@ -239,7 +239,7 @@ def test_mismatch_diagnostics_format():
     from starbench.minimize import minimize
     from starbench.witnesses import WitnessSpec, build
 
-    final = minimize(build(WitnessSpec("U3", 3)))
+    final = minimize(build(WitnessSpec("U", 3)))
     labels = tuple(frozenset(range(i)) for i in range(30))
     text = _diagnostics(final, labels)
     # the offending DFA is dumped in the text format, then at most 20 labels
