@@ -1,7 +1,8 @@
 """Determinization and minimal-DFA computation.
 
 This is the measurement instrument: every state-count in a verification
-cell is the size of minimize(determinize(nfa)). Subsets live in Python ints
+cell is the size of minimize(determinize(nfa)), or of minimize(product)
+for a row that ends in a boolean product. Subsets live in Python ints
 used as bit vectors; the NFAs here stay small (tens of states) while the
 subset frontier can reach hundreds of thousands, so the hot path is the
 per-subset successor computation and the partition refinement.
@@ -9,30 +10,34 @@ per-subset successor computation and the partition refinement.
 The subset construction reads successors from 8-bit chunk tables, so a
 subset costs ceil(n/8) lookups whatever its size, and keeps only the bit
 mask of each subset, packed at a fixed width into one bytes value;
-`SubsetDfa.label` and `SubsetDfa.labels` decode them when asked. The
-SubsetDfa also keeps its NFA, so `minimize` draws the keys below itself.
+`SubsetDfa.label` decodes one when asked. The SubsetDfa also keeps its
+NFA, so it draws the keys below itself, as an ops.ProductDfa does.
 
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
 block is named by its least state, so no round mints new labels. The
 subset DFAs measured here are nearly all distinguishable, and they stop as
-soon as every block is a singleton. A subset DFA's rounds start from keys
-instead of finality: a closed subset accepts w exactly when it meets R_w,
-the NFA states whose closure accepts w. These sets are the states of the
-reversed NFA's subset DFA, and its first few hundred, from the same subset
-construction, already split nearly every subset from the others (the
-theorem behind Brzozowski's double reversal; Brzozowski and Tamm, "Theory
-of átomata", TCS 2014). Rounds from finality take 4 to 20 on the large
-cells; from these keys, 0 to 5. A DFA still splitting after
-2·bit_length(n) rounds (a chain, say, which needs n) is refined from
-scratch by Hopcroft's algorithm on a refinable partition held in flat
-arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA minimization",
-IPL 2012), so the worst case stays O(kn log n); its blocks, too, are
-named by their least states. The uncapped Moore refinement both are
-checked against lives in the tests. `minimize` is refine, then one
-breadth-first numbering of the quotient: it refines the DFA as given,
-unreachable states included, and the numbering, the one canonical
-numbering here, keeps only the blocks reachable from the initial one.
+soon as every block is a singleton. A construction result's rounds start
+from keys instead of finality: a state accepts w exactly when it lies in
+R_w, the states that accept w. A subset meets R_w of its NFA, the states
+of the reversed NFA's subset DFA, whose first few hundred already split
+nearly every subset from the others (the theorem behind Brzozowski's
+double reversal; Brzozowski and Tamm, "Theory of átomata", TCS 2014); a
+product pair lies in R_w when the op of its operands' memberships holds.
+Rounds from finality take 4 to 20 on the large cells; from these keys, 0
+to 5. A DFA still splitting after 2·bit_length(n) rounds (a chain, say,
+which needs n) is refined from scratch by Hopcroft's algorithm on a
+refinable partition held in flat arrays (Hopcroft 1971; Valmari, "Fast
+brief practical DFA minimization", IPL 2012), so the worst case stays
+O(kn log n); its blocks, too, are named by their least states. The
+uncapped Moore refinement both are checked against lives in the tests.
+
+A construction result is numbered breadth first from state 0, every state
+reachable, and a plain DFA is given that numbering first. There the first
+edge in BFS order to enter a block leaves the least state of its own
+block, so the quotient's BFS meets the blocks in the order of their least
+states: its canonical numbering is the rank of the block names.
+
 Equivalence is the pair search of Hopcroft and Karp (1971), which also
 finds a shortest distinguishing word.
 """
@@ -43,16 +48,16 @@ from array import array
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, filterfalse
-from operator import or_
+from itertools import accumulate, compress, filterfalse
+from operator import eq, or_
 
 from .core import Dfa, EpsNfa, Transformation
 
 DEFAULT_SUBSET_CAP = 2_000_000
-# minimize draws one reverse word per _STATES_PER_KEY_BIT subset DFA
-# states, at most _KEY_BITS_MAX of them; below _KEY_BITS_MIN it draws no
-# keys, as under about 128 states the walk costs more than the rounds it
-# saves
+# minimize draws one reverse word per _STATES_PER_KEY_BIT states of a
+# subset or product DFA, at most _KEY_BITS_MAX of them; below
+# _KEY_BITS_MIN it draws no keys, as under about 128 states the walk costs
+# more than the rounds it saves
 _KEY_BITS_MAX = 512
 _KEY_BITS_MIN = 8
 _STATES_PER_KEY_BIT = 16
@@ -92,7 +97,7 @@ def _decode(mask: int) -> frozenset[int]:
 class SubsetDfa:
     """A determinization result: the DFA, the NFA it determinizes and, per
     DFA state, the bit mask of the NFA states it denotes (mask 0 is the
-    explicit dead state). `minimize` reads the NFA to draw its keys.
+    explicit dead state). `minimize` has it draw its keys from the NFA.
 
     The masks are packed little-endian, `width` bytes each, into the one
     bytes value `packed`: a few bytes per state, where a tuple of ints
@@ -116,10 +121,28 @@ class SubsetDfa:
         chunk = self.packed[state * width:(state + 1) * width]
         return _decode(int.from_bytes(chunk, "little"))
 
-    @property
-    def labels(self) -> tuple[frozenset[int], ...]:
-        """The subset of each DFA state, in state order."""
-        return tuple(map(self.label, range(self.dfa.size)))
+    def _keys(self, limit: int) -> Iterator[int]:
+        """Per subset S in state order, the bits j with S ∩ R_j nonempty,
+        for the first `limit` subsets R_j of the reversed NFA's subset DFA.
+
+        The reversed NFA's subset reached by reading w backwards is R_w, the
+        NFA states whose closure accepts w, and its first subset is R_ε. A
+        closed subset accepts w exactly when it meets R_w, so subsets with
+        different keys are inequivalent, and bit 0 is finality. The walk runs
+        at the first key drawn and no list of keys is kept. Each key is the
+        OR of one chunk table entry per byte of the subset's packed mask,
+        byte c of every mask being the stride packed[c::width]."""
+        bits = [0] * self.nfa.size  # bits[q]: the j with q in R_j
+        masks = _subset_walk(self.nfa.reverse(), limit)[0]
+        for j, mask in enumerate(masks[:limit]):
+            for q in _decode(mask):
+                bits[q] |= 1 << j
+        tables = _chunk_tables(bits)
+        packed, width = self.packed, self.width
+        keys = map(tables[0].__getitem__, packed[0::width])
+        for c in range(1, width):
+            keys = map(or_, keys, map(tables[c].__getitem__, packed[c::width]))
+        yield from keys
 
 
 def _closure_masks(nfa: EpsNfa) -> list[int]:
@@ -237,56 +260,30 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     return SubsetDfa(dfa, bytes(packed), nfa)
 
 
-def _keys(sd: SubsetDfa, limit: int) -> Iterator[int]:
-    """Per subset S of sd in state order, the bits j with S ∩ R_j
-    nonempty, for the first `limit` subsets R_j of the reversed NFA's
-    subset DFA.
-
-    The reversed NFA's subset reached by reading w backwards is R_w, the
-    NFA states whose closure accepts w, and its first subset is R_ε. A
-    closed subset accepts w exactly when it meets R_w, so subsets with
-    different keys are inequivalent, and bit 0 is finality. The walk runs
-    at the first key drawn and no list of keys is kept. Each key is the
-    OR of one chunk table entry per byte of the subset's packed mask,
-    byte c of every mask being the stride packed[c::width]."""
-    bits = [0] * sd.nfa.size  # bits[q]: the j with q in R_j
-    masks = _subset_walk(sd.nfa.reverse(), limit)[0]
-    for j, mask in enumerate(masks[:limit]):
-        for q in _decode(mask):
-            bits[q] |= 1 << j
-    tables = _chunk_tables(bits)
-    packed, width = sd.packed, sd.width
-    keys = map(tables[0].__getitem__, packed[0::width])
-    for c in range(1, width):
-        keys = map(or_, keys, map(tables[c].__getitem__, packed[c::width]))
-    yield from keys
+def _renumbered(d: Dfa, kept: Sequence[int], index: Sequence[int]) -> Dfa:
+    """d on the states `kept`, kept[i] as i and 0 initial, target t as index[t]."""
+    delta = {x: Transformation(tuple(map(index.__getitem__,
+                                         map(d.delta[x].image.__getitem__, kept))))
+             for x in d.alphabet}
+    finals = compress(map(index.__getitem__, kept), map(d.finals.__contains__, kept))
+    return Dfa(len(kept), d.alphabet, delta, 0, frozenset(finals))
 
 
-def _bfs_numbering(
-    trans: Sequence[Sequence[int]], final: list[bool], initial: int
-) -> tuple[list[tuple[int, ...]], list[bool]] | None:
-    """Keep the states reachable from `initial`, renumbered in BFS order
-    with alphabet-ordered expansion (so `initial` becomes 0): the one
-    canonical numbering, which `minimize` applies to the quotient.
-
-    Returns (transitions per letter, finality flags), or None when the
-    numbering keeps every state in place, so the input is its own result.
-    """
-    index = [-1] * len(final)
-    index[initial] = 0
-    order = [initial]
+def _bfs_numbering(d: Dfa) -> Dfa:
+    """d on its states reachable from the initial one, renumbered in BFS
+    order with alphabet-ordered expansion, the one canonical numbering; d
+    itself when that keeps every state in place, as for a construction."""
+    trans = [d.delta[x].image for x in d.alphabet]
+    index = [-1] * d.size
+    index[d.initial] = 0
+    order = [d.initial]
     for s in order:  # grows as new states are reached
         for col in trans:
             t = col[s]
             if index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
-    if order == list(range(len(final))):
-        return None
-    return (
-        [tuple(map(index.__getitem__, map(col.__getitem__, order))) for col in trans],
-        list(map(final.__getitem__, order)),
-    )
+    return d if order == list(range(d.size)) else _renumbered(d, order, index)
 
 
 def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]:
@@ -401,41 +398,32 @@ def _capped_moore_blocks(
 
 
 def minimize(d: Dfa | SubsetDfa) -> Dfa:
-    """The minimal complete DFA for L(d), canonically numbered; a subset
-    DFA stands for its `dfa`.
+    """The minimal complete DFA for L(d), canonically numbered, so
+    equivalent DFAs over one alphabet minimize to field-identical values
+    and a DFA already in that form is returned as it is.
 
-    Refine, then one breadth-first numbering of the quotient:
-    _capped_moore_blocks merges indistinguishable states of d into blocks,
-    each named by its least state, so the quotient's transitions are its
-    states' own mapped to blocks; _bfs_numbering then keeps the blocks
-    reachable from the initial one, numbered by BFS with alphabet-ordered
-    expansion. So two equivalent DFAs over the same alphabet minimize to
-    field-identical values, and a DFA already in that form is returned as
-    it is.
-
-    A subset DFA of at least _KEY_BITS_MIN * _STATES_PER_KEY_BIT (128)
-    states starts its refinement from the reverse-word keys of `_keys`,
-    drawn lazily by the first round, in place of finality: a finer
-    partition that splits only inequivalent states, so the result is the
-    same, in fewer rounds.
-    """
+    A plain Dfa gets _bfs_numbering first; a SubsetDfa or ops.ProductDfa
+    stands for its `dfa`, so numbered already. One of 128 states or more
+    (_KEY_BITS_MIN * _STATES_PER_KEY_BIT) has its `_keys`, drawn lazily,
+    seed the rounds in place of finality: a finer partition that splits
+    only inequivalent states, so the same result in fewer rounds."""
     labels = None
-    if isinstance(d, SubsetDfa):
+    if isinstance(d, Dfa):
+        d = _bfs_numbering(d)
+    else:
         limit = min(d.dfa.size // _STATES_PER_KEY_BIT, _KEY_BITS_MAX)
         if limit >= _KEY_BITS_MIN:
-            labels = _keys(d, limit)
+            labels = d._keys(limit)
         d = d.dfa
     trans = [d.delta[x].image for x in d.alphabet]
-    final = list(map(d.finals.__contains__, range(d.size)))
-    block_of = _capped_moore_blocks(trans, final, labels)
-    if block_of != list(range(d.size)):
-        trans = [list(map(block_of.__getitem__, col)) for col in trans]
-    numbered = _bfs_numbering(trans, final, block_of[d.initial])
-    if numbered is None:
+    block_of = _capped_moore_blocks(
+        trans, list(map(d.finals.__contains__, range(d.size))), labels)
+    names = list(compress(block_of, map(eq, block_of, range(d.size))))
+    if len(names) == d.size:
         return d
-    trans, final = numbered
-    delta = {x: Transformation(col) for x, col in zip(d.alphabet, trans)}
-    return Dfa(len(final), d.alphabet, delta, 0, frozenset(compress(count(), final)))
+    # a block is named by its least state, and rank[s] counts the names below s
+    rank = accumulate(map(eq, block_of, range(d.size)), initial=0)
+    return _renumbered(d, names, list(map(list(rank).__getitem__, block_of)))
 
 
 def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:

@@ -1,13 +1,18 @@
 """Language operations as automaton constructions.
 
 Star and concatenation are wired with epsilon edges on EpsNfa values;
-boolean operations go through the reachable direct product of two DFAs.
-Inputs are never modified.
+boolean operations go through the reachable direct product of two DFAs,
+a ProductDfa that draws its own refinement keys. Inputs stay unmodified.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Callable, Iterator
 from enum import Enum
+from itertools import compress, count
+from operator import and_, itemgetter, or_, xor
+from typing import NamedTuple
 
 from .core import Dfa, EpsNfa, Transformation
 
@@ -18,14 +23,16 @@ class BooleanOp(Enum):
     DIFFERENCE = "difference"  # left \ right
     SYMDIFF = "symmetric-difference"
 
-    def combine(self, left: bool, right: bool) -> bool:
-        if self is BooleanOp.UNION:
-            return left or right
-        if self is BooleanOp.INTERSECTION:
-            return left and right
-        if self is BooleanOp.DIFFERENCE:
-            return left and not right
-        return left != right
+    @property
+    def combine(self) -> Callable[[int, int], int]:
+        """The op on two truth values, or bitwise on two ints of them."""
+        return _COMBINE[self]
+
+
+# difference is a & (a ^ b): ~ on a bool is deprecated since Python 3.12
+_COMBINE = {BooleanOp.UNION: or_, BooleanOp.INTERSECTION: and_,
+            BooleanOp.DIFFERENCE: lambda left, right: left & (left ^ right),
+            BooleanOp.SYMDIFF: xor}
 
 
 def dfa_to_nfa(d: Dfa) -> EpsNfa:
@@ -141,12 +148,56 @@ def reverse_nfa(d: Dfa) -> EpsNfa:
     return dfa_to_nfa(d).reverse()
 
 
-def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
+class ProductDfa(NamedTuple):
+    """A product result: the DFA, its two operands, the boolean op and,
+    per DFA state s, its pair (pairs[0][s], pairs[1][s]) of operand states,
+    from which `minimize` has it draw its keys, as it has a SubsetDfa."""
+
+    dfa: Dfa
+    left: Dfa
+    right: Dfa
+    op: BooleanOp
+    pairs: tuple[array, array]
+
+    def _keys(self, limit: int) -> Iterator[int]:
+        """Per state (p, q) in state order, the bits j with (p, q)
+        accepting w_j, for the first `limit` distinct vectors R_w of a
+        breadth-first walk. R_w holds one digit per operand state, left's
+        then right's, 1 where that state accepts w: R_ε is the finals, and
+        R_xw = pre_x(R_w) is one gather by x's column. (p, q) accepts
+        w when the op of its two digits is 1, so bit 0 is finality and
+        pairs with different keys are inequivalent. The walk runs at the
+        first key drawn."""
+        left, right, m = self.left, self.right, self.left.size
+        gathers = [itemgetter(*left.delta[x].image,
+                              *(t + m for t in right.delta[x].image))
+                   for x in left.alphabet]
+        start = bytes(b"01"[s in d.finals]
+                      for d in (left, right) for s in range(d.size))
+        seen = {start}
+        vectors = [start]
+        for vector in vectors:  # grows as new vectors are found
+            if len(vectors) >= limit:
+                break
+            for gather in gathers:
+                found = bytes(gather(vector))
+                if found not in seen:
+                    seen.add(found)
+                    vectors.append(found)
+        # a state's digits, the last word's first, are its bits in base 2
+        bits = [int(bytes(digits), 2) for digits in zip(*reversed(vectors[:limit]))]
+        yield from map(self.op.combine,
+                       map(bits.__getitem__, self.pairs[0]),
+                       map(bits[m:].__getitem__, self.pairs[1]))
+
+
+def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
     """Reachable direct product of two DFAs, finals per the boolean op.
 
     Pairs are discovered by BFS from the initial pair in alphabet order, so
-    unreachable pairs never materialize and numbering is deterministic.
-    Each letter's column is appended as its pairs are expanded.
+    unreachable pairs never materialize and the numbering is the canonical
+    one `minimize` expects of a construction result. Each letter's column
+    is appended as its pairs are expanded.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
@@ -169,11 +220,10 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
             column.append(ti)
 
     delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
-    # accept[f1][f2]: op.combine on the finality of each side
-    accept = [[op.combine(f1, f2) for f2 in (False, True)] for f1 in (False, True)]
-    in1 = list(map(d1.finals.__contains__, range(d1.size)))
-    in2 = list(map(d2.finals.__contains__, range(d2.size)))
-    finals = frozenset(
-        i for i, (p, q) in enumerate(order) if accept[in1[p]][in2[q]]
-    )
-    return Dfa(len(order), alphabet, delta, 0, finals)
+    lefts = array("I", map(itemgetter(0), order))
+    rights = array("I", map(itemgetter(1), order))
+    finals = frozenset(compress(count(), map(
+        op.combine, map(d1.finals.__contains__, lefts),
+        map(d2.finals.__contains__, rights))))
+    dfa = Dfa(len(order), alphabet, delta, 0, finals)
+    return ProductDfa(dfa, d1, d2, op, (lefts, rights))

@@ -2,13 +2,13 @@
 minimal-DFA sizes against the bound table, and report.
 
 Each registry shape's construction is one row of `_SHAPES`: an NFA, or
-the DFA of a closing boolean product. `run_pipeline` determinizes an NFA
-and minimizes every row's automaton at its one final site. Every cell is a
-pure computation (build witnesses, construct, determinize, minimize,
-count), so tables can fan out over a process pool; assembly and ordering
-stay sequential and deterministic. An ABOVE-BOUND verdict is the loud
-one: a measured size above a proved upper bound means a broken pipeline or
-a refuted claim, and it alone fails the process.
+the ProductDfa of a closing boolean product. `run_pipeline` determinizes
+an NFA and minimizes every row's SubsetDfa or ProductDfa at its one final
+site. Every cell is a pure computation (build witnesses, construct,
+determinize, minimize, count), so tables can fan out over a process pool;
+assembly and ordering stay sequential and deterministic. An ABOVE-BOUND
+verdict is the loud one: a measured size above a proved upper bound means
+a broken pipeline or a refuted claim, and it alone fails the process.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .minimize import (
 )
 from .ops import (
     BooleanOp,
+    ProductDfa,
     concat_nfa,
     dfa_to_nfa,
     product_dfa,
@@ -90,11 +91,11 @@ def _base_star_nfa(d: Dfa) -> EpsNfa:
 
 # Each registry shape's construction over the operands K, L, the entry's
 # boolean operation b and the subset cap: an NFA or, for a shape that ends
-# in a boolean product, that product, which run_pipeline makes minimal.
+# in a boolean product, that ProductDfa, which run_pipeline makes minimal.
 # Rows call every layer through this module's names, the names that
 # bench/tracing.py patches to time each layer.
 _SHAPES: dict[str, Callable[[Dfa | None, Dfa, BooleanOp | None, int],
-                            EpsNfa | Dfa]] = {
+                            EpsNfa | ProductDfa]] = {
     "star": lambda k, l, b, cap: star_nfa(l),
     "reversal": lambda k, l, b, cap: reverse_nfa(l),
     "product": lambda k, l, b, cap: concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l)),
@@ -130,7 +131,8 @@ def run_pipeline(
     op: str, left: Dfa | None, right: Dfa, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[Dfa, SubsetDfa | None]:
     """The construction for one operation, its registry shape's _SHAPES
-    row, determinized if it is an NFA and minimized here for every row.
+    row, determinized if it is an NFA and minimized here for every row:
+    the subset DFA or the product, which draws its own refinement keys.
 
     Also returns the subset DFA whose minimization is that final DFA, so a
     mismatch audit decodes labels of the measured automaton; None when the
@@ -139,7 +141,7 @@ def run_pipeline(
     entry = bounds.lookup(op)
     boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
     built = _SHAPES[entry.shape](left, right, boolean, cap)
-    if isinstance(built, Dfa):
+    if not isinstance(built, EpsNfa):
         return minimize(built), None
     sd = determinize(built, cap)
     return minimize(sd), sd

@@ -164,14 +164,14 @@ def test_product_trivial_identities(witness):
     assert minimize(product_dfa(d, d, BooleanOp.DIFFERENCE)).size == 1
     from starbench.minimize import equivalent
 
-    assert equivalent(product_dfa(d, d, BooleanOp.UNION), d)
+    assert equivalent(product_dfa(d, d, BooleanOp.UNION).dfa, d)
 
 
 def test_product_semantics_per_word(witness):
     k = witness("U", 3)
     l = witness("U", 4, "bac")
     for op in BooleanOp:
-        prod = product_dfa(k, l, op)
+        prod = product_dfa(k, l, op).dfa
         for w in random_words(k.alphabet, 200, 10, seed=5):
             assert prod.run(w) == op.combine(k.run(w), l.run(w))
 

@@ -60,6 +60,11 @@ def minimize_by(monkeypatch, refine, d):
         return minimize(d)
 
 
+def subset_labels(sd):
+    """The subset of each state of a SubsetDfa, in state order."""
+    return tuple(map(sd.label, range(sd.dfa.size)))
+
+
 def random_dfa(rng, size, alphabet=("a", "b")):
     delta = {
         x: Transformation(tuple(rng.randrange(size) for _ in range(size)))
@@ -117,12 +122,13 @@ def test_initial_subset_label_of_kstar_l(witness):
     left = star_nfa(witness("U", 4, "abcd"))
     right = dfa_to_nfa(witness("U", 5, "dcba"))
     sd = determinize(concat_nfa(left, right))
-    assert sd.labels[0] == frozenset((4, 5))
+    labels = subset_labels(sd)
+    assert labels[0] == frozenset((4, 5))
     assert sd.dfa.initial == 0
     # labels are pairwise distinct and consistent with finality
-    assert len(set(sd.labels)) == len(sd.labels)
+    assert len(set(labels)) == len(labels)
     nfa_finals = set(range(9, 10))  # L's final 4 shifted by 5
-    for i, label in enumerate(sd.labels):
+    for i, label in enumerate(labels):
         assert (i in sd.dfa.finals) == bool(label & nfa_finals)
 
 
@@ -131,7 +137,7 @@ def test_empty_subset_becomes_dead_state():
     nfa = EpsNfa(1, ("a",), {}, {}, frozenset((0,)), frozenset((0,)))
     sd = determinize(nfa)
     assert sd.dfa.size == 2
-    assert sd.labels[1] == frozenset()
+    assert subset_labels(sd)[1] == frozenset()
     assert sd.dfa.delta["a"].image == (1, 1)
 
 
@@ -145,7 +151,7 @@ def test_chained_epsilon_closure():
     )
     assert nfa.eps_closure((0,)) == {0, 1, 2}
     sd = determinize(nfa)
-    assert sd.labels[0] == frozenset((0, 1, 2))
+    assert subset_labels(sd)[0] == frozenset((0, 1, 2))
     assert 0 in sd.dfa.finals  # the empty word reaches the final state
 
 
@@ -491,7 +497,7 @@ def _assert_same_determinization(nfa, cap=DEFAULT_SUBSET_CAP):
         return False
     sd = determinize(nfa, cap)
     assert sd.dfa == ref_dfa
-    assert sd.labels == ref_labels
+    assert subset_labels(sd) == ref_labels
     return True
 
 
@@ -528,7 +534,7 @@ def test_determinize_matches_reference_on_constructions(witness):
     for nfa in cases:
         assert _assert_same_determinization(nfa)
     # the empty subset is reached, and decodes to the empty label
-    assert frozenset() in determinize(cases[1]).labels
+    assert frozenset() in subset_labels(determinize(cases[1]))
 
 
 def test_packed_masks_match_reference_labels(witness):
@@ -538,7 +544,7 @@ def test_packed_masks_match_reference_labels(witness):
     sd = determinize(nfa)
     assert sd.width == 9
     assert len(sd.packed) == sd.width * sd.dfa.size
-    assert sd.labels == labels
+    assert subset_labels(sd) == labels
 
 
 
@@ -547,7 +553,7 @@ def test_label_refuses_states_out_of_range(witness):
     # dead state's empty subset, nor a negative state for another's
     sd = determinize(star_nfa(witness("U", 4)))
     assert sd.dfa.size == 12
-    assert sd.label(0) == frozenset((4,)) and sd.label(11) == sd.labels[11]
+    assert sd.label(0) == frozenset((4,)) and sd.label(11) == subset_labels(sd)[11]
     for state in (-2, -1, 12, 13):
         with pytest.raises(IndexError):
             sd.label(state)
@@ -608,23 +614,31 @@ def _seed_nfas():
     return cases
 
 
-def _registry_nfas():
-    """The NFA of every NFA-shape registry entry at m, n = 3..4, but for
-    the starred boolean products at (4,4), whose 31k to 49k subsets would
-    take most of a second each."""
+def _registry_built(sizes, cap=DEFAULT_SUBSET_CAP):
+    """(shape, m, n, construction) per registry cell at m, n in sizes:
+    its NFA, or the product it closes with; cells whose operands pass
+    `cap` are left out."""
     from starbench.bounds import TABLE
     from starbench.verify import _SHAPES, _operands_for
 
     for op, entry in TABLE.items():
-        for m in ((3, 4) if entry.arity == 2 else (None,)):
-            for n in (3, 4):
-                if entry.shape == "boolean_star" and m == n == 4:
-                    continue
-                left, right, _ = _operands_for(op, m, n)
+        for m in (sizes if entry.arity == 2 else (None,)):
+            for n in sizes:
                 boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
-                built = _SHAPES[entry.shape](left, right, boolean, DEFAULT_SUBSET_CAP)
-                if isinstance(built, EpsNfa):
-                    yield built
+                try:
+                    left, right, _ = _operands_for(op, m, n, cap)
+                    yield entry.shape, m, n, _SHAPES[entry.shape](left, right, boolean, cap)
+                except SubsetCapExceeded:
+                    continue
+
+
+def _registry_nfas():
+    """The NFA of every NFA-shape registry entry at m, n = 3..4, but for
+    the starred boolean products at (4,4), whose 31k to 49k subsets would
+    take most of a second each."""
+    for shape, m, n, built in _registry_built((3, 4)):
+        if isinstance(built, EpsNfa) and not (shape == "boolean_star" and m == n == 4):
+            yield built
 
 
 def test_reverse_accepts_exactly_the_reversed_words():
@@ -691,12 +705,12 @@ def test_subset_keys_seed_moore_within_nerode_blocks():
     for nfa in _seed_nfas():
         sd = determinize(nfa)
         for limit in (2, 6, 512):
-            _assert_keys_seed_minimize(sd.dfa, list(MINIMIZE._keys(sd, limit)))
+            _assert_keys_seed_minimize(sd.dfa, list(sd._keys(limit)))
     for nfa in _registry_nfas():
         sd = determinize(nfa)
         if sd.dfa.size >= 128:
             limit = min(sd.dfa.size // 16, 512)
-            _assert_keys_seed_minimize(sd.dfa, list(MINIMIZE._keys(sd, limit)))
+            _assert_keys_seed_minimize(sd.dfa, list(sd._keys(limit)))
         assert minimize(sd) == minimize(sd.dfa)
 
 
@@ -728,7 +742,7 @@ def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
 def test_keys_follow_a_renumbering_of_the_states(witness):
     # the rounds read labels in the DFA's own state order
     sd = determinize(star_nfa(witness("U", 8)))
-    keys = list(MINIMIZE._keys(sd, sd.dfa.size // 16))
+    keys = list(sd._keys(sd.dfa.size // 16))
     perm = list(range(sd.dfa.size))
     random.Random(4).shuffle(perm)
     shuffled = relabel_states(sd.dfa, perm)
@@ -739,3 +753,96 @@ def test_keys_follow_a_renumbering_of_the_states(witness):
     final = [s in shuffled.finals for s in range(shuffled.size)]
     refine = MINIMIZE._capped_moore_blocks
     assert refine(trans, final, relabelled) == refine(trans, final)
+
+
+# each op on two finality flags, written apart from BooleanOp.combine so
+# that a wrong combine in the product's keys or finals shows
+_PAIR_ACCEPTS = {
+    BooleanOp.UNION: lambda a, b: a or b,
+    BooleanOp.INTERSECTION: lambda a, b: a and b,
+    BooleanOp.DIFFERENCE: lambda a, b: a and not b,
+    BooleanOp.SYMDIFF: lambda a, b: a != b,
+}
+
+
+def test_product_keys_seed_moore_within_nerode_blocks(monkeypatch):
+    # seeded random pairs with 128 or more reachable pairs, under every op:
+    # the keys split no Nerode block, bit 0 is the pair's finality, and
+    # minimize draws them and still gives the reference's minimal DFA
+    from starbench.ops import ProductDfa
+
+    drawn = []
+    draw = ProductDfa._keys
+    monkeypatch.setattr(ProductDfa, "_keys",
+                        lambda prod, limit: drawn.append(limit) or draw(prod, limit))
+    rng = random.Random(21)
+    products = 0
+    while products < 12:
+        k = random_dfa(rng, rng.randint(10, 24))
+        l = random_dfa(rng, rng.randint(10, 24))
+        for op in BooleanOp:
+            prod = product_dfa(k, l, op)
+            if prod.dfa.size < 128:
+                continue
+            products += 1
+            final = [bool(_PAIR_ACCEPTS[op](p in k.finals, q in l.finals))
+                     for p, q in zip(*prod.pairs)]
+            assert final == [s in prod.dfa.finals for s in range(prod.dfa.size)]
+            for limit in (2, 9, prod.dfa.size // 16, 512):
+                _assert_keys_seed_minimize(prod.dfa, list(prod._keys(limit)))
+            drawn.clear()
+            assert minimize(prod) == minimize_by(monkeypatch, _moore_blocks, prod.dfa)
+            assert drawn == [min(prod.dfa.size // 16, 512)]
+
+
+def _quotient_numbered(d, block_of):
+    """The quotient of d by the partition block_of, block b as state b,
+    numbered by _bfs_numbering: the quotient's canonical form found by
+    its own breadth-first walk."""
+    size = max(block_of) + 1
+    delta = {}
+    for x, t in d.delta.items():
+        image = [0] * size
+        for s, b in enumerate(block_of):
+            image[b] = block_of[t.image[s]]
+        delta[x] = Transformation(tuple(image))
+    finals = frozenset(block_of[f] for f in d.finals)
+    return MINIMIZE._bfs_numbering(
+        Dfa(size, d.alphabet, delta, block_of[d.initial], finals))
+
+
+def _registry_constructions(sizes, cap):
+    """Per registry cell at m, n in sizes, the construction result that
+    run_pipeline minimizes: a subset DFA, or the closing product; cells
+    whose subsets pass `cap` are left out."""
+    for _, _, _, built in _registry_built(sizes, cap):
+        try:
+            yield determinize(built, cap) if isinstance(built, EpsNfa) else built
+        except SubsetCapExceeded:
+            continue
+
+
+def test_block_name_ranks_are_the_quotients_bfs_numbering():
+    # a construction result is BFS-numbered with every state reachable, so
+    # minimize numbers its quotient by the rank of the blocks' least
+    # states; that is the numbering the quotient's own BFS gives it
+    kinds = set()
+    for built in _registry_constructions((3, 4, 5), cap=20_000):
+        d = built.dfa
+        kinds.add(type(built).__name__)
+        assert MINIMIZE._bfs_numbering(d) is d
+        trans = [d.delta[x].image for x in d.alphabet]
+        final = [s in d.finals for s in range(d.size)]
+        assert minimize(built) == _quotient_numbered(d, _moore_blocks(trans, final))
+    assert kinds == {"SubsetDfa", "ProductDfa"}
+    # a plain DFA, unreachable states and all, minimizes to the BFS
+    # numbering of its quotient over all its states
+    rng = random.Random(22)
+    unreachable = 0
+    for _ in range(80):
+        d = random_dfa(rng, rng.randint(2, 12))
+        unreachable += MINIMIZE._bfs_numbering(d).size < d.size
+        trans = [d.delta[x].image for x in d.alphabet]
+        final = [s in d.finals for s in range(d.size)]
+        assert minimize(d) == _quotient_numbered(d, _moore_blocks(trans, final))
+    assert unreachable >= 20

@@ -265,7 +265,7 @@ def test_below_bound_diagnostics_decode_only_the_shown_labels(monkeypatch):
     assert sd.dfa.size > 20
     expected = write_dfa(final) + "subset labels: " + " ".join(
         "{" + ",".join(str(q) for q in sorted(label)) + "}"
-        for label in sd.labels[:20]
+        for label in map(sd.label, range(min(20, sd.dfa.size)))
     ) + "\n"
 
     decoded = []
@@ -290,7 +290,7 @@ def test_a_measured_size_above_the_bound_is_loud(monkeypatch):
     final, sd = run_pipeline("KL*", left, right)
     labels = " ".join(
         "{" + ",".join(str(q) for q in sorted(label)) + "}"
-        for label in sd.labels[:20]
+        for label in map(sd.label, range(min(20, sd.dfa.size)))
     )
     monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size - 1)
     cell = verify_cell("KL*", 3, 3)
@@ -334,7 +334,7 @@ def test_a_large_offending_dfa_is_named_not_dumped(monkeypatch):
     final, sd = run_pipeline("KL*", left, right)
     labels = " ".join(
         "{" + ",".join(str(q) for q in sorted(label)) + "}"
-        for label in sd.labels[:20]
+        for label in map(sd.label, range(min(20, sd.dfa.size)))
     )
     monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size - 1)
     monkeypatch.setattr(verify, "_DIAG_DFA_LIMIT", final.size - 1)
@@ -357,7 +357,7 @@ def test_every_row_is_measured_minimal(monkeypatch):
         return product_dfa(k, k.complement(), BooleanOp.INTERSECTION)
 
     left, right, _ = _operands_for("bool-union", 3, 3)
-    assert empty_product(left, right, None, 0).size == 3
+    assert empty_product(left, right, None, 0).dfa.size == 3
     monkeypatch.setitem(verify._SHAPES, "boolean", empty_product)
     final, sd = run_pipeline("bool-union", left, right)
     assert (final.size, final.finals, sd) == (1, frozenset(), None)
