@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 class DfaFormatError(ValueError):
@@ -162,15 +162,6 @@ class Dfa:
         """Accept iff the state reached from the initial state is final."""
         return self.state_after(w) in self.finals
 
-    def word_transformation(self, w: Iterable[str]) -> Transformation:
-        """The transformation induced by w (first letter acts first)."""
-        t = Transformation.identity(self.size)
-        for x in w:
-            if x not in self.delta:
-                raise ValueError(f"unknown letter {x!r}")
-            t = t.compose(self.delta[x])
-        return t
-
     def with_finals(self, finals: Iterable[int]) -> "Dfa":
         """The same transitions with another final set."""
         return Dfa(self.size, self.alphabet, dict(self.delta), self.initial,
@@ -179,18 +170,6 @@ class Dfa:
     def complement(self) -> "Dfa":
         """Flip final and non-final states; complete DFAs make this exact."""
         return self.with_finals(frozenset(range(self.size)) - self.finals)
-
-    def permute_letters(self, pi: Mapping[str, str]) -> "Dfa":
-        """Rename letters by the bijection pi: new delta[pi(x)] = delta[x]."""
-        if set(pi) != set(self.alphabet) or set(pi.values()) != set(self.alphabet):
-            raise ValueError(f"not a bijection on the alphabet: {dict(pi)}")
-        return Dfa(
-            self.size,
-            self.alphabet,
-            {pi[x]: t for x, t in self.delta.items()},
-            self.initial,
-            self.finals,
-        )
 
     def restrict(self, letters: Iterable[str]) -> "Dfa":
         """Project onto a sub-alphabet, keeping the original letter order."""

@@ -25,12 +25,16 @@ nearly every subset from the others (the theorem behind Brzozowski's
 double reversal; Brzozowski and Tamm, "Theory of átomata", TCS 2014); a
 product pair lies in R_w when the op of its operands' memberships holds.
 Rounds from finality take 4 to 20 on the large cells; from these keys, 0
-to 5. A DFA still splitting after 2·bit_length(n) rounds (a chain, say,
-which needs n) is refined from scratch by Hopcroft's algorithm on a
-refinable partition held in flat arrays (Hopcroft 1971; Valmari, "Fast
-brief practical DFA minimization", IPL 2012), so the worst case stays
-O(kn log n); its blocks, too, are named by their least states. The
-uncapped Moore refinement both are checked against lives in the tests.
+to 5. A state alone in its block never splits again, so a round signs
+only the states of blocks of two or more, in a list rebuilt whenever
+that halves one of over 64 states: after the keys, 0% to 49% of a large
+cell's states. A DFA still splitting after 2·bit_length(n) rounds (a
+chain, say, which needs n) is refined from scratch by Hopcroft's
+algorithm on a refinable partition held in flat arrays (Hopcroft 1971;
+Valmari, "Fast brief practical DFA minimization", IPL 2012), so the
+worst case stays O(kn log n); its blocks, too, are named by their least
+states. The uncapped Moore refinement both are checked against lives in
+the tests.
 
 A construction result is numbered breadth first from state 0, every state
 reachable, and a plain DFA is given that numbering first. There the first
@@ -49,7 +53,7 @@ from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, filterfalse
-from operator import eq, or_
+from operator import eq, ne, or_
 
 from .core import Dfa, EpsNfa, Transformation
 
@@ -376,24 +380,52 @@ def _capped_moore_blocks(
     by finality; Hopcroft always starts from finality. A round gives each
     state the signature (its block, its successors' blocks) and names
     each new block by its least state, the first to claim the signature,
-    so block names are always ints of `states` and no round mints new
-    ones. The rounds stop when one splits nothing, or as
-    soon as every block is a singleton, which needs no confirming round.
+    so block names are always states and no round mints new ones. The
+    rounds stop when one splits nothing, or as soon as every block is a
+    singleton, which needs no confirming round.
+
+    A state alone in its block never splits again, so a round signs only
+    the `active` states, ascending, through per-letter columns restricted
+    to them: a union of whole blocks holding every block of two or more
+    states, so each new block is still named by its least state. When
+    singletons are over half of an active list of more than 64 states
+    (4·blocks > 3·states), the list and its columns are rebuilt without
+    them, so every rebuild at least halves it and all of them cost O(kn).
+    Between rebuilds the list holds at most 64 states or under four
+    times the s states of non-singleton blocks, so a round costs
+    O(k(s + 64)). Keys that leave most states alone, as on the large
+    cells, drop them before the first round.
     """
     n = len(final)
-    states = list(range(n))
+    active = range(n)
     ids: dict = {}
-    block_of = list(map(ids.setdefault, final if labels is None else labels, states))
-    nblocks = len(ids)
+    block_of = list(map(ids.setdefault, final if labels is None else labels, active))
+    nblocks = inside = len(ids)  # blocks in all, blocks of the active states
+    signed, cols = block_of, trans  # the active states' blocks and columns
     for _ in range(2 * n.bit_length()):
         if nblocks == n:
             return block_of
+        # over half the active are singletons; from 64 states or fewer,
+        # dropping them costs more than the rounds it saves
+        if len(active) > 64 and 4 * inside > 3 * len(active):
+            # a block has two or more states when one is not its name
+            shared = set(compress(signed, map(ne, signed, active)))
+            keep = list(map(shared.__contains__, signed))
+            active = list(compress(active, keep))
+            signed = list(compress(signed, keep))
+            inside = len(shared)
+            cols = [list(map(col.__getitem__, active)) for col in trans]
         ids = {}
-        successors = (map(block_of.__getitem__, col) for col in trans)
-        block_of = list(map(ids.setdefault, zip(block_of, *successors), states))
-        if len(ids) == nblocks:
+        successors = (map(block_of.__getitem__, col) for col in cols)
+        signed = list(map(ids.setdefault, zip(signed, *successors), active))
+        if len(ids) == inside:
             return block_of
-        nblocks = len(ids)
+        if len(active) == n:
+            block_of = signed
+        else:
+            any(map(block_of.__setitem__, active, signed))
+        nblocks += len(ids) - inside
+        inside = len(ids)
     return block_of if nblocks == n else _hopcroft_blocks(trans, final)
 
 

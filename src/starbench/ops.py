@@ -197,33 +197,32 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
     Pairs are discovered by BFS from the initial pair in alphabet order, so
     unreachable pairs never materialize and the numbering is the canonical
     one `minimize` expects of a construction result. Each letter's column
-    is appended as its pairs are expanded.
+    is appended as its pairs are expanded. The search keys pair (p, q) by
+    the int p·|Q2| + q, cheaper to hash than a tuple, and `pairs` gets its
+    operand states when it is found.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
-    alphabet = d1.alphabet
+    alphabet, n2 = d1.alphabet, d2.size
     columns: list[list[int]] = [[] for _ in alphabet]
-    letters = [(d1.delta[x].image, d2.delta[x].image, column)
+    letters = [([p * n2 for p in d1.delta[x].image], d2.delta[x].image, column)
                for x, column in zip(alphabet, columns)]
 
-    start = (d1.initial, d2.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    for p, q in order:  # grows as new pairs are discovered
+    index = {d1.initial * n2 + d2.initial: 0}
+    lefts, rights = array("I", [d1.initial]), array("I", [d2.initial])
+    for p, q in zip(lefts, rights):  # grow as new pairs are discovered
         for t1, t2, column in letters:
-            target = (t1[p], t2[q])
+            target = t1[p] + t2[q]
             ti = index.get(target)
             if ti is None:
-                ti = len(order)
-                index[target] = ti
-                order.append(target)
+                ti = index[target] = len(index)
+                lefts.append(target // n2)
+                rights.append(target % n2)
             column.append(ti)
 
     delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
-    lefts = array("I", map(itemgetter(0), order))
-    rights = array("I", map(itemgetter(1), order))
     finals = frozenset(compress(count(), map(
         op.combine, map(d1.finals.__contains__, lefts),
         map(d2.finals.__contains__, rights))))
-    dfa = Dfa(len(order), alphabet, delta, 0, finals)
+    dfa = Dfa(len(lefts), alphabet, delta, 0, finals)
     return ProductDfa(dfa, d1, d2, op, (lefts, rights))

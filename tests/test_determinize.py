@@ -1,5 +1,7 @@
+import collections
 import importlib
 import itertools
+import operator
 import random
 from dataclasses import replace
 
@@ -231,14 +233,22 @@ def _with_unreachable(rng):
     return Dfa(core + extra, ("a", "b"), delta, 0, finals)
 
 
+def _construction(op, m, n):
+    """The construction result that run_pipeline minimizes for one
+    registry cell: its subset DFA, or its closing product."""
+    from starbench.bounds import TABLE
+    from starbench.verify import _SHAPES, _operands_for
+
+    entry = TABLE[op]
+    boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
+    left, right, _ = _operands_for(op, m, n)
+    built = _SHAPES[entry.shape](left, right, boolean, DEFAULT_SUBSET_CAP)
+    return determinize(built) if isinstance(built, EpsNfa) else built
+
+
 def _conjecture_subset_dfa(m, n):
     """The subset DFA of the (K∩L)* conjecture cell, before minimization."""
-    from starbench.verify import _operands_for, run_pipeline
-
-    op = "(K∩L)*-conjecture"
-    left, right, _ = _operands_for(op, m, n)
-    _, sd = run_pipeline(op, left, right)
-    return sd.dfa
+    return _construction("(K∩L)*-conjecture", m, n).dfa
 
 
 @pytest.mark.parametrize("make, minimal_size", [
@@ -755,6 +765,94 @@ def test_keys_follow_a_renumbering_of_the_states(witness):
     assert refine(trans, final, relabelled) == refine(trans, final)
 
 
+class _CountingColumn(list):
+    """A transition column that records each state looked up in it and
+    each time it is read through whole."""
+
+    def __init__(self, image):
+        super().__init__(image)
+        self.looked_up = []
+        self.scans = 0
+
+    def __getitem__(self, s):
+        self.looked_up.append(s)
+        return super().__getitem__(s)
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def _assert_restricted_rounds(monkeypatch, d, keys):
+    """The capped rounds from `keys` give d's reference blocks without
+    Hopcroft, and read the columns only as restricted rounds should: a
+    state whose key no other state shares is never looked up, and as each
+    rebuild of the active list (its states looked up in ascending order)
+    at least halves it, all of them look up fewer than twice the states
+    that share a key. Returns (rebuilds, whole-column scans)."""
+    final = [s in d.finals for s in range(d.size)]
+    trans = [_CountingColumn(d.delta[x].image) for x in d.alphabet]
+    calls = _spy_on_hopcroft(monkeypatch)
+    blocks = MINIMIZE._capped_moore_blocks(trans, final, iter(keys))
+    assert blocks == _moore_blocks([d.delta[x].image for x in d.alphabet], final)
+    assert calls == []
+    sharing = collections.Counter(keys)
+    shared = {s for s, key in enumerate(keys) if sharing[key] > 1}
+    looked_up = trans[0].looked_up
+    assert set(looked_up) <= shared
+    assert len(looked_up) < 2 * len(shared) or not shared
+    rebuilds = sum(map(operator.le, looked_up, [d.size] + looked_up))
+    return rebuilds, trans[0].scans
+
+
+def _random_with_tail(rng, size, tail):
+    """A random DFA on states 0..size-1 whose edges may also enter a tail
+    size, ..., size+tail-1, where a steps on (the last state is the only
+    final one and loops) and b stays: tail states are told apart by their
+    distance to the end, so Moore's rounds split the tail one state a round."""
+    n = size + tail
+    a = [rng.randrange(n) for _ in range(size)]
+    a += [min(s + 1, n - 1) for s in range(size, n)]
+    b = [rng.randrange(n) for _ in range(size)] + list(range(size, n))
+    delta = {"a": Transformation(tuple(a)), "b": Transformation(tuple(b))}
+    return Dfa(n, ("a", "b"), delta, 0, frozenset((n - 1,)))
+
+
+def test_restricted_rounds_match_moore_from_keys(monkeypatch):
+    # rounds that sign only the states of non-singleton blocks reach
+    # Moore's blocks from keys that leave a few, many or no blocks to split
+    rebuilds = []
+    rng = random.Random(23)
+    for _ in range(30):
+        size = rng.randint(100, 1000)
+        d = _random_with_tail(rng, size, rng.randint(0, 12))
+        final = [s in d.finals for s in range(d.size)]
+        nerode = _moore_blocks([d.delta[x].image for x in d.alphabet], final)
+        # a key may be any function of the Nerode block that keeps finality;
+        # these show some blocks and lump the others, the tail's among them
+        reveal = rng.choice((0.3, 0.7, 0.9, 1.0))
+        shown = {b for b in nerode[:size] if rng.random() < reveal} - set(nerode[size:])
+        spread = rng.choice((1, 2, 5))
+        keys = [(f, b if b in shown else -1 - b % spread)
+                for f, b in zip(final, nerode)]
+        rebuilds.append(_assert_restricted_rounds(monkeypatch, d, keys)[0])
+    assert max(rebuilds) >= 2
+    # constructions with their own keys: refined over several rebuilds,
+    # keys already final with blocks of two left to confirm, and keys all
+    # distinct, where the rounds read no column at all
+    runs = {}
+    for op, m, n in (("K*\\L*", 5, 5), ("(KL)*", 5, 5), ("K*L*", 5, 5),
+                     ("(K∩L)*-conjecture", 3, 3)):
+        built = _construction(op, m, n)
+        keys = list(built._keys(min(built.dfa.size // 16, 512)))
+        final_keys = len(set(keys)) == minimize(built).size
+        runs[op] = _assert_restricted_rounds(monkeypatch, built.dfa, keys), final_keys
+    assert runs["K*\\L*"][0][0] >= 2 and runs["(KL)*"][0][0] >= 1
+    # (rebuilds, whole-column scans), keys final
+    assert runs["K*L*"] == ((1, 0), True)
+    assert runs["(K∩L)*-conjecture"] == ((0, 0), True)
+
+
 # each op on two finality flags, written apart from BooleanOp.combine so
 # that a wrong combine in the product's keys or finals shows
 _PAIR_ACCEPTS = {
@@ -793,6 +891,41 @@ def test_product_keys_seed_moore_within_nerode_blocks(monkeypatch):
             drawn.clear()
             assert minimize(prod) == minimize_by(monkeypatch, _moore_blocks, prod.dfa)
             assert drawn == [min(prod.dfa.size // 16, 512)]
+
+
+def _reference_product(d1, d2, op):
+    """The reachable product by a breadth-first search over (p, q) tuples,
+    in alphabet order, finals from _PAIR_ACCEPTS."""
+    index = {(d1.initial, d2.initial): 0}
+    order = list(index)
+    columns = {x: [] for x in d1.alphabet}
+    for p, q in order:  # grows as new pairs are found
+        for x in d1.alphabet:
+            pair = (d1.delta[x].image[p], d2.delta[x].image[q])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            columns[x].append(index[pair])
+    finals = frozenset(i for i, (p, q) in enumerate(order)
+                       if _PAIR_ACCEPTS[op](p in d1.finals, q in d2.finals))
+    delta = {x: Transformation(tuple(col)) for x, col in columns.items()}
+    return Dfa(len(order), d1.alphabet, delta, 0, finals), order
+
+
+def test_product_matches_a_tuple_pair_search():
+    # the product keys its search by int pair codes; its DFA and pairs are
+    # those of a search over tuples, on operands of unequal sizes too
+    rng = random.Random(24)
+    for _ in range(40):
+        k = random_dfa(rng, rng.randint(1, 30), ("a", "b", "c"))
+        l = random_dfa(rng, rng.randint(1, 30), ("a", "b", "c"))
+        for op in BooleanOp:
+            prod = product_dfa(k, l, op)
+            dfa, order = _reference_product(k, l, op)
+            assert prod.dfa == dfa
+            assert (prod.left, prod.right, prod.op) == (k, l, op)
+            assert list(map(list, prod.pairs)) == list(map(list, zip(*order)))
+            assert [side.typecode for side in prod.pairs] == ["I", "I"]
 
 
 def _quotient_numbered(d, block_of):

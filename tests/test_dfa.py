@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -28,16 +27,6 @@ def test_run_unknown_letter(witness):
         witness("U", 3).run("ax")
 
 
-def test_word_action_matches_run(witness):
-    # run(d, w) equals finals-membership of the composed word transformation
-    d = witness("U", 4)
-    rng = random.Random(11)
-    for _ in range(200):
-        w = [rng.choice(d.alphabet) for _ in range(rng.randint(0, 10))]
-        t = d.word_transformation(w)
-        assert d.run(w) == (t.apply(d.initial) in d.finals)
-
-
 def test_complement_involution_and_finals(witness):
     u3 = witness("U", 3)
     assert u3.complement().finals == frozenset((0, 1))
@@ -50,31 +39,6 @@ def test_complement_flips_membership_all_words(witness):
     for length in range(7):
         for w in itertools.product(d.alphabet, repeat=length):
             assert d.run(w) != c.run(w)
-
-
-def test_permute_letters_swap(witness):
-    swapped = witness("U", 4).permute_letters({"a": "b", "b": "a", "c": "c"})
-    assert swapped == witness("U", 4, "bac")
-    assert swapped.delta["b"] == Transformation.cycle(4)
-    assert swapped.delta["a"] == Transformation.transposition(4, 0, 1)
-
-
-def test_permute_letters_identity_and_inverse(witness):
-    d = witness("W", 5)
-    ident = {x: x for x in d.alphabet}
-    assert d.permute_letters(ident) == d
-    pi = {"a": "d", "b": "c", "c": "b", "d": "a"}
-    inv = {v: k for k, v in pi.items()}
-    assert d.permute_letters(pi).permute_letters(inv) == d
-    # reversing W_5's letters makes d the 5-cycle and a the identity
-    rev = d.permute_letters(pi)
-    assert rev.delta["d"] == Transformation.cycle(5)
-    assert rev.delta["a"] == Transformation.identity(5)
-
-
-def test_permute_letters_rejects_non_bijection(witness):
-    with pytest.raises(ValueError):
-        witness("U", 3).permute_letters({"a": "a", "b": "a", "c": "c"})
 
 
 def test_restrict_projects_alphabet(witness):
