@@ -7,7 +7,6 @@ from .core import (
     DfaFormatError,
     EpsNfa,
     Transformation,
-    compose,
     read_dfa,
     write_dfa,
 )
@@ -17,13 +16,11 @@ from .minimize import (
     SubsetCapExceeded,
     SubsetDfa,
     determinize,
-    equivalent,
     minimal_dfa,
     minimize,
-    state_complexity,
 )
 from .witnesses import WitnessSpec, build, format_witness, monoid_size, parse_witness
-from .bounds import NoKnownBound, Recipe, TABLE, UnknownOperation, evaluate, recipe, resolve_op
+from .bounds import NoKnownBound, Recipe, TABLE, UnknownOperation, evaluate
 from .oracle import SemanticOracle
 from .verify import (
     OracleReport,
@@ -54,12 +51,10 @@ __all__ = [
     "VerificationCell",
     "WitnessSpec",
     "build",
-    "compose",
     "concat_nfa",
     "conjecture_scan",
     "determinize",
     "dfa_to_nfa",
-    "equivalent",
     "evaluate",
     "exhaustive_oracle",
     "format_witness",
@@ -70,12 +65,9 @@ __all__ = [
     "parse_witness",
     "product_dfa",
     "read_dfa",
-    "recipe",
-    "resolve_op",
     "reverse_nfa",
     "run_pipeline",
     "star_nfa",
-    "state_complexity",
     "verify_cell",
     "verify_table",
     "write_dfa",

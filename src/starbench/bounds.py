@@ -21,7 +21,7 @@ from .witnesses import WitnessSpec, format_witness, parse_witness
 
 
 class NoKnownBound(ValueError):
-    """Evaluation or recipe lookup on the open operation."""
+    """Evaluation of the open operation's bound, which has no formula."""
 
 
 class UnknownOperation(ValueError):
@@ -187,11 +187,6 @@ def lookup(name: str) -> BoundEntry:
     return entry
 
 
-def resolve_op(name: str) -> str:
-    """Canonical operation tag for a name (tag itself or an alias)."""
-    return lookup(name).op
-
-
 def evaluate(op: str, m: int | None, n: int) -> int:
     """Exact integer value of the bound formula at (m, n); m is ignored by
     unary operations."""
@@ -200,14 +195,6 @@ def evaluate(op: str, m: int | None, n: int) -> int:
         raise NoKnownBound(f"no known bound for {op}")
     entry.check_range(m, n)
     return entry.formula(m, n)
-
-
-def recipe(op: str, m: int | None, n: int) -> Recipe:
-    """The witness pair claimed to meet this bound."""
-    entry = lookup(op)
-    if entry.status == "open":
-        raise NoKnownBound(f"no witness recipe for open operation {op}")
-    return entry.witnesses(m, n)
 
 
 def cells(

@@ -9,8 +9,7 @@ letter is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 
 class DfaFormatError(ValueError):
@@ -70,12 +69,6 @@ class Transformation:
         return cls(tuple(img))
 
     @classmethod
-    def constant(cls, n: int, k: int) -> "Transformation":
-        """Send every state to k."""
-        _check_state(n, k, "constant target")
-        return cls((k,) * n)
-
-    @classmethod
     def subcycle(cls, n: int, lo: int, hi: int) -> "Transformation":
         """Cyclically permute lo -> lo+1 -> ... -> hi -> lo, fix the rest."""
         _check_state(n, lo, "subcycle lo")
@@ -86,23 +79,6 @@ class Transformation:
         for s in range(lo, hi + 1):
             img[s] = lo if s == hi else s + 1
         return cls(tuple(img))
-
-    def apply(self, s: int) -> int:
-        _check_state(self.degree, s, "state")
-        return self.image[s]
-
-    def compose(self, other: "Transformation") -> "Transformation":
-        """self followed by other: s -> other(self(s)) (word order)."""
-        if self.degree != other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        return Transformation(tuple(other.image[t] for t in self.image))
-
-
-def compose(t1: Transformation, t2: Transformation) -> Transformation:
-    """Left-to-right composition: the word t1 t2 acting on a state."""
-    return t1.compose(t2)
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -147,20 +123,14 @@ class Dfa:
             for f in self.finals:
                 _check_state(self.size, f, "final state")
 
-    def step(self, s: int, x: str) -> int:
-        if x not in self.delta:
-            raise ValueError(f"unknown letter {x!r}")
-        return self.delta[x].image[s]
-
-    def state_after(self, w: Iterable[str], start: int | None = None) -> int:
-        s = self.initial if start is None else start
-        for x in w:
-            s = self.step(s, x)
-        return s
-
     def run(self, w: Iterable[str]) -> bool:
         """Accept iff the state reached from the initial state is final."""
-        return self.state_after(w) in self.finals
+        s = self.initial
+        for x in w:
+            if x not in self.delta:
+                raise ValueError(f"unknown letter {x!r}")
+            s = self.delta[x].image[s]
+        return s in self.finals
 
     def with_finals(self, finals: Iterable[int]) -> "Dfa":
         """The same transitions with another final set."""
@@ -185,11 +155,6 @@ class Dfa:
             self.initial,
             self.finals,
         )
-
-    def words(self, max_len: int) -> Iterator[tuple[str, ...]]:
-        """All words over the alphabet up to max_len, shortlex order."""
-        return chain.from_iterable(product(self.alphabet, repeat=length)
-                                   for length in range(max_len + 1))
 
 
 @dataclass(frozen=True)
@@ -244,18 +209,6 @@ class EpsNfa:
                     stack.append(t)
         return frozenset(seen)
 
-    def simulate(self, w: Iterable[str]) -> bool:
-        """Direct set-based NFA run; the reference for language checks."""
-        current = self.eps_closure(self.initials)
-        for x in w:
-            if x not in self.alphabet:
-                raise ValueError(f"unknown letter {x!r}")
-            moved: set[int] = set()
-            for s in current:
-                moved.update(self.moves.get((s, x), ()))
-            current = self.eps_closure(moved)
-        return bool(current & self.finals)
-
     def reverse(self) -> "EpsNfa":
         """NFA for the reversed language: every move and epsilon edge
         flipped, initials and finals swapped."""
@@ -297,6 +250,14 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
         raise DfaFormatError(f"line {lineno}: {what} is not an integer: {text!r}") from None
 
 
+def _at_line(lineno: int, make: Callable[..., Any], *args: Any) -> Any:
+    """make(*args), its ValueError re-raised as a format error on the line."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise DfaFormatError(f"line {lineno}: {e}") from None
+
+
 def read_dfa(text: str) -> Dfa:
     """Parse the text format produced by write_dfa; strict line order."""
     lines = text.split("\n")
@@ -319,11 +280,13 @@ def read_dfa(text: str) -> Dfa:
     if parts[0] != "alphabet" or len(parts) < 2:
         raise DfaFormatError(f"line {lineno}: expected 'alphabet <letters>'")
     alphabet = tuple(parts[1:])
+    _at_line(lineno, _check_alphabet, alphabet)
 
     lineno, parts = get(2, "'initial'")
     if parts[0] != "initial" or len(parts) != 2:
         raise DfaFormatError(f"line {lineno}: expected 'initial <state>'")
     initial = _parse_int(parts[1], lineno, "initial state")
+    _at_line(lineno, _check_state, size, initial, "initial state")
 
     lineno, parts = get(3, "'finals'")
     if parts[0] != "finals":
@@ -331,6 +294,8 @@ def read_dfa(text: str) -> Dfa:
     finals_list = [_parse_int(p, lineno, "final state") for p in parts[1:] if p != ""]
     if finals_list != sorted(set(finals_list)):
         raise DfaFormatError(f"line {lineno}: finals must be strictly ascending")
+    for f in finals_list:
+        _at_line(lineno, _check_state, size, f, "final state")
 
     delta: dict[str, Transformation] = {}
     for i, x in enumerate(alphabet):
@@ -350,16 +315,10 @@ def read_dfa(text: str) -> Dfa:
                 f"line {lineno}: incomplete delta row for {x!r}: "
                 f"{len(targets)} targets, expected {size}"
             )
-        try:
-            delta[x] = Transformation(tuple(targets))
-        except ValueError as e:
-            raise DfaFormatError(f"line {lineno}: {e}") from None
+        delta[x] = _at_line(lineno, Transformation, tuple(targets))
 
     extra = 4 + len(alphabet)
     if extra < len(lines):
         raise DfaFormatError(f"line {extra + 1}: trailing content: {lines[extra]!r}")
 
-    try:
-        return Dfa(size, alphabet, delta, initial, frozenset(finals_list))
-    except ValueError as e:
-        raise DfaFormatError(str(e)) from None
+    return Dfa(size, alphabet, delta, initial, frozenset(finals_list))

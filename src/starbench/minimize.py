@@ -41,15 +41,11 @@ reachable, and a plain DFA is given that numbering first. There the first
 edge in BFS order to enter a block leaves the least state of its own
 block, so the quotient's BFS meets the blocks in the order of their least
 states: its canonical numbering is the rank of the block names.
-
-Equivalence is the pair search of Hopcroft and Karp (1971), which also
-finds a shortest distinguishing word.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, filterfalse
@@ -461,32 +457,3 @@ def minimize(d: Dfa | SubsetDfa) -> Dfa:
 def minimal_dfa(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> Dfa:
     """determinize then minimize; the standard measurement pipeline step."""
     return minimize(determinize(nfa, cap))
-
-
-def state_complexity(nfa: EpsNfa) -> int:
-    """Number of states of the minimal complete DFA for L(nfa)."""
-    return minimal_dfa(nfa).size
-
-
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """L(d1) == L(d2): no word is accepted by exactly one of them."""
-    return distinguishing_word(d1, d2) is None
-
-
-def distinguishing_word(d1: Dfa, d2: Dfa) -> tuple[str, ...] | None:
-    """A shortest word accepted by exactly one of d1, d2, or None."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
-    start = (d1.initial, d2.initial)
-    seen = {start}
-    queue = deque(((start, ()),))
-    while queue:
-        (p, q), word = queue.popleft()
-        if (p in d1.finals) != (q in d2.finals):
-            return word
-        for x in d1.alphabet:
-            target = (d1.delta[x].image[p], d2.delta[x].image[q])
-            if target not in seen:
-                seen.add(target)
-                queue.append((target, word + (x,)))
-    return None

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from starbench.witnesses import CANONICAL_LETTERS, FAMILIES, WitnessSpec, build
@@ -19,3 +21,49 @@ def every_family():
     """(family, canonical letter order) for every arity of every family."""
     return [(family, tuple(CANONICAL_LETTERS[:arity]))
             for family, arities in FAMILIES.items() for arity in arities]
+
+
+@pytest.fixture
+def simulate():
+    """The NFA reference: simulate(nfa, w) runs nfa on w one set of states
+    at a time, sharing no code with the subset construction."""
+
+    def run(nfa, w):
+        current = nfa.eps_closure(nfa.initials)
+        for x in w:
+            if x not in nfa.alphabet:
+                raise ValueError(f"unknown letter {x!r}")
+            moved = set()
+            for s in current:
+                moved.update(nfa.moves.get((s, x), ()))
+            current = nfa.eps_closure(moved)
+        return bool(current & nfa.finals)
+
+    return run
+
+
+@pytest.fixture
+def distinguishing_word():
+    """The equivalence reference, the pair search of Hopcroft and Karp
+    (1971): distinguishing_word(d1, d2) is a shortest word accepted by
+    exactly one of two DFAs over one alphabet, or None when they are
+    equivalent."""
+
+    def search(d1, d2):
+        if d1.alphabet != d2.alphabet:
+            raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
+        start = (d1.initial, d2.initial)
+        seen = {start}
+        queue = deque(((start, ()),))
+        while queue:
+            (p, q), word = queue.popleft()
+            if (p in d1.finals) != (q in d2.finals):
+                return word
+            for x in d1.alphabet:
+                target = (d1.delta[x].image[p], d2.delta[x].image[q])
+                if target not in seen:
+                    seen.add(target)
+                    queue.append((target, word + (x,)))
+        return None
+
+    return search

@@ -10,8 +10,7 @@ from starbench.bounds import (
     UnknownOperation,
     cells,
     evaluate,
-    recipe,
-    resolve_op,
+    lookup,
     table_csv,
 )
 from starbench.oracle import SemanticOracle
@@ -74,26 +73,23 @@ def test_statuses():
 def test_open_operation_has_no_formula():
     with pytest.raises(NoKnownBound, match="no known bound"):
         evaluate("(K⊕L)*-open", 3, 3)
-    with pytest.raises(NoKnownBound):
-        recipe("(K⊕L)*-open", 3, 3)
 
 
 def test_unknown_operation():
     with pytest.raises(UnknownOperation):
         evaluate("K**L", 3, 3)
     with pytest.raises(UnknownOperation):
-        resolve_op("frobnicate")
+        lookup("frobnicate")
 
 
 def test_range_validation():
     with pytest.raises(ValueError):
         evaluate("KL*", 2, 5)
     with pytest.raises(ValueError):
-        recipe("KL*", 3, 2)
+        lookup("KL*").witnesses(3, 2)
     evaluate("star", 0, 3)  # m ignored for unary operations
     evaluate("star", None, 3)
     for check in (lambda: evaluate("KL*", None, 3),
-                  lambda: recipe("KL*", None, 3),
                   lambda: TABLE["KL*"].witnesses(None, 3),
                   lambda: _operands_for("KLs", None, 3)):
         with pytest.raises(ValueError, match=r"^operation KL\* needs m$"):
@@ -127,44 +123,44 @@ def test_formulas_are_integers():
 
 
 def test_recipe_witness_pairs():
-    r = recipe("K⊕L*", 4, 5)
+    r = lookup("K⊕L*").witnesses(4, 5)
     assert r.left == WitnessSpec("U", 4)
     assert r.right == WitnessSpec("U", 5, tuple("bac"))
     assert TABLE["K⊕L*"].shape == "k_circ_lstar"  # K x det-min(star_nfa(L))
     assert TABLE["K⊕L*"].boolean == "symmetric-difference"
 
-    r = recipe("K∩L*", 4, 5)
+    r = lookup("K∩L*").witnesses(4, 5)
     assert r.left == WitnessSpec("U0", 4)
 
-    r = recipe("K*∩L*", 4, 5)
+    r = lookup("K*∩L*").witnesses(4, 5)
     assert r.left == WitnessSpec("W", 4)
     assert r.right == WitnessSpec("W", 5, tuple("dcba"))
 
-    r = recipe("K*⊕L*", 4, 5)
+    r = lookup("K*⊕L*").witnesses(4, 5)
     assert r.left == WitnessSpec("W0", 4)
 
-    r = recipe("KL*", 4, 5)
+    r = lookup("KL*").witnesses(4, 5)
     assert (r.left, r.right) == (WitnessSpec("T", 4), WitnessSpec("T", 5, tuple("bac")))
 
-    r = recipe("K*L", 4, 5)
+    r = lookup("K*L").witnesses(4, 5)
     assert (r.left, r.right) == (WitnessSpec("U", 4, tuple("abcd")), WitnessSpec("U", 5, tuple("dcba")))
-    assert recipe("KsL", 4, 5) == r
+    assert lookup("KsL").witnesses(4, 5) == r
 
-    r = recipe("(K∪L)*", 4, 5)
+    r = lookup("(K∪L)*").witnesses(4, 5)
     assert (r.left, r.right) == (WitnessSpec("S", 4), WitnessSpec("S", 5, tuple("ba")))
 
-    r = recipe("(K∩L)*-conjecture", 3, 4)
+    r = lookup("(K∩L)*-conjecture").witnesses(3, 4)
     assert (r.left, r.right) == (WitnessSpec("U5L", 3), WitnessSpec("U5L", 4, tuple("ecbad")))
 
-    r = recipe("(K\\L)*", 3, 3)
+    r = lookup("(K\\L)*").witnesses(3, 3)
     assert (r.left, r.right) == (WitnessSpec("JO6K", 3), WitnessSpec("JO6L", 3))
     assert r.complement_right
 
-    r = recipe("star", 3, 4)
+    r = lookup("star").witnesses(3, 4)
     assert r.left is None
     assert r.restrict_right == ("a", "b")
 
-    r = recipe("L*\\K", 4, 5)
+    r = lookup("L*\\K").witnesses(4, 5)
     assert TABLE["L*\\K"].shape == "lstar_circ_k"  # the starred side is the left product factor
 
 
@@ -204,13 +200,13 @@ def test_cells_check_every_size():
 
 
 def test_resolve_aliases():
-    assert resolve_op("KuLs") == "K∪L*"
-    assert resolve_op("KsdLs") == "K*\\L*"
-    assert resolve_op("KL-s") == "(KL)*"
-    assert resolve_op("KiL-s") == "(K∩L)*-conjecture"
-    assert resolve_op("K*L") == "K*L"
+    assert lookup("KuLs").op == "K∪L*"
+    assert lookup("KsdLs").op == "K*\\L*"
+    assert lookup("KL-s").op == "(KL)*"
+    assert lookup("KiL-s").op == "(K∩L)*-conjecture"
+    assert lookup("K*L").op == "K*L"
     for alias, op in ALIASES.items():
-        assert resolve_op(alias) == op
+        assert lookup(alias).op == op
 
 
 def test_table_csv_shape():

@@ -13,11 +13,8 @@ from starbench.minimize import (
     SubsetCapExceeded,
     _hopcroft_blocks,
     determinize,
-    distinguishing_word,
-    equivalent,
     minimal_dfa,
     minimize,
-    state_complexity,
 )
 from starbench.ops import (
     BooleanOp,
@@ -111,7 +108,7 @@ def relabel_states(d, perm):
 def test_star_of_binary_restriction_measures_six(witness):
     # 2^2 + 2^1 at n = 3
     nfa = star_nfa(witness("U", 3).restrict("ab"))
-    assert state_complexity(nfa) == 6
+    assert minimal_dfa(nfa).size == 6
 
 
 def test_determinizing_a_minimal_dfa_is_identity(witness):
@@ -176,13 +173,13 @@ def test_minimize_witnesses_are_minimal(witness):
         assert minimize(witness("U", n)).size == n
 
 
-def test_minimize_merges_duplicate_sinks():
+def test_minimize_merges_duplicate_sinks(distinguishing_word):
     # states 1 and 2 are identical final sinks and collapse into one
     t = {"a": Transformation((1, 1, 2)), "b": Transformation((2, 1, 2))}
     d = Dfa(3, ("a", "b"), t, 0, frozenset((1, 2)))
     m = minimize(d)
     assert m.size == d.size - 1
-    assert equivalent(m, d)
+    assert distinguishing_word(m, d) is None
 
 
 def test_minimize_empty_intersection_is_one_state(witness):
@@ -319,7 +316,7 @@ def test_minimize_returns_canonical_minimal_dfa_itself(witness):
     assert minimize(shuffled) == m
 
 
-def test_minimize_drops_unreachable_self_looping_final(monkeypatch):
+def test_minimize_drops_unreachable_self_looping_final(monkeypatch, distinguishing_word):
     # state 2 is final and loops on every letter, but nothing enters it
     t = {"a": Transformation((1, 0, 2)), "b": Transformation((0, 1, 2))}
     d = Dfa(3, ("a", "b"), t, 0, frozenset((1, 2)))
@@ -327,7 +324,7 @@ def test_minimize_drops_unreachable_self_looping_final(monkeypatch):
     assert m.size == 2
     assert m.finals == frozenset((1,))
     assert m == minimize_by(monkeypatch, _moore_blocks, d)
-    assert equivalent(m, d)
+    assert distinguishing_word(m, d) is None
 
 
 def test_minimized_states_all_reachable_and_distinguishable():
@@ -361,7 +358,7 @@ def test_canonical_form_across_different_constructions(witness):
     assert via_double_reverse == minimize(d)
 
 
-def test_language_preserved_through_pipeline(witness):
+def test_language_preserved_through_pipeline(witness, simulate):
     rng = random.Random(99)
     cases = [
         star_nfa(witness("U", 4)),
@@ -372,7 +369,7 @@ def test_language_preserved_through_pipeline(witness):
         d = minimal_dfa(nfa)
         for _ in range(350):
             w = tuple(rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 15)))
-            assert nfa.simulate(w) == d.run(w)
+            assert simulate(nfa, w) == d.run(w)
 
 
 def test_monotone_size_bound():
@@ -385,25 +382,24 @@ def test_monotone_size_bound():
 
 
 def test_state_complexity_examples(witness):
-    assert state_complexity(star_nfa(witness("U", 4).restrict("ab"))) == 12
-    assert state_complexity(dfa_to_nfa(witness("U", 5))) == 5
-    assert state_complexity(reverse_nfa(witness("U", 3))) == 8
+    assert minimal_dfa(star_nfa(witness("U", 4).restrict("ab"))).size == 12
+    assert minimal_dfa(dfa_to_nfa(witness("U", 5))).size == 5
+    assert minimal_dfa(reverse_nfa(witness("U", 3))).size == 8
 
 
-def test_equivalent_basics(witness):
+def test_equivalent_basics(witness, distinguishing_word):
     d = witness("U", 4)
-    assert equivalent(d, minimize(d))
-    assert not equivalent(d, d.complement())
+    assert distinguishing_word(d, minimize(d)) is None
+    assert distinguishing_word(d, d.complement()) == ()
     with pytest.raises(ValueError):
-        equivalent(d, witness("W", 4))
+        distinguishing_word(d, witness("W", 4))
 
 
-def test_permutational_pair_not_equivalent(witness):
+def test_permutational_pair_not_equivalent(witness, distinguishing_word):
     # "ab" does not separate the pair (both reject); the shortest separator
     # is "aaa", accepted by U_4(a,b,c) only
     d1 = witness("U", 4)
     d2 = witness("U", 4, "bac")
-    assert not equivalent(d1, d2)
     assert not d1.run("ab") and not d2.run("ab")
     word = distinguishing_word(d1, d2)
     assert word is not None and d1.run(word) != d2.run(word)
@@ -411,8 +407,9 @@ def test_permutational_pair_not_equivalent(witness):
     assert d1.run("aaa") and not d2.run("aaa")
 
 
-def test_distinguishing_word_matches_brute_force():
-    # a disagreement, if any, shows up by length |d1|·|d2|: the pair walk
+def test_distinguishing_word_matches_brute_force(distinguishing_word):
+    # the equivalence reference against a search of every word: a
+    # disagreement, if any, shows up by length |d1|·|d2|, as the pair walk
     # visits no more pairs than that
     rng = random.Random(5)
     outcomes = set()
@@ -423,7 +420,6 @@ def test_distinguishing_word_matches_brute_force():
                  for w in itertools.product("ab", repeat=k))
         shortest = next((w for w in words if d1.run(w) != d2.run(w)), None)
         word = distinguishing_word(d1, d2)
-        assert equivalent(d1, d2) == (word is None)
         if shortest is None:
             assert word is None
         else:
@@ -651,13 +647,13 @@ def _registry_nfas():
             yield built
 
 
-def test_reverse_accepts_exactly_the_reversed_words():
+def test_reverse_accepts_exactly_the_reversed_words(simulate):
     words = [w for length in range(7)
              for w in itertools.product(("a", "b"), repeat=length)]
     for nfa in _seed_nfas():
         rev = nfa.reverse()
-        assert [rev.simulate(w) for w in words] == [
-            nfa.simulate(w[::-1]) for w in words]
+        assert [simulate(rev, w) for w in words] == [
+            simulate(nfa, w[::-1]) for w in words]
         assert rev.reverse() == nfa
 
 

@@ -134,9 +134,21 @@ def test_read_short_row_is_incomplete_delta():
     (lambda t: t.replace("alphabet a b c", "alphabet"),
      "expected 'alphabet <letters>'"),
     (lambda t: t.replace("finals 3", "final 3"), "expected 'finals"),
-    # the Dfa's own check, re-raised as a format error
     (lambda t: t.replace("initial 0", "initial 9"),
      "initial state 9 out of range"),
+    # the letters and states the Dfa would refuse are refused at their line
+    (lambda t: t.replace("alphabet a b c", "alphabet a b c "),
+     "line 2: letter must be a single printable symbol: ''"),
+    (lambda t: t.replace("alphabet a b c", "alphabet a b a"),
+     "line 2: alphabet letters must be distinct"),
+    (lambda t: t.replace("alphabet a b c", "alphabet a b cc"),
+     "line 2: letter must be a single printable symbol: 'cc'"),
+    (lambda t: t.replace("initial 0", "initial 4"),
+     r"line 3: initial state 4 out of range \[0, 4\)"),
+    (lambda t: t.replace("finals 3", "finals 4"),
+     r"line 4: final state 4 out of range \[0, 4\)"),
+    (lambda t: t.replace("finals 3", "finals -1 3"),
+     r"line 4: final state -1 out of range \[0, 4\)"),
 ])
 def test_read_errors_name_line_and_cause(mangle, message):
     with pytest.raises(DfaFormatError, match=message):

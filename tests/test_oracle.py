@@ -184,11 +184,17 @@ def _trie_dfa(alphabet, maxlen, members):
     return Dfa(words + 1, alphabet, delta, 0, finals)
 
 
+def _shortlex(alphabet, maxlen):
+    """Every word over alphabet of length up to maxlen, in shortlex order."""
+    return [w for k in range(maxlen + 1)
+            for w in itertools.product(alphabet, repeat=k)]
+
+
 def _check_against_reference(op, left, right, maxlen):
     shape, boolean = TABLE[op].shape, TABLE[op].boolean
     reference = _reference(shape, boolean, left, right)
     oracle = SemanticOracle(op, left, right)
-    words = list(right.words(maxlen))
+    words = _shortlex(right.alphabet, maxlen)
     members = [reference(w) for w in words]
     assert [oracle.member(w) for w in words] == members, op
     # the trie walk against a DFA of exactly the reference's members must
@@ -252,9 +258,7 @@ def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
 
     def flipped(op, left, right, cap=None):
         final, sd = real(op, left, right)
-        # flip the state that the alphabet, read backwards, reaches
-        state = final.state_after(reversed(final.alphabet))
-        return final.with_finals(final.finals ^ {state}), sd
+        return _flipped(final), sd
 
     real = verify.run_pipeline
     monkeypatch.setattr(verify, "run_pipeline", flipped)
@@ -262,11 +266,12 @@ def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
     left, right, _ = _operands_for(op, 3, 3)
     final, _ = flipped(op, left, right)
     oracle = SemanticOracle(op, left, right)
-    wrong = [w for w in right.words(6) if final.run(w) != oracle.member(w)]
+    wrong = [w for w in _shortlex(right.alphabet, 6)
+             if final.run(w) != oracle.member(w)]
     assert wrong
     assert report.words == sum(len(right.alphabet) ** k for k in range(7))
     assert report.disagreements == len(wrong)
-    assert report.example == wrong[0]  # words() is shortlex
+    assert report.example == wrong[0]
     sampled = verify.membership_oracle(op, 3, 3, count=400, maxlen=8, seed=3)
     words = verify._sampled_words(right.alphabet, 400, 8, 3)
     wrong = [w for w in words if final.run(w) != oracle.member(w)]
@@ -277,7 +282,9 @@ def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
 def _flipped(final):
     """The pipeline DFA with the state that the alphabet, read backwards,
     reaches moved into or out of the final set."""
-    state = final.state_after(reversed(final.alphabet))
+    state = final.initial
+    for x in reversed(final.alphabet):
+        state = final.delta[x].image[state]
     return final.with_finals(final.finals ^ {state})
 
 
@@ -291,7 +298,7 @@ def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
     left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     final, _ = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
-    words = list(right.words(7))
+    words = _shortlex(right.alphabet, 7)
     members = [oracle.member(w) for w in words]
     steps = 0
 
@@ -344,9 +351,9 @@ def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit):
     final, _ = run_pipeline(op, left, right)
     flipped = _flipped(final)
     oracle = SemanticOracle(op, left, right)
-    maxlen = next(len(w) for w in right.words(8)
+    maxlen = next(len(w) for w in _shortlex(right.alphabet, 8)
                   if flipped.run(w) != oracle.member(w))
-    words = list(right.words(maxlen))
+    words = _shortlex(right.alphabet, maxlen)
     wrong = [w for w in words if flipped.run(w) != oracle.member(w)]
     assert len(wrong) > 1 and {len(w) for w in wrong} == {maxlen}
     assert oracle.compare_all(flipped, maxlen) == (len(words), len(wrong),
@@ -368,7 +375,7 @@ def test_compare_takes_letter_indices_and_returns_letters():
     final, _ = run_pipeline("K*L", left, right)
     flipped = _flipped(final)
     oracle = SemanticOracle("K*L", left, right)
-    words = list(right.words(len(right.alphabet)))
+    words = _shortlex(right.alphabet, len(right.alphabet))
     wrong = [w for w in words if flipped.run(w) != oracle.member(w)]
     indices = [tuple(map(right.alphabet.index, w)) for w in words]
     assert wrong and all(isinstance(x, str) for x in wrong[0])

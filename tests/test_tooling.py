@@ -91,8 +91,8 @@ def _package_imports(module):
     # the value types, the registry and the witnesses the registry names,
     # never the constructions it checks
     ("oracle", {"core", "bounds", "witnesses"}),
-    # the instrument decides equivalence by pair search, so it must not
-    # lean on the product construction that the pipeline shares
+    # the instrument measures the product construction's results, so it
+    # must not lean on that construction
     ("minimize", {"core"}),
     # the product draws its own refinement keys, so they cannot come to
     # lean on the instrument that refines from them
@@ -197,6 +197,28 @@ def test_package_exports_exactly_what_it_imports():
                 for alias in node.names}
     assert set(starbench.__all__) == imported
     assert len(starbench.__all__) == len(imported)
+
+
+def test_every_export_has_a_user():
+    # a name kept only by its own export is dead surface: each one must be
+    # loaded by another package module or a bench script, or be named in
+    # the README
+    import starbench
+
+    root = TRACING.parent.parent
+    paths = [path for path in sorted((root / "src" / "starbench").glob("*.py"))
+             if path.name != "__init__.py"] + sorted((root / "bench").glob("*.py"))
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+    named = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    assert [name for name in starbench.__all__
+            if name not in loaded | named] == []
 
 
 def test_readme_library_example_prints_what_it_says(capsys):

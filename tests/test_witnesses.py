@@ -4,7 +4,7 @@ import time
 import pytest
 
 from starbench.core import Dfa, Transformation
-from starbench.minimize import state_complexity
+from starbench.minimize import minimal_dfa
 from starbench.ops import dfa_to_nfa
 from starbench.witnesses import (
     WitnessSpec,
@@ -106,7 +106,7 @@ def test_every_family_is_minimal_for_all_sizes(every_family):
     for family, order in every_family:
         for n in range(3, 9):
             d = build(WitnessSpec(family, n, order))
-            assert state_complexity(dfa_to_nfa(d)) == n, (family, order, n)
+            assert minimal_dfa(dfa_to_nfa(d)).size == n, (family, order, n)
 
 
 def permute_letters(d, pi):
