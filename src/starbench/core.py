@@ -123,15 +123,6 @@ class Dfa:
             for f in self.finals:
                 _check_state(self.size, f, "final state")
 
-    def run(self, w: Iterable[str]) -> bool:
-        """Accept iff the state reached from the initial state is final."""
-        s = self.initial
-        for x in w:
-            if x not in self.delta:
-                raise ValueError(f"unknown letter {x!r}")
-            s = self.delta[x].image[s]
-        return s in self.finals
-
     def with_finals(self, finals: Iterable[int]) -> "Dfa":
         """The same transitions with another final set."""
         return Dfa(self.size, self.alphabet, dict(self.delta), self.initial,

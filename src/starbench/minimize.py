@@ -20,21 +20,23 @@ subset DFAs measured here are nearly all distinguishable, and they stop as
 soon as every block is a singleton. A construction result's rounds start
 from keys instead of finality: a state accepts w exactly when it lies in
 R_w, the states that accept w. A subset meets R_w of its NFA, the states
-of the reversed NFA's subset DFA, whose first few hundred already split
-nearly every subset from the others (the theorem behind Brzozowski's
-double reversal; Brzozowski and Tamm, "Theory of átomata", TCS 2014); a
-product pair lies in R_w when the op of its operands' memberships holds.
-Rounds from finality take 4 to 20 on the large cells; from these keys, 0
-to 5. A state alone in its block never splits again, so a round signs
-only the states of blocks of two or more, in a list rebuilt whenever
-that halves one of over 64 states: after the keys, 0% to 49% of a large
-cell's states. A DFA still splitting after 2·bit_length(n) rounds (a
-chain, say, which needs n) is refined from scratch by Hopcroft's
-algorithm on a refinable partition held in flat arrays (Hopcroft 1971;
-Valmari, "Fast brief practical DFA minimization", IPL 2012), so the
-worst case stays O(kn log n); its blocks, too, are named by their least
-states. The uncapped Moore refinement both are checked against lives in
-the tests.
+of the reversed NFA's subset DFA, which together split every pair of
+inequivalent subsets (the theorem behind Brzozowski's double reversal).
+Half the key bits go to the first R_w found, R_ε first, and half to the
+smallest of the next ones, as the smaller an R_w, the nearer to an atom
+it is and the finer it splits (Brzozowski and Tamm, "Theory of átomata",
+TCS 2014). A product pair lies in R_w when the op of its operands'
+memberships holds. Rounds from finality take 4 to 20 on the large cells;
+from these keys, 0 to 2. A state alone in its block never splits again,
+so a round signs only the states of blocks of two or more, in a list
+rebuilt whenever that halves one of over 64 states: after the keys, 0%
+to 2% of a large cell's states. A DFA still splitting after
+2·bit_length(n) rounds (a chain, say, which needs n) is refined from
+scratch by Hopcroft's algorithm on a refinable partition held in flat
+arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA minimization",
+IPL 2012), so the worst case stays O(kn log n); its blocks, too, are
+named by their least states. The uncapped Moore refinement both are
+checked against lives in the tests.
 
 A construction result is numbered breadth first from state 0, every state
 reachable, and a plain DFA is given that numbering first. There the first
@@ -123,20 +125,25 @@ class SubsetDfa:
 
     def _keys(self, limit: int) -> Iterator[int]:
         """Per subset S in state order, the bits j with S ∩ R_j nonempty,
-        for the first `limit` subsets R_j of the reversed NFA's subset DFA.
+        for `limit` subsets R_j of the reversed NFA's subset DFA.
 
         The reversed NFA's subset reached by reading w backwards is R_w, the
         NFA states whose closure accepts w, and its first subset is R_ε. A
         closed subset accepts w exactly when it meets R_w, so subsets with
-        different keys are inequivalent, and bit 0 is finality. The walk runs
-        at the first key drawn and no list of keys is kept. Each key is the
-        OR of one chunk table entry per byte of the subset's packed mask,
+        different keys are inequivalent. Of a walk of 4·limit subsets, the
+        first limit // 2 are taken, R_ε first, so bit 0 is finality, then
+        the nonempty others of fewest states, nearest to atoms. The walk
+        runs at the first key drawn and no list of keys is kept. Each key is
+        the OR of one chunk table entry per byte of the subset's packed mask,
         byte c of every mask being the stride packed[c::width]."""
         bits = [0] * self.nfa.size  # bits[q]: the j with q in R_j
-        masks = _subset_walk(self.nfa.reverse(), limit)[0]
-        for j, mask in enumerate(masks[:limit]):
+        masks = _subset_walk(self.nfa.reverse(), 4 * limit)[0][:4 * limit]
+        half = limit // 2
+        smallest = sorted(filter(None, masks[half:]), key=int.bit_count)
+        for j, mask in enumerate(masks[:half] + smallest[:limit - half]):
             for q in _decode(mask):
                 bits[q] |= 1 << j
+        del masks, smallest  # held while the keys are drawn, they raise peak RSS
         tables = _chunk_tables(bits)
         packed, width = self.packed, self.width
         keys = map(tables[0].__getitem__, packed[0::width])

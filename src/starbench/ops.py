@@ -161,34 +161,48 @@ class ProductDfa(NamedTuple):
 
     def _keys(self, limit: int) -> Iterator[int]:
         """Per state (p, q) in state order, the bits j with (p, q)
-        accepting w_j, for the first `limit` distinct vectors R_w of a
-        breadth-first walk. R_w holds one digit per operand state, left's
-        then right's, 1 where that state accepts w: R_ε is the finals, and
-        R_xw = pre_x(R_w) is one gather by x's column. (p, q) accepts
-        w when the op of its two digits is 1, so bit 0 is finality and
+        accepting w_j, for the first `limit` distinct pairs (L_w, R_w) of
+        a breadth-first walk. An operand's vector holds one digit per
+        state, 1 where that state accepts w: the finals for ε, and
+        pre_x(vector) for xw, one gather by x's column. (p, q) accepts w
+        when the op of its two digits is 1, so bit 0 is finality and
         pairs with different keys are inequivalent. The walk runs at the
         first key drawn."""
-        left, right, m = self.left, self.right, self.left.size
-        gathers = [itemgetter(*left.delta[x].image,
-                              *(t + m for t in right.delta[x].image))
-                   for x in left.alphabet]
-        start = bytes(b"01"[s in d.finals]
-                      for d in (left, right) for s in range(d.size))
-        seen = {start}
-        vectors = [start]
-        for vector in vectors:  # grows as new vectors are found
-            if len(vectors) >= limit:
-                break
-            for gather in gathers:
-                found = bytes(gather(vector))
-                if found not in seen:
-                    seen.add(found)
-                    vectors.append(found)
-        # a state's digits, the last word's first, are its bits in base 2
-        bits = [int(bytes(digits), 2) for digits in zip(*reversed(vectors[:limit]))]
+        left_bits, right_bits = _pair_walk(self.left, self.right, limit)
         yield from map(self.op.combine,
-                       map(bits.__getitem__, self.pairs[0]),
-                       map(bits[m:].__getitem__, self.pairs[1]))
+                       map(left_bits.__getitem__, self.pairs[0]),
+                       map(right_bits.__getitem__, self.pairs[1]))
+
+
+def _pair_walk(left: Dfa, right: Dfa, limit: int) -> list[list[int]]:
+    """Per operand, per state, the bits j with that state accepting w_j,
+    for the first `limit` distinct pairs (L_w, R_w) of membership vectors
+    that a breadth-first walk reaches: ε first, then xw for each found w
+    and letter x in alphabet order. This is the search product_dfa makes,
+    on the operands' reverse DFAs, and each operand gathers pre_x of each
+    of its distinct vectors once, the first time a pair needs it. A vector
+    holds the digits b"0" or b"1" of its states, then a constant pad digit,
+    so a gather takes two or more indices even on a one-state operand."""
+    start = tuple(bytes(b"01"[s in d.finals] for s in range(d.size)) + b"0"
+                  for d in (left, right))
+    letters = [(itemgetter(*left.delta[x].image, left.size), {},
+                itemgetter(*right.delta[x].image, right.size), {})
+               for x in left.alphabet]
+    seen = {start}
+    pairs = [start]
+    for v, u in pairs:  # grows as new pairs are found
+        if len(pairs) >= limit:
+            break
+        for gather_v, pre_v, gather_u, pre_u in letters:
+            # a vector is never empty, so a memo hit is never falsy
+            pair = (pre_v.get(v) or pre_v.setdefault(v, bytes(gather_v(v))),
+                    pre_u.get(u) or pre_u.setdefault(u, bytes(gather_u(u))))
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+    # a state's digits, the last word's first, are its bits in base 2
+    return [[int(bytes(digits), 2) for digits in zip(*vectors)][:-1]
+            for vectors in zip(*reversed(pairs[:limit]))]
 
 
 def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:

@@ -21,7 +21,6 @@ from typing import Callable, Generator, Iterable, Sequence
 from .bounds import lookup
 from .core import Dfa
 
-Word = Sequence[str]
 # a word as the indices of its letters in the oracle's alphabet
 Indices = Sequence[int]
 # The state after a prefix: (membership of the prefix, left operand's
@@ -87,7 +86,9 @@ _ROW_COMBINE: dict[str, Callable[[int, int], int]] = {
 
 
 class SemanticOracle:
-    """member(word) for one operation over materialized operand DFAs.
+    """Word membership for one operation over materialized operand DFAs:
+    `step` folded along a word from `start` ends in a node whose first
+    field says whether the word is a member.
 
     The operands are the actual DFAs fed to the pipeline (already
     complemented/restricted where the recipe says so), so oracle and
@@ -103,7 +104,6 @@ class SemanticOracle:
         entry = lookup(op)
         self.op = entry.op
         self.alphabet = right.alphabet
-        self.letter_index = {x: i for i, x in enumerate(self.alphabet)}
         k = self.left = None if left is None else _Runner(left, self.alphabet)
         l = self.right = _Runner(right, self.alphabet, entry.shape == "reversal")
         self.combine = _ROW_COMBINE.get(entry.boolean)
@@ -118,18 +118,6 @@ class SemanticOracle:
 
         self.step: Callable[[Node, int, int], Node] = step
         self.start: Node = logic(k and k.start, l.start)
-
-    def encode(self, w: Word) -> list[int]:
-        try:
-            return [self.letter_index[x] for x in w]
-        except KeyError as e:
-            raise ValueError(f"unknown letter {e.args[0]!r}") from None
-
-    def member(self, w: Word) -> bool:
-        node, step = self.start, self.step
-        for j, li in enumerate(self.encode(w), 1):
-            node = step(node, li, 1 << j)
-        return bool(node[0])
 
     def compare(self, final: Dfa, words: Iterable[Indices]) -> Result:
         """(words, disagreements, first disagreeing word) of the pipeline

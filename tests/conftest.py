@@ -67,3 +67,36 @@ def distinguishing_word():
         return None
 
     return search
+
+
+@pytest.fixture
+def run():
+    """The DFA reference: run(d, w) is whether d accepts the word w, read
+    one letter at a time; a letter outside d's alphabet is a ValueError."""
+
+    def accepts(d, w):
+        s = d.initial
+        for x in w:
+            if x not in d.delta:
+                raise ValueError(f"unknown letter {x!r}")
+            s = d.delta[x].image[s]
+        return s in d.finals
+
+    return accepts
+
+
+@pytest.fixture
+def member():
+    """The per-word oracle: member(oracle, w) folds a SemanticOracle's step
+    along the word w, as its merged walks fold it along many; a letter
+    outside the oracle's alphabet is a ValueError."""
+
+    def fold(oracle, w):
+        node = oracle.start
+        for j, x in enumerate(w, 1):
+            if x not in oracle.alphabet:
+                raise ValueError(f"unknown letter {x!r}")
+            node = oracle.step(node, oracle.alphabet.index(x), 1 << j)
+        return bool(node[0])
+
+    return fold

@@ -219,14 +219,14 @@ def test_table_csv_shape():
     assert any(",open,open," in line and line.endswith(",open") for line in lines)
 
 
-def test_every_shape_has_a_pipeline_and_an_oracle():
+def test_every_shape_has_a_pipeline_and_an_oracle(member):
     for shape in {e.shape for e in TABLE.values()}:
         op = next(op for op, e in TABLE.items() if e.shape == shape)
         left, right, _ = _operands_for(op, 3, 3)
         final, _ = run_pipeline(op, left, right)
         assert final.size >= 1, shape
         assert hasattr(SemanticOracle, "_" + shape), shape
-        SemanticOracle(op, left, right).member(())
+        member(SemanticOracle(op, left, right), ())
 
 
 def test_aliases_unique_and_never_canonical():

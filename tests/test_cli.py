@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,17 @@ def test_verify_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["measured"] == 24
+
+
+def test_verify_json_matches_the_recorded_report(capsys):
+    # every field of every 3..4 cell but the timing is pinned, so a change
+    # to the pipeline that alters any count, verdict, note or diagnostic
+    # line shows here
+    golden = Path(__file__).parent / "data" / "verify_3_4.json"
+    code, out, _ = run_cli(capsys, "verify", "all", "--m", "3..4", "--n", "3..4",
+                           "--format", "json")
+    assert code == 0
+    assert re.sub(r'"millis": \d+', '"millis": 0', out) == golden.read_text("utf-8")
 
 
 def test_verify_respects_cap(capsys):

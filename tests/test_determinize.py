@@ -29,6 +29,7 @@ from starbench.witnesses import WitnessSpec, build
 
 
 MINIMIZE = importlib.import_module("starbench.minimize")
+OPS = importlib.import_module("starbench.ops")
 
 
 def _moore_blocks(trans, final):
@@ -358,7 +359,7 @@ def test_canonical_form_across_different_constructions(witness):
     assert via_double_reverse == minimize(d)
 
 
-def test_language_preserved_through_pipeline(witness, simulate):
+def test_language_preserved_through_pipeline(witness, simulate, run):
     rng = random.Random(99)
     cases = [
         star_nfa(witness("U", 4)),
@@ -369,7 +370,7 @@ def test_language_preserved_through_pipeline(witness, simulate):
         d = minimal_dfa(nfa)
         for _ in range(350):
             w = tuple(rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 15)))
-            assert simulate(nfa, w) == d.run(w)
+            assert simulate(nfa, w) == run(d, w)
 
 
 def test_monotone_size_bound():
@@ -395,19 +396,19 @@ def test_equivalent_basics(witness, distinguishing_word):
         distinguishing_word(d, witness("W", 4))
 
 
-def test_permutational_pair_not_equivalent(witness, distinguishing_word):
+def test_permutational_pair_not_equivalent(witness, distinguishing_word, run):
     # "ab" does not separate the pair (both reject); the shortest separator
     # is "aaa", accepted by U_4(a,b,c) only
     d1 = witness("U", 4)
     d2 = witness("U", 4, "bac")
-    assert not d1.run("ab") and not d2.run("ab")
+    assert not run(d1, "ab") and not run(d2, "ab")
     word = distinguishing_word(d1, d2)
-    assert word is not None and d1.run(word) != d2.run(word)
+    assert word is not None and run(d1, word) != run(d2, word)
     assert word == ("a", "a", "a")
-    assert d1.run("aaa") and not d2.run("aaa")
+    assert run(d1, "aaa") and not run(d2, "aaa")
 
 
-def test_distinguishing_word_matches_brute_force(distinguishing_word):
+def test_distinguishing_word_matches_brute_force(distinguishing_word, run):
     # the equivalence reference against a search of every word: a
     # disagreement, if any, shows up by length |d1|·|d2|, as the pair walk
     # visits no more pairs than that
@@ -418,12 +419,12 @@ def test_distinguishing_word_matches_brute_force(distinguishing_word):
         d2 = random_dfa(rng, rng.randint(1, 3))
         words = (w for k in range(d1.size * d2.size + 1)
                  for w in itertools.product("ab", repeat=k))
-        shortest = next((w for w in words if d1.run(w) != d2.run(w)), None)
+        shortest = next((w for w in words if run(d1, w) != run(d2, w)), None)
         word = distinguishing_word(d1, d2)
         if shortest is None:
             assert word is None
         else:
-            assert word is not None and d1.run(word) != d2.run(word)
+            assert word is not None and run(d1, word) != run(d2, word)
             assert len(word) == len(shortest)
         outcomes.add(None if word is None else min(len(word), 2))
     # equivalent pairs, and words of length 0, 1 and longer all occur
@@ -742,7 +743,33 @@ def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
     assert minimize(small) == minimize(small.dfa)
     assert minimize(sd) == minimize(sd.dfa)
     assert drawn == [(False, 0), (False, 0), (True, 0), (False, 1)]
-    assert walks == [sd.dfa.size // 16]
+    assert walks == [4 * (sd.dfa.size // 16)]
+
+
+def test_subset_keys_of_kstar_l_are_its_nerode_classes(monkeypatch):
+    # half the key bits go to the reverse subsets of fewest states, nearer
+    # to atoms: K*L (7,6) has 4,994 subsets in 4,993 Nerode classes, and
+    # its keys alone give all of them, so no round needs Hopcroft
+    sd = _construction("K*L", 7, 6)
+    keys = list(sd._keys(min(sd.dfa.size // 16, 512)))
+    assert (sd.dfa.size, len(set(keys))) == (4994, 4993)
+    calls = _spy_on_hopcroft(monkeypatch)
+    assert minimize(sd).size == 4993
+    assert calls == []
+
+
+def test_subset_keys_bit_0_is_finality_on_the_registry():
+    # R_ε is always the first mask, whichever masks the other bits take
+    drawn = 0
+    for _, _, _, built in _registry_built((3, 4)):
+        if isinstance(built, EpsNfa):
+            sd = determinize(built)
+            if sd.dfa.size >= 128:
+                keys = sd._keys(min(sd.dfa.size // 16, 512))
+                assert [key & 1 for key in keys] == [
+                    s in sd.dfa.finals for s in range(sd.dfa.size)]
+                drawn += 1
+    assert drawn
 
 
 def test_keys_follow_a_renumbering_of_the_states(witness):
@@ -837,7 +864,7 @@ def test_restricted_rounds_match_moore_from_keys(monkeypatch):
     # keys already final with blocks of two left to confirm, and keys all
     # distinct, where the rounds read no column at all
     runs = {}
-    for op, m, n in (("K*\\L*", 5, 5), ("(KL)*", 5, 5), ("K*L*", 5, 5),
+    for op, m, n in (("K*\\L*", 5, 5), ("(KL)*", 5, 5), ("K*L*", 6, 5),
                      ("(K∩L)*-conjecture", 3, 3)):
         built = _construction(op, m, n)
         keys = list(built._keys(min(built.dfa.size // 16, 512)))
@@ -887,6 +914,66 @@ def test_product_keys_seed_moore_within_nerode_blocks(monkeypatch):
             drawn.clear()
             assert minimize(prod) == minimize_by(monkeypatch, _moore_blocks, prod.dfa)
             assert drawn == [min(prod.dfa.size // 16, 512)]
+
+
+def _joint_vector_keys(prod, limit):
+    """The product keys from a walk over joint vectors, one flag per
+    operand state, left's then right's, each gathered whole for every
+    vector and letter: the walk over pairs of operand vectors must give
+    these keys bit for bit."""
+    left, right, m = prod.left, prod.right, prod.left.size
+    columns = [left.delta[x].image + tuple(t + m for t in right.delta[x].image)
+               for x in left.alphabet]
+    start = tuple(s in d.finals for d in (left, right) for s in range(d.size))
+    vectors, seen = [start], {start}
+    for vector in vectors:  # grows as new vectors are found
+        if len(vectors) >= limit:
+            break
+        for column in columns:
+            found = tuple(vector[t] for t in column)
+            if found not in seen:
+                seen.add(found)
+                vectors.append(found)
+    accepts = _PAIR_ACCEPTS[prod.op]
+    return [sum(1 << j for j, vector in enumerate(vectors[:limit])
+                if accepts(vector[p], vector[m + q]))
+            for p, q in zip(*prod.pairs)]
+
+
+def test_product_keys_match_a_walk_over_joint_vectors(monkeypatch):
+    # seeded random operands, one-state ones and ones with states no word
+    # reaches among them, under every op; limits from 1 up stop the walk
+    # at every point of a breadth-first level. Each operand gathers each
+    # of its distinct vectors at most once per letter
+    gathered = collections.Counter()
+    real = OPS.itemgetter
+
+    def counting(*items):
+        gather = real(*items)
+
+        def counted(vector):
+            gathered[counted, vector] += 1
+            return gather(vector)
+
+        return counted
+
+    monkeypatch.setattr(OPS, "itemgetter", counting)
+    rng = random.Random(25)
+    gathers = 0
+    for trial in range(16):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        k = random_dfa(rng, rng.choice((1, rng.randint(2, 12))), alphabet)
+        l = random_dfa(rng, rng.randint(1, 12), alphabet)
+        if trial % 2:
+            k, l = _with_unreachable(rng), _with_unreachable(rng)
+        for op in BooleanOp:
+            prod = product_dfa(k, l, op)
+            for limit in (*range(1, 41), 512):
+                gathered.clear()
+                assert list(prod._keys(limit)) == _joint_vector_keys(prod, limit)
+                assert set(gathered.values()) <= {1}
+                gathers += len(gathered)
+    assert gathers
 
 
 def _reference_product(d1, d2, op):

@@ -15,16 +15,16 @@ c 0 1 2 0
 """
 
 
-def test_run_traces_u3(witness):
+def test_run_traces_u3(witness, run):
     u3 = witness("U", 3)
-    assert u3.run("aa")  # 0 -> 1 -> 2, final
-    assert not u3.run("")
-    assert witness("U0", 3).run("")  # {0} finals accept the empty word
+    assert run(u3, "aa")  # 0 -> 1 -> 2, final
+    assert not run(u3, "")
+    assert run(witness("U0", 3), "")  # {0} finals accept the empty word
 
 
-def test_run_unknown_letter(witness):
+def test_run_unknown_letter(witness, run):
     with pytest.raises(ValueError):
-        witness("U", 3).run("ax")
+        run(witness("U", 3), "ax")
 
 
 def test_complement_involution_and_finals(witness):
@@ -33,12 +33,12 @@ def test_complement_involution_and_finals(witness):
     assert u3.complement().complement() == u3
 
 
-def test_complement_flips_membership_all_words(witness):
+def test_complement_flips_membership_all_words(witness, run):
     d = witness("U", 3)
     c = d.complement()
     for length in range(7):
         for w in itertools.product(d.alphabet, repeat=length):
-            assert d.run(w) != c.run(w)
+            assert run(d, w) != run(c, w)
 
 
 def test_restrict_projects_alphabet(witness):

@@ -14,45 +14,45 @@ from starbench.verify import (exhaustive_oracle, membership_oracle,
                               run_pipeline, _operands_for)
 
 
-def test_epsilon_always_in_starred_side(witness):
+def test_epsilon_always_in_starred_side(witness, member):
     k = witness("U", 4)
     l = witness("U", 5, "bac")
     # the empty word is in L* by definition, so K union L* contains it
-    assert SemanticOracle("K∪L*", k, l).member(())
+    assert member(SemanticOracle("K∪L*", k, l), ())
     # and K intersect L* contains it exactly when K does (it does not here)
-    assert not SemanticOracle("K∩L*", k, l).member(())
-    assert SemanticOracle("K∩L*", witness("U0", 4), l).member(())
+    assert not member(SemanticOracle("K∩L*", k, l), ())
+    assert member(SemanticOracle("K∩L*", witness("U0", 4), l), ())
     assert SemanticOracle("KuLs", k, l).op == "K∪L*"
 
 
-def test_member_rejects_a_letter_outside_the_alphabet(witness):
+def test_member_rejects_a_letter_outside_the_alphabet(witness, member):
     oracle = SemanticOracle("star", None, witness("U", 3))
     with pytest.raises(ValueError, match="unknown letter 'z'"):
-        oracle.member(("a", "z"))
+        member(oracle, ("a", "z"))
 
 
-def test_star_oracle_small_trace(witness):
+def test_star_oracle_small_trace(witness, member):
     u3 = witness("U", 3)
     oracle = SemanticOracle("star", None, u3)
-    assert oracle.member(())
-    assert oracle.member(("a", "a"))          # one chunk
-    assert oracle.member(("a", "a", "a", "a"))  # aa twice
-    assert not oracle.member(("a",))
+    assert member(oracle, ())
+    assert member(oracle, ("a", "a"))          # one chunk
+    assert member(oracle, ("a", "a", "a", "a"))  # aa twice
+    assert not member(oracle, ("a",))
 
 
-def test_concatenation_oracle_uses_split_points(witness):
+def test_concatenation_oracle_uses_split_points(witness, run, member):
     k = witness("U", 3)
     oracle = SemanticOracle("product", k, k)
     members = [w for length in range(7)
                for w in itertools.product(k.alphabet, repeat=length)
-               if oracle.member(w)]
+               if member(oracle, w)]
     # every member must split into two accepted halves
     for w in members[:50]:
-        assert any(k.run(w[:i]) and k.run(w[i:]) for i in range(len(w) + 1))
+        assert any(run(k, w[:i]) and run(k, w[i:]) for i in range(len(w) + 1))
 
 
 @pytest.mark.parametrize("op", [op for op in TABLE if TABLE[op].status != "open"])
-def test_oracle_agrees_with_pipeline_small(op):
+def test_oracle_agrees_with_pipeline_small(op, run, member):
     m = None if TABLE[op].arity == 1 else 3
     left, right, _ = _operands_for(op, m, 3)
     final, _labels = run_pipeline(op, left, right)
@@ -60,7 +60,7 @@ def test_oracle_agrees_with_pipeline_small(op):
     rng = random.Random(1)
     for _ in range(250):
         w = tuple(rng.choice(right.alphabet) for _ in range(rng.randint(0, 10)))
-        assert oracle.member(w) == final.run(w), (op, w)
+        assert member(oracle, w) == run(final, w), (op, w)
 
 
 def test_membership_oracle_report_fields():
@@ -83,7 +83,7 @@ def test_open_operation_oracle_runs():
 
 
 # -- a brute-force reference for every shape --------------------------------
-# Membership straight from the definitions: Dfa.run on slices of the word,
+# Membership straight from the definitions: the `run` fixture on slices of the word,
 # with the star and concatenation recursions memoised by start index. It
 # shares no code with starbench.oracle.
 
@@ -95,15 +95,16 @@ _BOOL = {
 }
 
 
-def _reference(shape, boolean, k, l):
-    """member(word) for one registry shape over operands k (or None), l."""
+def _reference(shape, boolean, k, l, run):
+    """member(word) for one registry shape over operands k (or None), l,
+    read through the DFA reference `run`."""
     combine = _BOOL.get(boolean)
     # one run per operand and distinct slice, shared by all words
-    k_run = functools.cache(k.run) if k is not None else None
-    l_run = functools.cache(l.run)
+    k_run = functools.cache(functools.partial(run, k)) if k is not None else None
+    l_run = functools.cache(functools.partial(run, l))
     k_base, l_base = (
         None if d is None else functools.cache(
-            d.with_finals({d.size - 1}).run)
+            functools.partial(run, d.with_finals({d.size - 1})))
         for d in (k, l))
 
     def member(word):
@@ -140,7 +141,7 @@ def _reference(shape, boolean, k, l):
         if shape == "star":
             return star_then(in_l, ends)(0)
         if shape == "reversal":
-            return l.run(w[::-1])
+            return run(l, w[::-1])
         if shape == "product":
             return any(in_k(0, j) and in_l(j, n) for j in range(n + 1))
         if shape == "k_lstar":
@@ -190,13 +191,13 @@ def _shortlex(alphabet, maxlen):
             for w in itertools.product(alphabet, repeat=k)]
 
 
-def _check_against_reference(op, left, right, maxlen):
+def _check_against_reference(op, left, right, maxlen, run, member):
     shape, boolean = TABLE[op].shape, TABLE[op].boolean
-    reference = _reference(shape, boolean, left, right)
+    reference = _reference(shape, boolean, left, right, run)
     oracle = SemanticOracle(op, left, right)
     words = _shortlex(right.alphabet, maxlen)
     members = [reference(w) for w in words]
-    assert [oracle.member(w) for w in words] == members, op
+    assert [member(oracle, w) for w in words] == members, op
     # the trie walk against a DFA of exactly the reference's members must
     # see every word and agree on each
     trie = _trie_dfa(right.alphabet, maxlen, members)
@@ -212,40 +213,40 @@ def test_reference_covers_every_shape():
 
 
 @pytest.mark.parametrize("op", list(TABLE))
-def test_oracle_matches_reference_on_every_short_word(op):
+def test_oracle_matches_reference_on_every_short_word(op, run, member):
     left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
-    _check_against_reference(op, left, right, 6)
+    _check_against_reference(op, left, right, 6, run, member)
 
 
-def test_oracle_matches_reference_on_long_random_words():
+def test_oracle_matches_reference_on_long_random_words(run, member):
     rng = random.Random(4520)
     for op, entry in TABLE.items():
         left, right, _ = _operands_for(op, None if entry.arity == 1 else 4, 5)
-        reference = _reference(entry.shape, entry.boolean, left, right)
+        reference = _reference(entry.shape, entry.boolean, left, right, run)
         oracle = SemanticOracle(op, left, right)
         for _ in range(300):
             w = tuple(rng.choice(right.alphabet)
                       for _ in range(rng.randint(0, 20)))
-            assert oracle.member(w) == reference(w), (op, w)
+            assert member(oracle, w) == reference(w), (op, w)
 
 
 @pytest.mark.parametrize("op", ["K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"])
 @pytest.mark.parametrize("pair", [("W0", "W0"), ("W0", "W"),
                                   ("W", "W0")])
-def test_dialect_stars_with_the_empty_word(witness, op, pair):
+def test_dialect_stars_with_the_empty_word(witness, op, pair, run, member):
     # {0}-final operands hold the empty word; the pipeline stars them in
     # the {n-1}-final base shape
     left, right = witness(pair[0], 3), witness(pair[1], 3, "dcba")
-    _check_against_reference(op, left, right, 5)
+    _check_against_reference(op, left, right, 5, run, member)
     final, _ = run_pipeline(op, left, right)
     assert SemanticOracle(op, left, right).compare_all(final, 5)[1:] == (0, None)
 
 
 @pytest.mark.parametrize("pair", [("U0", "U"), ("U", "U0"),
                                   ("U0", "U0")])
-def test_product_star_with_the_empty_word(witness, pair):
+def test_product_star_with_the_empty_word(witness, pair, run, member):
     left, right = witness(pair[0], 3), witness(pair[1], 3, "bac")
-    _check_against_reference("(KL)*", left, right, 6)
+    _check_against_reference("(KL)*", left, right, 6, run, member)
     final, _ = run_pipeline("(KL)*", left, right)
     oracle = SemanticOracle("(KL)*", left, right)
     assert oracle.compare_all(final, 6)[1:] == (0, None)
@@ -253,7 +254,7 @@ def test_product_star_with_the_empty_word(witness, pair):
 
 @pytest.mark.parametrize("op", ["K*L", "(KL)*", "K∪L*", "(K∩L)*-conjecture",
                                 "KdLs"])
-def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
+def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op, run, member):
     from starbench import verify
 
     def flipped(op, left, right, cap=None):
@@ -267,14 +268,14 @@ def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op):
     final, _ = flipped(op, left, right)
     oracle = SemanticOracle(op, left, right)
     wrong = [w for w in _shortlex(right.alphabet, 6)
-             if final.run(w) != oracle.member(w)]
+             if run(final, w) != member(oracle, w)]
     assert wrong
     assert report.words == sum(len(right.alphabet) ** k for k in range(7))
     assert report.disagreements == len(wrong)
     assert report.example == wrong[0]
     sampled = verify.membership_oracle(op, 3, 3, count=400, maxlen=8, seed=3)
     words = verify._sampled_words(right.alphabet, 400, 8, 3)
-    wrong = [w for w in words if final.run(w) != oracle.member(w)]
+    wrong = [w for w in words if run(final, w) != member(oracle, w)]
     assert sampled.disagreements == len(wrong)
     assert sampled.example == (wrong[0] if wrong else None)
 
@@ -290,7 +291,7 @@ def _flipped(final):
 
 @pytest.mark.parametrize("limit", [1, 50, oracle_module._LEVEL_LIMIT, 1 << 30])
 @pytest.mark.parametrize("op", ["K*∪L*", "(KL)*", "K∪L*", "star"])
-def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
+def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit, run, member):
     # against the pipeline DFA and a flipped copy, many words of one length
     # reach the same (node, state) key, so the merge is exercised; the trie
     # DFA of _check_against_reference gives every word its own key
@@ -299,7 +300,7 @@ def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
     final, _ = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
     words = _shortlex(right.alphabet, 7)
-    members = [oracle.member(w) for w in words]
+    members = [member(oracle, w) for w in words]
     steps = 0
 
     def counted(node, li, bit):
@@ -311,7 +312,7 @@ def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit):
     for dfa in (final, _flipped(final)):
         for maxlen in range(8):
             wrong = [w for w, member in zip(words, members)
-                     if len(w) <= maxlen and dfa.run(w) != member]
+                     if len(w) <= maxlen and run(dfa, w) != member]
             checked = sum(len(w) <= maxlen for w in words)
             steps = 0
             assert oracle.compare_all(dfa, maxlen) == (
@@ -343,7 +344,7 @@ def test_merged_walk_memory_stays_bounded():
 
 @pytest.mark.parametrize("limit", [1, 50, oracle_module._LEVEL_LIMIT])
 @pytest.mark.parametrize("op", ["K*∪L*", "K∪L*", "star"])
-def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit):
+def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit, run, member):
     # maxlen is the length of the flipped DFA's shortest disagreeing word,
     # so every disagreement is a leaf, checked from its parent's pop
     monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
@@ -352,9 +353,9 @@ def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit):
     flipped = _flipped(final)
     oracle = SemanticOracle(op, left, right)
     maxlen = next(len(w) for w in _shortlex(right.alphabet, 8)
-                  if flipped.run(w) != oracle.member(w))
+                  if run(flipped, w) != member(oracle, w))
     words = _shortlex(right.alphabet, maxlen)
-    wrong = [w for w in words if flipped.run(w) != oracle.member(w)]
+    wrong = [w for w in words if run(flipped, w) != member(oracle, w)]
     assert len(wrong) > 1 and {len(w) for w in wrong} == {maxlen}
     assert oracle.compare_all(flipped, maxlen) == (len(words), len(wrong),
                                                    wrong[0])
@@ -370,13 +371,13 @@ def test_walk_deeper_than_the_recursion_limit():
     assert report.words == sum(3**k for k in range(maxlen + 1))
 
 
-def test_compare_takes_letter_indices_and_returns_letters():
+def test_compare_takes_letter_indices_and_returns_letters(run, member):
     left, right, _ = _operands_for("K*L", 3, 3)
     final, _ = run_pipeline("K*L", left, right)
     flipped = _flipped(final)
     oracle = SemanticOracle("K*L", left, right)
     words = _shortlex(right.alphabet, len(right.alphabet))
-    wrong = [w for w in words if flipped.run(w) != oracle.member(w)]
+    wrong = [w for w in words if run(flipped, w) != member(oracle, w)]
     indices = [tuple(map(right.alphabet.index, w)) for w in words]
     assert wrong and all(isinstance(x, str) for x in wrong[0])
     assert oracle.compare(flipped, indices) == (len(words), len(wrong),
