@@ -7,9 +7,10 @@ used as bit vectors; the NFAs here stay small (tens of states) while the
 subset frontier can reach hundreds of thousands, so the hot path is the
 per-subset successor computation and the partition refinement.
 
-The subset construction reads successors from 8-bit chunk tables, so a
-subset costs ceil(n/8) lookups whatever its size, and keeps only the bit
-mask of each subset, packed at a fixed width into one bytes value;
+The subset construction reads successors from chunk tables of at most
+2^13 entries, so over an NFA of n states a subset costs max(2, ceil(n/13))
+lookups whatever its size, and keeps only the bit mask of each subset,
+packed at a fixed width into one bytes value;
 `SubsetDfa.label` decodes one when asked. The SubsetDfa also keeps its
 NFA, so it draws the keys below itself, as an ops.ProductDfa does.
 
@@ -144,7 +145,7 @@ class SubsetDfa:
             for q in _decode(mask):
                 bits[q] |= 1 << j
         del masks, smallest  # held while the keys are drawn, they raise peak RSS
-        tables = _chunk_tables(bits)
+        tables = _chunk_tables(bits, 8)
         packed, width = self.packed, self.width
         keys = map(tables[0].__getitem__, packed[0::width])
         for c in range(1, width):
@@ -169,16 +170,17 @@ def _closure_masks(nfa: EpsNfa) -> list[int]:
     return closure
 
 
-def _chunk_tables(succ: list[int]) -> list[list[int]]:
-    """tab[c][b] = OR of succ[8c+i] over the set bits i of byte b.
+def _chunk_tables(succ: list[int], width: int) -> list[list[int]]:
+    """tab[c][b] = OR of succ[width*c + i] over the set bits i of b.
 
-    The last table is short when 8 does not divide the state count; the
-    bytes of a subset mask never index past it.
+    A table holds 2^width entries, so the walk keeps width at 13 or less.
+    The last table is short when width does not divide the state count;
+    the chunks of a subset mask never index past it.
     """
     tables = []
-    for base in range(0, len(succ), 8):
+    for base in range(0, len(succ), width):
         tab = [0]
-        for target in succ[base:base + 8]:
+        for target in succ[base:base + width]:
             tab += [t | target for t in tab]
         tables.append(tab)
     return tables
@@ -208,14 +210,23 @@ def _subset_walk(
     It stops as soon as it discovers subset number `limit` (from 0), which
     it appends last, so a walk that stopped holds more than `limit` masks.
 
-    Successors come from 8-bit chunk tables: a subset's moves on all
-    letters at once are the OR of one table entry per byte of its mask,
-    ceil(n/8) lookups whatever the subset's size, and each letter's
-    successor mask is then a shifted slice of that word.
+    Successors come from chunk tables (the "Four Russians" method of
+    Arlazarov, Dinic, Kronrod and Faradzev, 1970): a subset's moves on all
+    letters at once are the OR of one table entry per chunk of its mask,
+    and each letter's successor mask is then a shifted slice of that word.
+    The mask is cut into the fewest equal chunks of at most 13 bits, so no
+    table holds over 2^13 entries, and never fewer than two, as one table
+    of 2^n entries costs a small walk more to build than it saves. Up to
+    26 NFA states that is two lookups and no loop.
     """
     n = nfa.size
     closure = _closure_masks(nfa)
-    tables = _chunk_tables(_successor_words(nfa, closure))
+    width = -(-n // max(2, -(-n // 13)))
+    wmask = (1 << width) - 1
+    tables = _chunk_tables(_successor_words(nfa, closure), width)
+    # at n = 1 the one table serves both lookups
+    lo, top, high = tables[0], tables[-1], (len(tables) - 1) * width
+    middle = [(tab, c * width) for c, tab in enumerate(tables[1:-1], 1)]
     start = 0
     for q in nfa.initials:
         start |= closure[q]
@@ -228,11 +239,11 @@ def _subset_walk(
     letters = [(li * n, column) for li, column in enumerate(columns)]
     packed = bytearray()  # the masks of `order`, nbytes each
     for mask in order:  # grows as new subsets are discovered
-        chunks = mask.to_bytes(nbytes, "little")
-        packed += chunks
-        moves = 0
-        for tab, byte in zip(tables, chunks):
-            moves |= tab[byte]
+        packed += mask.to_bytes(nbytes, "little")
+        moves = lo[mask & wmask] | top[mask >> high]
+        if middle:  # past 26 states; cheaper than an empty loop below that
+            for tab, shift in middle:
+                moves |= tab[mask >> shift & wmask]
         for shift, column in letters:
             target = moves >> shift & full
             ti = index.get(target)

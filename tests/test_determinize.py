@@ -508,12 +508,34 @@ def _assert_same_determinization(nfa, cap=DEFAULT_SUBSET_CAP):
     return True
 
 
-@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 70])
+@pytest.mark.parametrize(
+    "size", [1, 2, 7, 8, 9, 13, 14, 16, 17, 26, 27, 40, 70])
 def test_determinize_matches_reference_on_random_nfas(size):
-    # the sizes straddle the 8-bit chunks and the 64-bit word
+    # the sizes straddle the chunk widths, the two-lookup walk's last size
+    # (26), the packed bytes and the 64-bit word
     rng = random.Random(size)
     for _ in range(8):
         _assert_same_determinization(random_nfa(rng, size), cap=400)
+
+
+@pytest.mark.parametrize("size", [13, 14, 26, 27, 40, 70])
+def test_subset_walk_tables_stay_within_2_to_the_13(monkeypatch, size):
+    # a table per chunk of 2^width entries: a width rule that let one grow
+    # with the state count would exhaust memory long before 70 states; and
+    # never fewer than two, as one 2^n table costs a small walk more to build
+    # than it saves
+    built = []
+    chunk_tables = MINIMIZE._chunk_tables
+
+    def record(succ, width):
+        built.append(chunk_tables(succ, width))
+        return built[-1]
+
+    monkeypatch.setattr(MINIMIZE, "_chunk_tables", record)
+    MINIMIZE._subset_walk(random_nfa(random.Random(size), size), 50)
+    tables, = built
+    assert max(map(len, tables)) <= 2 ** 13
+    assert len(tables) == 2 if size <= 26 else len(tables) > 2
 
 
 def test_determinize_matches_reference_past_64_bits(witness):
