@@ -143,9 +143,9 @@ _ENTRIES = (
     BoundEntry("K*∩L*", "KsiLs", "theorem", "kstar_circ_lstar",
                _KSTAR_CIRC_LSTAR, "W", "W:order=dcba", "intersection"),
     BoundEntry("K*\\L*", "KsdLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba", "difference"),
+               _KSTAR_CIRC_LSTAR, "W0E", "W:order=dcba", "difference"),
     BoundEntry("K*⊕L*", "KsxLs", "theorem", "kstar_circ_lstar",
-               _KSTAR_CIRC_LSTAR, "W0", "W:order=dcba",
+               _KSTAR_CIRC_LSTAR, "W0E", "W:order=dcba",
                "symmetric-difference"),
     # the KL* and K*L* formulas hold for L with L* ≠ L; where L* = L (as
     # for U0, whose only final state is its initial one) KL* is KL and

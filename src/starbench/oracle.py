@@ -68,10 +68,8 @@ class _Runner:
             self.moves.append(_lambda("m, b", f"({', '.join(cells)},)"))
         self.start = tuple(s in d.finals if reverse else int(s == d.initial)
                            for s in range(d.size))
-        # the start positions whose substring up to here is accepted, and
-        # those whose substring ends in the last state
+        # the start positions whose substring up to here is accepted
         self.column = _lambda("m", _ors(sorted(d.finals)))
-        self.last_column = _lambda("m", _ors([d.size - 1]))
 
 
 # Boolean operations on bit masks of positions; on single bools they give
@@ -104,7 +102,7 @@ class SemanticOracle:
         entry = lookup(op)
         self.op = entry.op
         self.alphabet = right.alphabet
-        k = self.left = None if left is None else _Runner(left, self.alphabet)
+        k = None if left is None else _Runner(left, self.alphabet)
         l = self.right = _Runner(right, self.alphabet, entry.shape == "reversal")
         self.combine = _ROW_COMBINE.get(entry.boolean)
         self.kc, self.lc = k and k.column, l.column  # the operands' columns
@@ -263,18 +261,11 @@ class SemanticOracle:
         return self.combine(star[0], self.kc(km) & 1), *star[1:]
 
     def _kstar_circ_lstar(self, km, lm, a=1, b=1, bit=1) -> Node:
-        # the doubly-starred boolean family stars witnesses whose final set
-        # may be the {0} dialect; chunks before the last follow the
-        # {n-1}-final base shape, as in the pipeline. A member is the empty
-        # word or base chunks followed by one chunk the operand accepts,
-        # which is plain star membership for an {n-1}-final operand.
-        if a & self.left.last_column(km):
+        if a & self.kc(km):
             a |= bit
-        if b & self.right.last_column(lm):
+        if b & self.lc(lm):
             b |= bit
-        in_k = bit == 1 or a & self.kc(km) != 0
-        in_l = bit == 1 or b & self.lc(lm) != 0
-        return self.combine(in_k, in_l), km, lm, a, b
+        return self.combine(a & bit != 0, b & bit != 0), km, lm, a, b
 
     def _boolean_star(self, km, lm, a=1, b=0, bit=1) -> Node:
         if a & self.combine(self.kc(km), self.lc(lm)):

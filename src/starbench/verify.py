@@ -20,7 +20,7 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import bounds
@@ -78,17 +78,6 @@ class OracleReport:
     example: tuple[str, ...] | None = None
 
 
-def _base_star_nfa(d: Dfa) -> EpsNfa:
-    """NFA for the star of d in the shape of its {n-1}-final base, the
-    family's canonical final state, accepting at d's own finals plus the
-    new state; for an {n-1}-final operand that is star_nfa(d). A {0}-final
-    dialect needs this: its language contains the empty word and is closed
-    under concatenation, so its literal star is itself (m states) and the
-    starred-difference/symmetric-difference bounds would be unreachable."""
-    return replace(star_nfa(d.with_finals({d.size - 1})),
-                   finals=d.finals | {d.size})
-
-
 # Each registry shape's construction over the operands K, L, the entry's
 # boolean operation b and the subset cap: an NFA or, for a shape that ends
 # in a boolean product, that ProductDfa, which run_pipeline makes minimal.
@@ -122,8 +111,7 @@ _SHAPES: dict[str, Callable[[Dfa | None, Dfa, BooleanOp | None, int],
     "lstar_circ_k": lambda k, l, b, cap: product_dfa(
         minimal_dfa(star_nfa(l), cap), k, b),
     "kstar_circ_lstar": lambda k, l, b, cap: product_dfa(
-        minimal_dfa(_base_star_nfa(k), cap),
-        minimal_dfa(_base_star_nfa(l), cap), b),
+        minimal_dfa(star_nfa(k), cap), minimal_dfa(star_nfa(l), cap), b),
 }
 
 

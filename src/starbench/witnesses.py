@@ -4,8 +4,9 @@ Every family assigns canonical roles (cycle, transposition, singular, ...)
 to the letters a, b, c, ... in order. A letter_order permutation reassigns
 the roles: order "dcba" gives the cycle to d, the transposition to c, and
 so on, leaving the alphabet itself in canonical order so operand pairs stay
-compatible. Finals are {n-1}, except in S and in the {0}-final dialects,
-which are families of their own (U0, W0) sharing their base's roles.
+compatible. Finals are {n-1}, except in S and in the dialects, which are
+families of their own sharing their base's roles: U0 is {0}-final, W0E
+{0, n-1}-final.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ FAMILIES = _by_name(
                                _T.singular(n, 1, 0)),
                  _last)),
     ("W", Family(4, _w_roles, _last)),
-    ("W0", Family(4, _w_roles, _zero)),
+    ("W0E", Family(4, _w_roles, lambda n: frozenset((0, n - 1)))),
     ("U", Family(4, _u4_roles, _last)),
     ("U0", Family(4, _u4_roles, _zero)),
     # the four-letter U plus the subcycle on 1..n-1

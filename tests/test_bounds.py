@@ -137,7 +137,7 @@ def test_recipe_witness_pairs():
     assert r.right == WitnessSpec("W", 5, tuple("dcba"))
 
     r = lookup("K*⊕L*").witnesses(4, 5)
-    assert r.left == WitnessSpec("W0", 4)
+    assert r.left == WitnessSpec("W0E", 4)
 
     r = lookup("KL*").witnesses(4, 5)
     assert (r.left, r.right) == (WitnessSpec("T", 4), WitnessSpec("T", 5, tuple("bac")))

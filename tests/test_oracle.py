@@ -102,10 +102,6 @@ def _reference(shape, boolean, k, l, run):
     # one run per operand and distinct slice, shared by all words
     k_run = functools.cache(functools.partial(run, k)) if k is not None else None
     l_run = functools.cache(functools.partial(run, l))
-    k_base, l_base = (
-        None if d is None else functools.cache(
-            functools.partial(run, d.with_finals({d.size - 1})))
-        for d in (k, l))
 
     def member(word):
         w = tuple(word)
@@ -127,14 +123,6 @@ def _reference(shape, boolean, k, l, run):
                 return memo[i]
             return go
 
-        def suffix(accepts):
-            return lambda i: accepts(i, n)
-
-        def dialect_star(base, accepts):
-            # the empty word, or {n-1}-final base chunks and then one chunk
-            # the operand itself accepts
-            return n == 0 or star_then(on_slices(base), suffix(accepts))(0)
-
         def ends(i):
             return i == n
 
@@ -148,7 +136,7 @@ def _reference(shape, boolean, k, l, run):
             lstar = star_then(in_l, ends)
             return any(in_k(0, j) and lstar(j) for j in range(n + 1))
         if shape == "kstar_l":
-            return star_then(in_k, suffix(in_l))(0)
+            return star_then(in_k, lambda i: in_l(i, n))(0)
         if shape == "kstar_lstar":
             return star_then(in_k, star_then(in_l, ends))(0)
         if shape == "product_star":
@@ -162,7 +150,7 @@ def _reference(shape, boolean, k, l, run):
         if shape == "lstar_circ_k":
             return combine(star_then(in_l, ends)(0), in_k(0, n))
         if shape == "kstar_circ_lstar":
-            return combine(dialect_star(k_base, in_k), dialect_star(l_base, in_l))
+            return combine(star_then(in_k, ends)(0), star_then(in_l, ends)(0))
         if shape in ("boolean_star", "union_star"):
             def chunk(i, j):
                 return combine(in_k(i, j), in_l(i, j))
@@ -231,15 +219,36 @@ def test_oracle_matches_reference_on_long_random_words(run, member):
 
 
 @pytest.mark.parametrize("op", ["K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"])
-@pytest.mark.parametrize("pair", [("W0", "W0"), ("W0", "W"),
-                                  ("W", "W0")])
-def test_dialect_stars_with_the_empty_word(witness, op, pair, run, member):
-    # {0}-final operands hold the empty word; the pipeline stars them in
-    # the {n-1}-final base shape
-    left, right = witness(pair[0], 3), witness(pair[1], 3, "dcba")
+@pytest.mark.parametrize("pair", [({0}, {0}), ({0}, {2}), ({2}, {0})])
+def test_dialect_stars_with_the_empty_word(monkeypatch, witness, op, pair,
+                                           run, member):
+    # pair holds the operands' finals; a {0}-final W holds the empty word and
+    # is closed under concatenation, so its literal star is itself
+    left = witness("W", 3).with_finals(pair[0])
+    right = witness("W", 3, "dcba").with_finals(pair[1])
     _check_against_reference(op, left, right, 5, run, member)
+    oracle = SemanticOracle(op, left, right)
     final, _ = run_pipeline(op, left, right)
-    assert SemanticOracle(op, left, right).compare_all(final, 5)[1:] == (0, None)
+    assert oracle.compare_all(final, 6) == (5461, 0, None)
+
+    # the mutant: star each operand as its {n-1}-final base with the
+    # operand's own finals kept, in the pipeline alone
+    from dataclasses import replace
+
+    from starbench import verify
+    from starbench.minimize import minimal_dfa
+    from starbench.ops import product_dfa, star_nfa
+
+    def base_star(d):
+        return replace(star_nfa(d.with_finals({d.size - 1})),
+                       finals=d.finals | {d.size})
+
+    monkeypatch.setitem(verify._SHAPES, "kstar_circ_lstar",
+                        lambda k, l, b, cap: product_dfa(
+                            minimal_dfa(base_star(k), cap),
+                            minimal_dfa(base_star(l), cap), b))
+    final, _ = run_pipeline(op, left, right)
+    assert oracle.compare_all(final, 6)[1] > 0
 
 
 @pytest.mark.parametrize("pair", [("U0", "U"), ("U", "U0"),

@@ -221,6 +221,17 @@ def test_every_export_has_a_user():
             if name not in loaded | named] == []
 
 
+def test_every_witness_family_has_an_entry():
+    # a family no registry entry names is dead surface, as an export
+    # without a user is
+    from starbench.bounds import TABLE
+    from starbench.witnesses import FAMILIES
+
+    named = {name.partition(":")[0] for e in TABLE.values()
+             for name in (e.left, e.right) if name is not None}
+    assert sorted(set(FAMILIES) - named) == []
+
+
 def test_readme_library_example_prints_what_it_says(capsys):
     # each `print(...)  # value` line of the Library block must print that
     # value, so the example cannot drift from the package

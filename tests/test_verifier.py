@@ -363,21 +363,6 @@ def test_every_row_is_measured_minimal(monkeypatch):
     assert (final.size, final.finals, sd) == (1, frozenset(), None)
 
 
-def test_base_star_is_the_star_of_an_end_final_operand():
-    # the doubly-starred boolean rows star each operand in the shape of its
-    # {n-1}-final base, which is plain star_nfa for such an operand only
-    from starbench.ops import star_nfa
-    from starbench.verify import _base_star_nfa
-    from starbench.witnesses import build, parse_witness
-
-    base = build(parse_witness("W:n=4"))
-    assert base.finals == {3}
-    assert _base_star_nfa(base) == star_nfa(base)
-    dialect = build(parse_witness("W0:n=4"))
-    assert _base_star_nfa(dialect) != star_nfa(dialect)
-    assert _base_star_nfa(dialect).finals == {0, 4}
-
-
 def test_conjectured_witnesses_short_of_the_bound_are_a_finding(monkeypatch):
     from starbench import bounds
 

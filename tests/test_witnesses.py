@@ -5,7 +5,7 @@ import pytest
 
 from starbench.core import Dfa, Transformation
 from starbench.minimize import minimal_dfa
-from starbench.ops import dfa_to_nfa
+from starbench.ops import dfa_to_nfa, star_nfa
 from starbench.witnesses import (
     WitnessSpec,
     build,
@@ -27,8 +27,14 @@ def test_u4_is_the_canonical_table(witness):
 
 def test_zero_dialects(witness):
     assert witness("U0", 5).finals == {0}
-    assert witness("W0", 5).finals == {0}
+    assert witness("W0E", 5).finals == {0, 4}
     assert rows(witness("U0", 5)) == rows(witness("U", 5))
+    assert rows(witness("W0E", 5)) == rows(witness("W", 5))
+    # the literal star of W0E, the left witness of K*\L* and K*⊕L*; a
+    # {0}-final W is its own star
+    assert [minimal_dfa(star_nfa(witness("W0E", n))).size
+            for n in range(3, 7)] == [5, 11, 23, 47]
+    assert minimal_dfa(star_nfa(witness("W", 5).with_finals({0}))).size == 5
 
 
 def test_t_family_singular_is_one_to_zero(witness):
@@ -211,7 +217,7 @@ def test_monoid_rejects_bad_letters(witness):
 
 @pytest.mark.parametrize("text, retired, n, order", [
     ("U:n=5:order=dcba", "U4", 5, ("d", "c", "b", "a")),
-    ("W0:n=4:order=abcd", "W0_4", 4, ("a", "b", "c", "d")),
+    ("W0E:n=4:order=abcd", "W0", 4, ("a", "b", "c", "d")),
     ("T:n=5:order=bac", "T3", 5, ("b", "a", "c")),
     ("S:n=6:order=ba", "S2", 6, ("b", "a")),
     ("U5L:n=4:order=ecbad", "U5", 4, ("e", "c", "b", "a", "d")),
@@ -231,7 +237,7 @@ def test_parse_witness_cli_names(text, retired, n, order):
 
 def test_parse_format_round_trip(every_family):
     specs = [parse_witness(text) for text in [
-        "U:n=5:order=dcba", "W0:n=4", "S:n=6:order=ba", "JO6K:n=4",
+        "U:n=5:order=dcba", "W0E:n=4", "S:n=6:order=ba", "JO6K:n=4",
         "U:n=4:order=abcd", "U5L:n=3"]]
     # every spec the families make, in canonical and in reversed order;
     # the name must rebuild the same DFA, finals included
