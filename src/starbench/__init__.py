@@ -6,7 +6,6 @@ from .core import (
     Dfa,
     DfaFormatError,
     EpsNfa,
-    Transformation,
     read_dfa,
     write_dfa,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "SubsetCapExceeded",
     "SubsetDfa",
     "TABLE",
-    "Transformation",
     "UnknownOperation",
     "VerificationCell",
     "WitnessSpec",

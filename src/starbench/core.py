@@ -1,9 +1,9 @@
-"""Core value types: state transformations, complete DFAs, epsilon-NFAs.
+"""Core value types: complete DFAs, epsilon-NFAs, and DFA text I/O.
 
 Everything here is immutable after construction and safe to share between
 workers. A DFA letter is a single printable symbol; its action on the state
-set is a total self-map (Transformation). Words act left to right: the first
-letter is applied first.
+set is its row, the tuple of each state's target, a total self-map. Words
+act left to right: the first letter is applied first.
 """
 
 from __future__ import annotations
@@ -21,66 +21,6 @@ def _check_state(n: int, s: int, what: str) -> None:
         raise ValueError(f"{what} {s} out of range [0, {n})")
 
 
-@dataclass(frozen=True)
-class Transformation:
-    """A total self-map of {0..n-1}, stored as its image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.image)
-        if n == 0:
-            raise ValueError("degree must be positive")
-        if min(self.image) < 0 or max(self.image) >= n:
-            for i, t in enumerate(self.image):
-                _check_state(n, t, f"image[{i}] =")
-
-    @property
-    def degree(self) -> int:
-        return len(self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> "Transformation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def cycle(cls, n: int) -> "Transformation":
-        """The full cycle 0 -> 1 -> ... -> n-1 -> 0."""
-        return cls(tuple((i + 1) % n for i in range(n)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Transformation":
-        """Swap states i and j, fix the rest; i and j must differ."""
-        _check_state(n, i, "transposition index")
-        _check_state(n, j, "transposition index")
-        if i == j:
-            raise ValueError("transposition needs two distinct states")
-        img = list(range(n))
-        img[i], img[j] = j, i
-        return cls(tuple(img))
-
-    @classmethod
-    def singular(cls, n: int, i: int, j: int) -> "Transformation":
-        """Send state i to state j, fix all other states."""
-        _check_state(n, i, "singular source")
-        _check_state(n, j, "singular target")
-        img = list(range(n))
-        img[i] = j
-        return cls(tuple(img))
-
-    @classmethod
-    def subcycle(cls, n: int, lo: int, hi: int) -> "Transformation":
-        """Cyclically permute lo -> lo+1 -> ... -> hi -> lo, fix the rest."""
-        _check_state(n, lo, "subcycle lo")
-        _check_state(n, hi, "subcycle hi")
-        if lo > hi:
-            raise ValueError(f"subcycle needs lo <= hi, got ({lo}, {hi})")
-        img = list(range(n))
-        for s in range(lo, hi + 1):
-            img[s] = lo if s == hi else s + 1
-        return cls(tuple(img))
-
-
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
@@ -95,13 +35,13 @@ def _check_alphabet(alphabet: tuple[str, ...]) -> None:
 class Dfa:
     """Complete deterministic automaton over an ordered alphabet.
 
-    delta maps every letter to a Transformation of degree `size`, so the
-    automaton is total by construction.
+    delta maps every letter to its row, the tuple of each state's target,
+    of length `size`, so the automaton is total by construction.
     """
 
     size: int
     alphabet: tuple[str, ...]
-    delta: dict[str, Transformation]
+    delta: dict[str, tuple[int, ...]]
     initial: int
     finals: frozenset[int]
 
@@ -113,11 +53,17 @@ class Dfa:
             raise ValueError(
                 f"delta letters {sorted(self.delta)} != alphabet {sorted(self.alphabet)}"
             )
-        for x, t in self.delta.items():
-            if t.degree != self.size:
+        for x, row in self.delta.items():
+            if not isinstance(row, tuple):
                 raise ValueError(
-                    f"letter {x!r} has degree {t.degree}, expected {self.size}"
-                )
+                    f"letter {x!r} row is a {type(row).__name__}, not a tuple")
+            if len(row) != self.size:
+                raise ValueError(
+                    f"letter {x!r} has {len(row)} targets, expected {self.size}")
+            if min(row) < 0 or max(row) >= self.size:
+                # the per-target check names the first offender
+                for s, t in enumerate(row):
+                    _check_state(self.size, t, f"letter {x!r} sends state {s} to")
         _check_state(self.size, self.initial, "initial state")
         if self.finals and (min(self.finals) < 0 or max(self.finals) >= self.size):
             for f in self.finals:
@@ -230,7 +176,7 @@ def write_dfa(d: Dfa) -> str:
         ("finals " + " ".join(str(f) for f in sorted(d.finals))).rstrip(),
     ]
     for x in d.alphabet:
-        lines.append(x + " " + " ".join(str(t) for t in d.delta[x].image))
+        lines.append(x + " " + " ".join(map(str, d.delta[x])))
     return "\n".join(lines) + "\n"
 
 
@@ -288,7 +234,7 @@ def read_dfa(text: str) -> Dfa:
     for f in finals_list:
         _at_line(lineno, _check_state, size, f, "final state")
 
-    delta: dict[str, Transformation] = {}
+    delta: dict[str, tuple[int, ...]] = {}
     for i, x in enumerate(alphabet):
         idx = 4 + i
         if idx >= len(lines):
@@ -306,7 +252,9 @@ def read_dfa(text: str) -> Dfa:
                 f"line {lineno}: incomplete delta row for {x!r}: "
                 f"{len(targets)} targets, expected {size}"
             )
-        delta[x] = _at_line(lineno, Transformation, tuple(targets))
+        for t in targets:
+            _at_line(lineno, _check_state, size, t, "target state")
+        delta[x] = tuple(targets)
 
     extra = 4 + len(alphabet)
     if extra < len(lines):

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, filterfalse
 from operator import eq, ne, or_
 
-from .core import Dfa, EpsNfa, Transformation
+from .core import Dfa, EpsNfa
 
 DEFAULT_SUBSET_CAP = 2_000_000
 # minimize draws one reverse word per _STATES_PER_KEY_BIT states of a
@@ -272,7 +272,7 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     for q in nfa.finals:
         finals_mask |= 1 << q
     alphabet = nfa.alphabet
-    delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
+    delta = {x: tuple(col) for x, col in zip(alphabet, columns)}
     finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
     dfa = Dfa(len(order), alphabet, delta, 0, finals)
     return SubsetDfa(dfa, bytes(packed), nfa)
@@ -280,8 +280,7 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
 
 def _renumbered(d: Dfa, kept: Sequence[int], index: Sequence[int]) -> Dfa:
     """d on the states `kept`, kept[i] as i and 0 initial, target t as index[t]."""
-    delta = {x: Transformation(tuple(map(index.__getitem__,
-                                         map(d.delta[x].image.__getitem__, kept))))
+    delta = {x: tuple(map(index.__getitem__, map(d.delta[x].__getitem__, kept)))
              for x in d.alphabet}
     finals = compress(map(index.__getitem__, kept), map(d.finals.__contains__, kept))
     return Dfa(len(kept), d.alphabet, delta, 0, frozenset(finals))
@@ -291,7 +290,7 @@ def _bfs_numbering(d: Dfa) -> Dfa:
     """d on its states reachable from the initial one, renumbered in BFS
     order with alphabet-ordered expansion, the one canonical numbering; d
     itself when that keeps every state in place, as for a construction."""
-    trans = [d.delta[x].image for x in d.alphabet]
+    trans = [d.delta[x] for x in d.alphabet]
     index = [-1] * d.size
     index[d.initial] = 0
     order = [d.initial]
@@ -461,7 +460,7 @@ def minimize(d: Dfa | SubsetDfa) -> Dfa:
         if limit >= _KEY_BITS_MIN:
             labels = d._keys(limit)
         d = d.dfa
-    trans = [d.delta[x].image for x in d.alphabet]
+    trans = [d.delta[x] for x in d.alphabet]
     block_of = _capped_moore_blocks(
         trans, list(map(d.finals.__contains__, range(d.size))), labels)
     names = list(compress(block_of, map(eq, block_of, range(d.size))))

@@ -14,7 +14,7 @@ from itertools import compress, count
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
-from .core import Dfa, EpsNfa, Transformation
+from .core import Dfa, EpsNfa
 
 
 class BooleanOp(Enum):
@@ -38,8 +38,8 @@ _COMBINE = {BooleanOp.UNION: or_, BooleanOp.INTERSECTION: and_,
 def dfa_to_nfa(d: Dfa) -> EpsNfa:
     """Embed a DFA as an EpsNfa with singleton moves and no epsilon edges."""
     moves = {
-        (s, x): frozenset((t.image[s],))
-        for x, t in d.delta.items()
+        (s, x): frozenset((row[s],))
+        for x, row in d.delta.items()
         for s in range(d.size)
     }
     return EpsNfa(
@@ -185,8 +185,8 @@ def _pair_walk(left: Dfa, right: Dfa, limit: int) -> list[list[int]]:
     so a gather takes two or more indices even on a one-state operand."""
     start = tuple(bytes(b"01"[s in d.finals] for s in range(d.size)) + b"0"
                   for d in (left, right))
-    letters = [(itemgetter(*left.delta[x].image, left.size), {},
-                itemgetter(*right.delta[x].image, right.size), {})
+    letters = [(itemgetter(*left.delta[x], left.size), {},
+                itemgetter(*right.delta[x], right.size), {})
                for x in left.alphabet]
     seen = {start}
     pairs = [start]
@@ -219,7 +219,7 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
         raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
     alphabet, n2 = d1.alphabet, d2.size
     columns: list[list[int]] = [[] for _ in alphabet]
-    letters = [([p * n2 for p in d1.delta[x].image], d2.delta[x].image, column)
+    letters = [([p * n2 for p in d1.delta[x]], d2.delta[x], column)
                for x, column in zip(alphabet, columns)]
 
     index = {d1.initial * n2 + d2.initial: 0}
@@ -234,7 +234,7 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
                 rights.append(target % n2)
             column.append(ti)
 
-    delta = {x: Transformation(tuple(col)) for x, col in zip(alphabet, columns)}
+    delta = {x: tuple(col) for x, col in zip(alphabet, columns)}
     finals = frozenset(compress(count(), map(
         op.combine, map(d1.finals.__contains__, lefts),
         map(d2.finals.__contains__, rights))))

@@ -58,11 +58,11 @@ class _Runner:
         self.initial = d.initial
         self.moves = []
         for x in alphabet:
-            image = d.delta[x].image
+            row = d.delta[x]
             if reverse:
-                cells = [f"m[{t}]" for t in image]
+                cells = [f"m[{t}]" for t in row]
             else:
-                cells = [_ors(s for s in range(d.size) if image[s] == t)
+                cells = [_ors(s for s in range(d.size) if row[s] == t)
                          for t in range(d.size)]
                 cells[d.initial] += " | b"
             self.moves.append(_lambda("m, b", f"({', '.join(cells)},)"))
@@ -122,7 +122,7 @@ class SemanticOracle:
         DFA `final` against these semantics, folding both along each word.
         A word is given as the indices of its letters in the alphabet; the
         example is returned in letters."""
-        images = [final.delta[x].image for x in self.alphabet]
+        rows = [final.delta[x] for x in self.alphabet]
         step = self.step
         checked = disagreements = 0
         example = None
@@ -130,7 +130,7 @@ class SemanticOracle:
             node, s = self.start, final.initial
             for j, li in enumerate(w, 1):
                 node = step(node, li, 1 << j)
-                s = images[li][s]
+                s = rows[li][s]
             checked += 1
             if node[0] != (s in final.finals):
                 disagreements += 1
@@ -151,7 +151,7 @@ class SemanticOracle:
         it fills, or returned at the end to take its parent's place on the
         stack; a word of length maxlen is checked at its parent's step and
         never stored."""
-        images = [final.delta[x].image for x in self.alphabet]
+        rows = [final.delta[x] for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
         step, size = self.step, len(self.alphabet)
         fill = max(1, _LEVEL_LIMIT // size)
@@ -171,8 +171,8 @@ class SemanticOracle:
                     if example is None or depth < len(example):
                         example = word
                 if depth + 1 < maxlen:
-                    for li, image in enumerate(images):
-                        key = step(node, li, bit), image[s]
+                    for li, row in enumerate(rows):
+                        key = step(node, li, bit), row[s]
                         if key in below:
                             below[key][0] += count
                         else:
@@ -182,8 +182,8 @@ class SemanticOracle:
                                 below = {}
                 elif depth < maxlen:
                     checked += count * size
-                    for li, image in enumerate(images):
-                        if step(node, li, bit)[0] != is_final[image[s]]:
+                    for li, row in enumerate(rows):
+                        if step(node, li, bit)[0] != is_final[row[s]]:
                             disagreements += count
                             if example is None or depth + 1 < len(example):
                                 example = word + (li,)

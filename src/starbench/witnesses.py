@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import Dfa, Transformation
+from .core import Dfa
 
 CANONICAL_LETTERS = "abcdef"
 
@@ -22,7 +22,7 @@ CANONICAL_LETTERS = "abcdef"
 # elements at n = 9, 60,000 at n = 300
 MONOID_BUDGET = 18_000_000
 
-_T = Transformation
+_Row = tuple[int, ...]
 
 
 def _last(n: int) -> frozenset[int]:
@@ -33,30 +33,43 @@ def _zero(n: int) -> frozenset[int]:
     return frozenset((0,))
 
 
+def _row(n: int, *moves: tuple[int, int]) -> _Row:
+    """The row sending s to t for each (s, t) of moves, fixing the rest."""
+    row = list(range(n))
+    for s, t in moves:
+        row[s] = t
+    return tuple(row)
+
+
+def _cycle(n: int, lo: int = 0) -> _Row:
+    """The row of lo -> lo+1 -> ... -> n-1 -> lo, fixing the states below lo."""
+    return (*range(lo), *range(lo + 1, n), lo)
+
+
 @dataclass(frozen=True)
 class Family:
     """The roles and finals of a witness family at one arity. FAMILIES
     files it under its witness-syntax name and its arity."""
 
     arity: int
-    roles: Callable[[int], tuple[Transformation, ...]]
+    roles: Callable[[int], tuple[_Row, ...]]
     finals: Callable[[int], frozenset[int]]
 
 
-def _u_roles(n: int) -> tuple[Transformation, ...]:
+def _u_roles(n: int) -> tuple[_Row, ...]:
     # n-cycle, (0,1) transposition, n-1 -> 0
-    return _T.cycle(n), _T.transposition(n, 0, 1), _T.singular(n, n - 1, 0)
+    return _cycle(n), _row(n, (0, 1), (1, 0)), _row(n, (n - 1, 0))
 
 
-def _u4_roles(n: int) -> tuple[Transformation, ...]:
+def _u4_roles(n: int) -> tuple[_Row, ...]:
     # U plus an identity letter
-    return _u_roles(n) + (_T.identity(n),)
+    return _u_roles(n) + (_row(n),)
 
 
-def _w_roles(n: int) -> tuple[Transformation, ...]:
+def _w_roles(n: int) -> tuple[_Row, ...]:
     # transposition moved to (n-2, n-1), singular 1 -> 0, plus identity
-    return (_T.cycle(n), _T.transposition(n, n - 2, n - 1),
-            _T.singular(n, 1, 0), _T.identity(n))
+    return (_cycle(n), _row(n, (n - 2, n - 1), (n - 1, n - 2)),
+            _row(n, (1, 0)), _row(n))
 
 
 def _by_name(*rows: tuple[str, Family]) -> dict[str, dict[int, Family]]:
@@ -70,26 +83,23 @@ FAMILIES = _by_name(
     ("U", Family(3, _u_roles, _last)),
     ("U0", Family(3, _u_roles, _zero)),
     # like U but the singular sends 1 -> 0
-    ("T", Family(3, lambda n: (_T.cycle(n), _T.transposition(n, 0, 1),
-                               _T.singular(n, 1, 0)),
+    ("T", Family(3, lambda n: (_cycle(n), _row(n, (0, 1), (1, 0)),
+                               _row(n, (1, 0))),
                  _last)),
     ("W", Family(4, _w_roles, _last)),
     ("W0E", Family(4, _w_roles, lambda n: frozenset((0, n - 1)))),
     ("U", Family(4, _u4_roles, _last)),
     ("U0", Family(4, _u4_roles, _zero)),
     # the four-letter U plus the subcycle on 1..n-1
-    ("U5L", Family(5, lambda n: _u4_roles(n) + (_T.subcycle(n, 1, n - 1),),
-                   _last)),
+    ("U5L", Family(5, lambda n: _u4_roles(n) + (_cycle(n, 1),), _last)),
     # binary: cycle and 0 -> 1, final {0}
-    ("S", Family(2, lambda n: (_T.cycle(n), _T.singular(n, 0, 1)), _zero)),
+    ("S", Family(2, lambda n: (_cycle(n), _row(n, (0, 1))), _zero)),
     # the six-letter intersection pair
-    ("JO6K", Family(6, lambda n: (_T.cycle(n), _T.identity(n),
-                                  _T.subcycle(n, 1, n - 1), _T.identity(n),
-                                  _T.singular(n, 1, 0), _T.identity(n)),
+    ("JO6K", Family(6, lambda n: (_cycle(n), _row(n), _cycle(n, 1), _row(n),
+                                  _row(n, (1, 0)), _row(n)),
                     _last)),
-    ("JO6L", Family(6, lambda n: (_T.cycle(n), _T.cycle(n),
-                                  _T.identity(n), _T.subcycle(n, 1, n - 1),
-                                  _T.identity(n), _T.singular(n, 1, 0)),
+    ("JO6L", Family(6, lambda n: (_cycle(n), _cycle(n), _row(n), _cycle(n, 1),
+                                  _row(n), _row(n, (1, 0))),
                     _last)),
 )
 
@@ -156,10 +166,10 @@ def monoid_size(d: Dfa, letters: Iterable[str] | None = None) -> int:
     unknown = set(chosen) - set(d.alphabet)
     if unknown:
         raise ValueError(f"letters not in alphabet: {sorted(unknown)}")
-    gens = [d.delta[x].image for x in chosen]
+    gens = [d.delta[x] for x in chosen]
     limit = MONOID_BUDGET // d.size
-    # an element is the str of chr(image) per state, 1 to 4 bytes each,
-    # and str.translate composes it with a letter's image in C
+    # an element is the str of chr(target) per state, 1 to 4 bytes each,
+    # and str.translate composes it with a letter's row in C
     identity = "".join(map(chr, range(d.size)))
     seen = {identity}
     frontier = [identity]

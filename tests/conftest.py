@@ -60,7 +60,7 @@ def distinguishing_word():
             if (p in d1.finals) != (q in d2.finals):
                 return word
             for x in d1.alphabet:
-                target = (d1.delta[x].image[p], d2.delta[x].image[q])
+                target = (d1.delta[x][p], d2.delta[x][q])
                 if target not in seen:
                     seen.add(target)
                     queue.append((target, word + (x,)))
@@ -79,7 +79,7 @@ def run():
         for x in w:
             if x not in d.delta:
                 raise ValueError(f"unknown letter {x!r}")
-            s = d.delta[x].image[s]
+            s = d.delta[x][s]
         return s in d.finals
 
     return accepts

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from starbench.bounds import evaluate
-from starbench.core import Dfa, Transformation, read_dfa, write_dfa
+from starbench.core import Dfa, read_dfa, write_dfa
 from starbench.minimize import minimize
 from starbench.verify import (
     conjecture_scan,
@@ -145,7 +145,7 @@ def test_criterion_8_monoid_sizes():
 
 def _random_dfa(rng, size, alphabet=("a", "b")):
     delta = {
-        x: Transformation(tuple(rng.randrange(size) for _ in range(size)))
+        x: tuple(rng.randrange(size) for _ in range(size))
         for x in alphabet
     }
     finals = frozenset(s for s in range(size) if rng.random() < 0.4)
@@ -157,8 +157,8 @@ def _relabel(d, perm):
     for x, t in d.delta.items():
         img = [0] * d.size
         for s in range(d.size):
-            img[perm[s]] = perm[t.image[s]]
-        delta[x] = Transformation(tuple(img))
+            img[perm[s]] = perm[t[s]]
+        delta[x] = tuple(img)
     return Dfa(d.size, d.alphabet, delta, perm[d.initial],
                frozenset(perm[f] for f in d.finals))
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from starbench.core import Dfa, Transformation
+from starbench.core import Dfa
 from starbench.minimize import minimal_dfa, minimize
 from starbench.ops import (
     BooleanOp,
@@ -46,7 +46,7 @@ def test_star_nfa_shape(witness, simulate):
     assert nfa.initials == {5}
     assert nfa.finals == {4, 5}
     for x in d.alphabet:
-        assert nfa.moves[(5, x)] == {d.delta[x].image[0]}
+        assert nfa.moves[(5, x)] == {d.delta[x][0]}
     assert nfa.epsilon == {4: frozenset((0,))}
     assert simulate(nfa, ())  # the empty word is always in L*
 
@@ -74,7 +74,7 @@ def test_concat_nfa_wiring(witness):
 def test_concat_with_epsilon_language_is_identity(witness, simulate, run):
     d = witness("U", 3)
     # two-state DFA for {empty word}: initial final, everything to a sink
-    t = {x: Transformation((1, 1)) for x in d.alphabet}
+    t = {x: (1, 1) for x in d.alphabet}
     eps_dfa = Dfa(2, d.alphabet, t, 0, frozenset((0,)))
     nfa = concat_nfa(dfa_to_nfa(d), dfa_to_nfa(eps_dfa))
     for length in range(8):
@@ -113,7 +113,7 @@ def test_reverse_nfa_flips_the_dfa_embedding(every_family):
             assert rev == dfa_to_nfa(d).reverse()
             moves = {}
             for x, t in d.delta.items():
-                for s, target in enumerate(t.image):
+                for s, target in enumerate(t):
                     moves.setdefault((target, x), set()).add(s)
             assert rev.moves == moves
             assert (rev.epsilon, rev.initials, rev.finals) == (
@@ -122,7 +122,7 @@ def test_reverse_nfa_flips_the_dfa_embedding(every_family):
 
 def test_reverse_of_reversal_closed_language(simulate, run):
     # even number of a's over {a,b}: closed under reversal
-    t = {"a": Transformation((1, 0)), "b": Transformation((0, 1))}
+    t = {"a": (1, 0), "b": (0, 1)}
     d = Dfa(2, ("a", "b"), t, 0, frozenset((0,)))
     rev = reverse_nfa(d)
     for length in range(9):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from starbench.core import Dfa, EpsNfa, Transformation
+from starbench.core import Dfa, EpsNfa
 from starbench.minimize import (
     DEFAULT_SUBSET_CAP,
     SubsetCapExceeded,
@@ -67,7 +67,7 @@ def subset_labels(sd):
 
 def random_dfa(rng, size, alphabet=("a", "b")):
     delta = {
-        x: Transformation(tuple(rng.randrange(size) for _ in range(size)))
+        x: tuple(rng.randrange(size) for _ in range(size))
         for x in alphabet
     }
     finals = frozenset(s for s in range(size) if rng.random() < 0.4)
@@ -100,8 +100,8 @@ def relabel_states(d, perm):
     for x, t in d.delta.items():
         img = [0] * d.size
         for s in range(d.size):
-            img[perm[s]] = perm[t.image[s]]
-        delta[x] = Transformation(tuple(img))
+            img[perm[s]] = perm[t[s]]
+        delta[x] = tuple(img)
     return Dfa(d.size, d.alphabet, delta, perm[d.initial],
                frozenset(perm[f] for f in d.finals))
 
@@ -138,7 +138,7 @@ def test_empty_subset_becomes_dead_state():
     sd = determinize(nfa)
     assert sd.dfa.size == 2
     assert subset_labels(sd)[1] == frozenset()
-    assert sd.dfa.delta["a"].image == (1, 1)
+    assert sd.dfa.delta["a"] == (1, 1)
 
 
 def test_chained_epsilon_closure():
@@ -176,7 +176,7 @@ def test_minimize_witnesses_are_minimal(witness):
 
 def test_minimize_merges_duplicate_sinks(distinguishing_word):
     # states 1 and 2 are identical final sinks and collapse into one
-    t = {"a": Transformation((1, 1, 2)), "b": Transformation((2, 1, 2))}
+    t = {"a": (1, 1, 2), "b": (2, 1, 2)}
     d = Dfa(3, ("a", "b"), t, 0, frozenset((1, 2)))
     m = minimize(d)
     assert m.size == d.size - 1
@@ -212,7 +212,7 @@ def test_moore_and_hopcroft_agree(monkeypatch):
 def _chain(n):
     """One letter, 0 -> 1 -> ... -> n-1 -> n-1, only n-1 final: every
     state is distinguished, by its distance to the end."""
-    step = Transformation(tuple(min(s + 1, n - 1) for s in range(n)))
+    step = tuple(min(s + 1, n - 1) for s in range(n))
     return Dfa(n, ("a",), {"a": step}, 0, frozenset((n - 1,)))
 
 
@@ -224,7 +224,7 @@ def _with_unreachable(rng):
     """A random DFA on states 0..8 plus states 9..13 that nothing enters."""
     core, extra = 9, 5
     delta = {
-        x: Transformation(tuple(rng.randrange(core) for _ in range(core + extra)))
+        x: tuple(rng.randrange(core) for _ in range(core + extra))
         for x in ("a", "b")
     }
     finals = frozenset(s for s in range(core + extra) if rng.random() < 0.5)
@@ -254,7 +254,7 @@ def _conjecture_subset_dfa(m, n):
     (lambda: _with_finals(random_dfa(random.Random(1), 30), range(30)), 1),
     (lambda: _with_finals(random_dfa(random.Random(2), 30), ()), 1),
     (lambda: _with_unreachable(random.Random(3)), None),
-    (lambda: Dfa(1, ("a", "b"), {x: Transformation((0,)) for x in "ab"}, 0,
+    (lambda: Dfa(1, ("a", "b"), {x: (0,) for x in "ab"}, 0,
                  frozenset((0,))), 1),
     (lambda: _conjecture_subset_dfa(3, 3), 384),
     (lambda: _conjecture_subset_dfa(3, 4), 3072),
@@ -319,7 +319,7 @@ def test_minimize_returns_canonical_minimal_dfa_itself(witness):
 
 def test_minimize_drops_unreachable_self_looping_final(monkeypatch, distinguishing_word):
     # state 2 is final and loops on every letter, but nothing enters it
-    t = {"a": Transformation((1, 0, 2)), "b": Transformation((0, 1, 2))}
+    t = {"a": (1, 0, 2), "b": (0, 1, 2)}
     d = Dfa(3, ("a", "b"), t, 0, frozenset((1, 2)))
     m = minimize(d)
     assert m.size == 2
@@ -333,7 +333,7 @@ def test_minimized_states_all_reachable_and_distinguishable():
     for _ in range(40):
         d = random_dfa(rng, rng.randint(2, 9))
         m = minimize(d)
-        trans = [m.delta[x].image for x in m.alphabet]
+        trans = [m.delta[x] for x in m.alphabet]
         finals = [s in m.finals for s in range(m.size)]
         # a further refinement pass must not split anything
         blocks = _moore_blocks(trans, finals)
@@ -482,7 +482,7 @@ def _reference_determinize(nfa, cap=DEFAULT_SUBSET_CAP):
 
     size = len(order)
     delta = {
-        x: Transformation(tuple(rows[s][li] for s in range(size)))
+        x: tuple(rows[s][li] for s in range(size))
         for li, x in enumerate(alphabet)
     }
     finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
@@ -719,7 +719,7 @@ def test_reverse_masks_match_words_run_from_each_state():
 
 
 def _assert_keys_seed_minimize(dfa, keys):
-    trans = [dfa.delta[x].image for x in dfa.alphabet]
+    trans = [dfa.delta[x] for x in dfa.alphabet]
     final = [s in dfa.finals for s in range(dfa.size)]
     blocks = _moore_blocks(trans, final)
     # one key per Nerode block, and bit 0 is finality
@@ -804,7 +804,7 @@ def test_keys_follow_a_renumbering_of_the_states(witness):
     relabelled = [0] * len(keys)
     for s, key in enumerate(keys):
         relabelled[perm[s]] = key
-    trans = [shuffled.delta[x].image for x in shuffled.alphabet]
+    trans = [shuffled.delta[x] for x in shuffled.alphabet]
     final = [s in shuffled.finals for s in range(shuffled.size)]
     refine = MINIMIZE._capped_moore_blocks
     assert refine(trans, final, relabelled) == refine(trans, final)
@@ -836,10 +836,10 @@ def _assert_restricted_rounds(monkeypatch, d, keys):
     at least halves it, all of them look up fewer than twice the states
     that share a key. Returns (rebuilds, whole-column scans)."""
     final = [s in d.finals for s in range(d.size)]
-    trans = [_CountingColumn(d.delta[x].image) for x in d.alphabet]
+    trans = [_CountingColumn(d.delta[x]) for x in d.alphabet]
     calls = _spy_on_hopcroft(monkeypatch)
     blocks = MINIMIZE._capped_moore_blocks(trans, final, iter(keys))
-    assert blocks == _moore_blocks([d.delta[x].image for x in d.alphabet], final)
+    assert blocks == _moore_blocks([d.delta[x] for x in d.alphabet], final)
     assert calls == []
     sharing = collections.Counter(keys)
     shared = {s for s, key in enumerate(keys) if sharing[key] > 1}
@@ -859,7 +859,7 @@ def _random_with_tail(rng, size, tail):
     a = [rng.randrange(n) for _ in range(size)]
     a += [min(s + 1, n - 1) for s in range(size, n)]
     b = [rng.randrange(n) for _ in range(size)] + list(range(size, n))
-    delta = {"a": Transformation(tuple(a)), "b": Transformation(tuple(b))}
+    delta = {"a": tuple(a), "b": tuple(b)}
     return Dfa(n, ("a", "b"), delta, 0, frozenset((n - 1,)))
 
 
@@ -872,7 +872,7 @@ def test_restricted_rounds_match_moore_from_keys(monkeypatch):
         size = rng.randint(100, 1000)
         d = _random_with_tail(rng, size, rng.randint(0, 12))
         final = [s in d.finals for s in range(d.size)]
-        nerode = _moore_blocks([d.delta[x].image for x in d.alphabet], final)
+        nerode = _moore_blocks([d.delta[x] for x in d.alphabet], final)
         # a key may be any function of the Nerode block that keeps finality;
         # these show some blocks and lump the others, the tail's among them
         reveal = rng.choice((0.3, 0.7, 0.9, 1.0))
@@ -944,7 +944,7 @@ def _joint_vector_keys(prod, limit):
     vector and letter: the walk over pairs of operand vectors must give
     these keys bit for bit."""
     left, right, m = prod.left, prod.right, prod.left.size
-    columns = [left.delta[x].image + tuple(t + m for t in right.delta[x].image)
+    columns = [left.delta[x] + tuple(t + m for t in right.delta[x])
                for x in left.alphabet]
     start = tuple(s in d.finals for d in (left, right) for s in range(d.size))
     vectors, seen = [start], {start}
@@ -1006,14 +1006,14 @@ def _reference_product(d1, d2, op):
     columns = {x: [] for x in d1.alphabet}
     for p, q in order:  # grows as new pairs are found
         for x in d1.alphabet:
-            pair = (d1.delta[x].image[p], d2.delta[x].image[q])
+            pair = (d1.delta[x][p], d2.delta[x][q])
             if pair not in index:
                 index[pair] = len(order)
                 order.append(pair)
             columns[x].append(index[pair])
     finals = frozenset(i for i, (p, q) in enumerate(order)
                        if _PAIR_ACCEPTS[op](p in d1.finals, q in d2.finals))
-    delta = {x: Transformation(tuple(col)) for x, col in columns.items()}
+    delta = {x: tuple(col) for x, col in columns.items()}
     return Dfa(len(order), d1.alphabet, delta, 0, finals), order
 
 
@@ -1040,10 +1040,10 @@ def _quotient_numbered(d, block_of):
     size = max(block_of) + 1
     delta = {}
     for x, t in d.delta.items():
-        image = [0] * size
+        row = [0] * size
         for s, b in enumerate(block_of):
-            image[b] = block_of[t.image[s]]
-        delta[x] = Transformation(tuple(image))
+            row[b] = block_of[t[s]]
+        delta[x] = tuple(row)
     finals = frozenset(block_of[f] for f in d.finals)
     return MINIMIZE._bfs_numbering(
         Dfa(size, d.alphabet, delta, block_of[d.initial], finals))
@@ -1069,7 +1069,7 @@ def test_block_name_ranks_are_the_quotients_bfs_numbering():
         d = built.dfa
         kinds.add(type(built).__name__)
         assert MINIMIZE._bfs_numbering(d) is d
-        trans = [d.delta[x].image for x in d.alphabet]
+        trans = [d.delta[x] for x in d.alphabet]
         final = [s in d.finals for s in range(d.size)]
         assert minimize(built) == _quotient_numbered(d, _moore_blocks(trans, final))
     assert kinds == {"SubsetDfa", "ProductDfa"}
@@ -1080,7 +1080,7 @@ def test_block_name_ranks_are_the_quotients_bfs_numbering():
     for _ in range(80):
         d = random_dfa(rng, rng.randint(2, 12))
         unreachable += MINIMIZE._bfs_numbering(d).size < d.size
-        trans = [d.delta[x].image for x in d.alphabet]
+        trans = [d.delta[x] for x in d.alphabet]
         final = [s in d.finals for s in range(d.size)]
         assert minimize(d) == _quotient_numbered(d, _moore_blocks(trans, final))
     assert unreachable >= 20

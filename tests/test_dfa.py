@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from starbench.core import (Dfa, DfaFormatError, EpsNfa, Transformation,
-                            read_dfa, write_dfa)
+from starbench.core import Dfa, DfaFormatError, EpsNfa, read_dfa, write_dfa
 
 U4_TEXT = """dfa 4
 alphabet a b c
@@ -50,13 +49,13 @@ def test_restrict_projects_alphabet(witness):
 
 
 def test_dfa_validation():
-    a = Transformation.cycle(3)
+    a = (1, 2, 0)
     with pytest.raises(ValueError):
         Dfa(3, ("a", "a"), {"a": a}, 0, frozenset())
     with pytest.raises(ValueError):
         Dfa(3, ("a",), {"b": a}, 0, frozenset())
     with pytest.raises(ValueError):
-        Dfa(3, ("a",), {"a": Transformation.cycle(4)}, 0, frozenset())
+        Dfa(3, ("a",), {"a": (1, 2, 3, 0)}, 0, frozenset())
     with pytest.raises(ValueError):
         Dfa(3, ("a",), {"a": a}, 3, frozenset())
     with pytest.raises(ValueError):
@@ -64,11 +63,35 @@ def test_dfa_validation():
 
 
 def test_dfa_validation_names_the_bad_final():
-    a = Transformation.cycle(3)
+    a = (1, 2, 0)
     with pytest.raises(ValueError, match=r"final state 7 out of range \[0, 3\)"):
         Dfa(3, ("a",), {"a": a}, 0, frozenset((0, 2, 7)))
     with pytest.raises(ValueError, match=r"final state -1 out of range \[0, 3\)"):
         Dfa(3, ("a",), {"a": a}, 0, frozenset((-1, 1)))
+
+
+def test_dfa_row_of_the_wrong_length_names_the_letter_and_both_counts():
+    with pytest.raises(ValueError, match=r"^letter 'b' has 4 targets, expected 3$"):
+        Dfa(3, ("a", "b"), {"a": (1, 2, 0), "b": (0, 1, 2, 0)}, 0, frozenset())
+    with pytest.raises(ValueError, match=r"^letter 'a' has 0 targets, expected 1$"):
+        Dfa(1, ("a",), {"a": ()}, 0, frozenset())
+
+
+@pytest.mark.parametrize("row, state, target", [
+    ((0, 5, 1), 1, 5),
+    ((0, 1, 3), 2, 3),  # a target equal to the size
+    ((0, -1, 9), 1, -1),  # below 0, named before the later 9
+])
+def test_dfa_row_target_out_of_range_names_the_letter_and_state(row, state, target):
+    message = rf"^letter 'b' sends state {state} to {target} out of range \[0, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        Dfa(3, ("a", "b"), {"a": (1, 2, 0), "b": row}, 0, frozenset())
+
+
+def test_dfa_row_must_be_a_tuple():
+    # a list row would make a Dfa compare unequal to its field-identical copy
+    with pytest.raises(ValueError, match=r"^letter 'a' row is a list, not a tuple$"):
+        Dfa(2, ("a",), {"a": [1, 0]}, 0, frozenset())
 
 
 def test_eps_nfa_validation_names_the_first_offender():
@@ -127,7 +150,8 @@ def test_read_short_row_is_incomplete_delta():
     (lambda t: t.replace("finals 3", "finals 3 1"), "ascending"),
     (lambda t: t.replace("a 1 2 3 0", "b 1 2 3 0"), "expected row"),
     (lambda t: t + "extra\n", "trailing"),
-    (lambda t: t.replace("a 1 2 3 0", "a 1 2 3 9"), "out of range"),
+    (lambda t: t.replace("a 1 2 3 0", "a 1 2 3 9"),
+     r"line 5: target state 9 out of range \[0, 4\)"),
     (lambda t: "dfa 4\n", "line 2: missing 'alphabet' line"),
     (lambda t: t.replace("dfa 4", "dfb 4"), "expected 'dfa <n>'"),
     (lambda t: t.replace("dfa 4", "dfa 0"), "must be positive"),

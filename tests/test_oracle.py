@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from starbench.bounds import TABLE
-from starbench.core import Dfa, Transformation
+from starbench.core import Dfa
 from starbench import oracle as oracle_module
 from starbench.oracle import SemanticOracle
 from starbench.verify import (exhaustive_oracle, membership_oracle,
@@ -166,8 +166,8 @@ def _trie_dfa(alphabet, maxlen, members):
     k = len(alphabet)
     words = sum(k ** length for length in range(maxlen + 1))
     inner = words - k ** maxlen  # words that are shorter than maxlen
-    delta = {x: Transformation(tuple(s * k + li + 1 if s < inner else words
-                                     for s in range(words)) + (words,))
+    delta = {x: tuple(s * k + li + 1 if s < inner else words
+                      for s in range(words)) + (words,)
              for li, x in enumerate(alphabet)}
     finals = frozenset(i for i, m in enumerate(members) if m)
     return Dfa(words + 1, alphabet, delta, 0, finals)
@@ -294,7 +294,7 @@ def _flipped(final):
     reaches moved into or out of the final set."""
     state = final.initial
     for x in reversed(final.alphabet):
-        state = final.delta[x].image[state]
+        state = final.delta[x][state]
     return final.with_finals(final.finals ^ {state})
 
 

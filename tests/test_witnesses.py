@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from starbench.core import Dfa, Transformation
+from starbench.core import Dfa
 from starbench.minimize import minimal_dfa
 from starbench.ops import dfa_to_nfa, star_nfa
 from starbench.witnesses import (
@@ -15,21 +15,19 @@ from starbench.witnesses import (
 )
 
 
-def rows(d):
-    return {x: d.delta[x].image for x in d.alphabet}
-
-
 def test_u4_is_the_canonical_table(witness):
+    # the cycle wraps, the transposition swaps 0 and 1, the singular moves
+    # only its source
     d = witness("U", 4)
-    assert rows(d) == {"a": (1, 2, 3, 0), "b": (1, 0, 2, 3), "c": (0, 1, 2, 0)}
+    assert d.delta == {"a": (1, 2, 3, 0), "b": (1, 0, 2, 3), "c": (0, 1, 2, 0)}
     assert d.initial == 0 and d.finals == {3}
 
 
 def test_zero_dialects(witness):
     assert witness("U0", 5).finals == {0}
     assert witness("W0E", 5).finals == {0, 4}
-    assert rows(witness("U0", 5)) == rows(witness("U", 5))
-    assert rows(witness("W0E", 5)) == rows(witness("W", 5))
+    assert witness("U0", 5).delta == witness("U", 5).delta
+    assert witness("W0E", 5).delta == witness("W", 5).delta
     # the literal star of W0E, the left witness of K*\L* and K*⊕L*; a
     # {0}-final W is its own star
     assert [minimal_dfa(star_nfa(witness("W0E", n))).size
@@ -38,73 +36,52 @@ def test_zero_dialects(witness):
 
 
 def test_t_family_singular_is_one_to_zero(witness):
-    d = witness("T", 5)
-    assert d.delta["c"] == Transformation.singular(5, 1, 0)
-    assert d.delta["a"] == Transformation.cycle(5)
-    assert d.delta["b"] == Transformation.transposition(5, 0, 1)
+    assert witness("T", 5).delta == {
+        "a": (1, 2, 3, 4, 0), "b": (1, 0, 2, 3, 4), "c": (0, 0, 2, 3, 4)}
 
 
 def test_w_family_roles(witness):
-    d = witness("W", 5)
-    assert d.delta["a"] == Transformation.cycle(5)
-    assert d.delta["b"] == Transformation.transposition(5, 3, 4)
-    assert d.delta["c"] == Transformation.singular(5, 1, 0)
-    assert d.delta["d"] == Transformation.identity(5)
+    # the transposition swaps 3 and 4, and d is the identity
+    assert witness("W", 5).delta == {
+        "a": (1, 2, 3, 4, 0), "b": (0, 1, 2, 4, 3), "c": (0, 0, 2, 3, 4),
+        "d": (0, 1, 2, 3, 4)}
 
 
 def test_quaternary_u_reversed_order(witness):
     # U_5(d,c,b,a): d cycles, c transposes (0,1), b sends 4 to 0, a is identity
     d = witness("U", 5, "dcba")
     assert d.alphabet == ("a", "b", "c", "d")
-    assert d.delta["d"] == Transformation.cycle(5)
-    assert d.delta["c"] == Transformation.transposition(5, 0, 1)
-    assert d.delta["b"] == Transformation.singular(5, 4, 0)
-    assert d.delta["a"] == Transformation.identity(5)
+    assert d.delta == {
+        "d": (1, 2, 3, 4, 0), "c": (1, 0, 2, 3, 4), "b": (0, 1, 2, 3, 0),
+        "a": (0, 1, 2, 3, 4)}
 
 
 def test_five_letter_permuted_column(witness):
     # order ecbad: a identity, b singular(n-1,0), c transposition(0,1),
-    # d subcycle(1..n-1), e cycle
-    n = 5
-    d = witness("U5L", n, "ecbad")
-    assert d.delta["a"] == Transformation.identity(n)
-    assert d.delta["b"] == Transformation.singular(n, n - 1, 0)
-    assert d.delta["c"] == Transformation.transposition(n, 0, 1)
-    assert d.delta["d"] == Transformation.subcycle(n, 1, n - 1)
-    assert d.delta["e"] == Transformation.cycle(n)
+    # d the subcycle 1 -> 2 -> ... -> n-1 -> 1, e cycle
+    assert witness("U5L", 5, "ecbad").delta == {
+        "a": (0, 1, 2, 3, 4), "b": (0, 1, 2, 3, 0), "c": (1, 0, 2, 3, 4),
+        "d": (0, 2, 3, 4, 1), "e": (1, 2, 3, 4, 0)}
+    # the subcycle on 1..3 fixes 0
+    assert witness("U5L", 4).delta["e"] == (0, 2, 3, 1)
 
 
 def test_s_family(witness):
     d = witness("S", 6)
     assert d.alphabet == ("a", "b")
-    assert d.delta["a"] == Transformation.cycle(6)
-    assert d.delta["b"] == Transformation.singular(6, 0, 1)
+    assert d.delta == {"a": (1, 2, 3, 4, 5, 0), "b": (1, 1, 2, 3, 4, 5)}
     assert d.finals == {0}
     swapped = witness("S", 6, "ba")
-    assert swapped.delta["b"] == Transformation.cycle(6)
-    assert swapped.delta["a"] == Transformation.singular(6, 0, 1)
+    assert swapped.delta == {"b": (1, 2, 3, 4, 5, 0), "a": (1, 1, 2, 3, 4, 5)}
 
 
 def test_six_letter_pair_tables(witness):
-    m, n = 4, 5
-    k = witness("JO6K", m)
-    assert rows(k) == {
-        "a": Transformation.cycle(m).image,
-        "b": Transformation.identity(m).image,
-        "c": Transformation.subcycle(m, 1, m - 1).image,
-        "d": Transformation.identity(m).image,
-        "e": Transformation.singular(m, 1, 0).image,
-        "f": Transformation.identity(m).image,
-    }
-    l = witness("JO6L", n)
-    assert rows(l) == {
-        "a": Transformation.cycle(n).image,
-        "b": Transformation.cycle(n).image,
-        "c": Transformation.identity(n).image,
-        "d": Transformation.subcycle(n, 1, n - 1).image,
-        "e": Transformation.identity(n).image,
-        "f": Transformation.singular(n, 1, 0).image,
-    }
+    assert witness("JO6K", 4).delta == {
+        "a": (1, 2, 3, 0), "b": (0, 1, 2, 3), "c": (0, 2, 3, 1),
+        "d": (0, 1, 2, 3), "e": (0, 0, 2, 3), "f": (0, 1, 2, 3)}
+    assert witness("JO6L", 5).delta == {
+        "a": (1, 2, 3, 4, 0), "b": (1, 2, 3, 4, 0), "c": (0, 1, 2, 3, 4),
+        "d": (0, 2, 3, 4, 1), "e": (0, 1, 2, 3, 4), "f": (0, 0, 2, 3, 4)}
 
 
 def test_every_family_is_minimal_for_all_sizes(every_family):
@@ -162,7 +139,7 @@ def test_monoid_sizes(witness):
 def test_cycle_and_transposition_generate_all_permutations(witness):
     # oracle: the closure over {a, b} must be exactly the 4! bijections
     d = witness("U", 4)
-    gens = {d.delta["a"].image, d.delta["b"].image}
+    gens = {d.delta["a"], d.delta["b"]}
     closure = {(0, 1, 2, 3)} | gens
     frontier = list(closure)
     while frontier:
