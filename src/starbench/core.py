@@ -9,7 +9,7 @@ act left to right: the first letter is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class DfaFormatError(ValueError):
@@ -19,6 +19,28 @@ class DfaFormatError(ValueError):
 def _check_state(n: int, s: int, what: str) -> None:
     if not 0 <= s < n:
         raise ValueError(f"{what} {s} out of range [0, {n})")
+
+
+def _check_mask(n: int, mask: int, what: str) -> None:
+    if type(mask) is not int:
+        raise ValueError(f"{what} are a {type(mask).__name__}, not an int mask")
+    if mask < 0:
+        raise ValueError(f"{what} are a negative mask {mask}")
+    if mask >> n:
+        _check_state(n, mask.bit_length() - 1, f"{what} hold state")
+
+
+def _check_letters(rows: dict, alphabet: tuple[str, ...], what: str) -> None:
+    if set(rows) != set(alphabet):
+        raise ValueError(
+            f"{what} letters {sorted(rows)} != alphabet {sorted(alphabet)}")
+
+
+def _check_row(what: str, row: tuple[int, ...], n: int) -> None:
+    if not isinstance(row, tuple):
+        raise ValueError(f"{what} row is a {type(row).__name__}, not a tuple")
+    if len(row) != n:
+        raise ValueError(f"{what} has {len(row)} targets, expected {n}")
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -49,17 +71,9 @@ class Dfa:
         if self.size < 1:
             raise ValueError("size must be positive")
         _check_alphabet(self.alphabet)
-        if set(self.delta) != set(self.alphabet):
-            raise ValueError(
-                f"delta letters {sorted(self.delta)} != alphabet {sorted(self.alphabet)}"
-            )
+        _check_letters(self.delta, self.alphabet, "delta")
         for x, row in self.delta.items():
-            if not isinstance(row, tuple):
-                raise ValueError(
-                    f"letter {x!r} row is a {type(row).__name__}, not a tuple")
-            if len(row) != self.size:
-                raise ValueError(
-                    f"letter {x!r} has {len(row)} targets, expected {self.size}")
+            _check_row(f"letter {x!r}", row, self.size)
             if min(row) < 0 or max(row) >= self.size:
                 # the per-target check names the first offender
                 for s, t in enumerate(row):
@@ -98,73 +112,82 @@ class Dfa:
 class EpsNfa:
     """Nondeterministic automaton with epsilon edges and initial sets.
 
-    moves holds only nonempty target sets; absent (state, letter) pairs mean
-    no move. epsilon likewise holds only states with outgoing epsilon edges.
+    Every set of states is an int bit mask, state q at bit q. moves maps
+    every letter to its row, the target mask of each state, as Dfa.delta
+    does; epsilon is the row of each state's epsilon-target mask.
     """
 
     size: int
     alphabet: tuple[str, ...]
-    moves: dict[tuple[int, str], frozenset[int]]
-    epsilon: dict[int, frozenset[int]]
-    initials: frozenset[int]
-    finals: frozenset[int]
+    moves: dict[str, tuple[int, ...]]
+    epsilon: tuple[int, ...]
+    initials: int
+    finals: int
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("size must be positive")
         _check_alphabet(self.alphabet)
-        letters = set(self.alphabet)
-        sources, used = zip(*self.moves) if self.moves else ((), ())
-        states = set(sources).union(self.epsilon, *self.moves.values(),
-                                    *self.epsilon.values())
-        if not letters.issuperset(used) or states and (
-                min(states) < 0 or max(states) >= self.size):
-            # the per-item checks name the first offender
-            for (s, x), targets in self.moves.items():
-                _check_state(self.size, s, "move source")
-                if x not in letters:
-                    raise ValueError(f"move on unknown letter {x!r}")
-                for t in targets:
-                    _check_state(self.size, t, "move target")
-            for s, targets in self.epsilon.items():
-                _check_state(self.size, s, "epsilon source")
-                for t in targets:
-                    _check_state(self.size, t, "epsilon target")
-        for s in self.initials:
-            _check_state(self.size, s, "initial state")
-        for s in self.finals:
-            _check_state(self.size, s, "final state")
+        _check_letters(self.moves, self.alphabet, "move")
+        rows = [(f"letter {x!r}", row) for x, row in self.moves.items()]
+        for what, row in rows + [("epsilon", self.epsilon)]:
+            _check_row(what, row, self.size)
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >> self.size:
+                # the per-mask check names the first offender
+                for s, targets in enumerate(row):
+                    _check_mask(self.size, targets, f"{what} targets of state {s}")
+        _check_mask(self.size, self.initials, "initials")
+        _check_mask(self.size, self.finals, "finals")
 
-    def eps_closure(self, states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for t in self.epsilon.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+    def closure(self) -> list[int]:
+        """Per state, the mask of its epsilon-closure, the state included:
+        each search adds the epsilon targets of the states it last added."""
+        closure = []
+        for q in range(self.size):
+            mask = new = 1 << q
+            while new:
+                new = image(self.epsilon, new) & ~mask
+                mask |= new
+            closure.append(mask)
+        return closure
 
     def reverse(self) -> "EpsNfa":
         """NFA for the reversed language: every move and epsilon edge
         flipped, initials and finals swapped."""
-        moves: dict[tuple[int, str], set[int]] = {}
-        for (s, x), targets in self.moves.items():
-            for t in targets:
-                moves.setdefault((t, x), set()).add(s)
-        epsilon: dict[int, set[int]] = {}
-        for s, targets in self.epsilon.items():
-            for t in targets:
-                epsilon.setdefault(t, set()).add(s)
         return EpsNfa(
             size=self.size,
             alphabet=self.alphabet,
-            moves={k: frozenset(v) for k, v in moves.items()},
-            epsilon={k: frozenset(v) for k, v in epsilon.items()},
+            moves={x: transpose(row, self.size) for x, row in self.moves.items()},
+            epsilon=transpose(self.epsilon, self.size),
             initials=self.finals,
             finals=self.initials,
         )
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The states whose bits are set in a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def image(row: Sequence[int], mask: int) -> int:
+    """The OR of row[q] over the states q of mask: where a row sends a set."""
+    targets = 0
+    for q in bits(mask):
+        targets |= row[q]
+    return targets
+
+
+def transpose(row: Sequence[int], size: int) -> tuple[int, ...]:
+    """The row of the reversed edges, one mask per state t < size: t sends
+    to s where s sent to t."""
+    back = [0] * size
+    for s, targets in enumerate(row):
+        for t in bits(targets):
+            back[t] |= 1 << s
+    return tuple(back)
 
 
 def write_dfa(d: Dfa) -> str:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, filterfalse
 from operator import eq, ne, or_
 
-from .core import Dfa, EpsNfa
+from .core import Dfa, EpsNfa, bits, image, transpose
 
 DEFAULT_SUBSET_CAP = 2_000_000
 # minimize draws one reverse word per _STATES_PER_KEY_BIT states of a
@@ -86,16 +86,6 @@ class SubsetCapExceeded(RuntimeError):
         return f"skipped: cap ({self.discovered} > {self.cap} subsets)"
 
 
-def _decode(mask: int) -> frozenset[int]:
-    """The NFA states whose bits are set in a subset mask."""
-    states = []
-    while mask:
-        low = mask & -mask
-        states.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(states)
-
-
 @dataclass(frozen=True)
 class SubsetDfa:
     """A determinization result: the DFA, the NFA it determinizes and, per
@@ -122,7 +112,7 @@ class SubsetDfa:
             raise IndexError(f"state {state} out of range [0, {self.dfa.size})")
         width = self.width
         chunk = self.packed[state * width:(state + 1) * width]
-        return _decode(int.from_bytes(chunk, "little"))
+        return frozenset(bits(int.from_bytes(chunk, "little")))
 
     def _keys(self, limit: int) -> Iterator[int]:
         """Per subset S in state order, the bits j with S ∩ R_j nonempty,
@@ -137,37 +127,18 @@ class SubsetDfa:
         runs at the first key drawn and no list of keys is kept. Each key is
         the OR of one chunk table entry per byte of the subset's packed mask,
         byte c of every mask being the stride packed[c::width]."""
-        bits = [0] * self.nfa.size  # bits[q]: the j with q in R_j
         masks = _subset_walk(self.nfa.reverse(), 4 * limit)[0][:4 * limit]
         half = limit // 2
         smallest = sorted(filter(None, masks[half:]), key=int.bit_count)
-        for j, mask in enumerate(masks[:half] + smallest[:limit - half]):
-            for q in _decode(mask):
-                bits[q] |= 1 << j
+        # member[q]: the j with q in R_j
+        member = transpose(masks[:half] + smallest[:limit - half], self.nfa.size)
         del masks, smallest  # held while the keys are drawn, they raise peak RSS
-        tables = _chunk_tables(bits, 8)
+        tables = _chunk_tables(member, 8)
         packed, width = self.packed, self.width
         keys = map(tables[0].__getitem__, packed[0::width])
         for c in range(1, width):
             keys = map(or_, keys, map(tables[c].__getitem__, packed[c::width]))
         yield from keys
-
-
-def _closure_masks(nfa: EpsNfa) -> list[int]:
-    """Per-state epsilon-closure bit masks (state included in its closure),
-    each from one depth-first search along the epsilon edges."""
-    epsilon = nfa.epsilon
-    closure = []
-    for q in range(nfa.size):
-        mask = 1 << q
-        stack = [q]
-        while stack:
-            for t in epsilon.get(stack.pop(), ()):
-                if not mask >> t & 1:
-                    mask |= 1 << t
-                    stack.append(t)
-        closure.append(mask)
-    return closure
 
 
 def _chunk_tables(succ: list[int], width: int) -> list[list[int]]:
@@ -193,9 +164,8 @@ def _successor_words(nfa: EpsNfa, closure: list[int]) -> list[int]:
     n = nfa.size
     succ = [0] * n
     for li, x in enumerate(nfa.alphabet):
-        for q in range(n):
-            for t in nfa.moves.get((q, x), ()):
-                succ[q] |= closure[t] << li * n
+        for q, targets in enumerate(nfa.moves[x]):
+            succ[q] |= image(closure, targets) << li * n
     return succ
 
 
@@ -220,16 +190,14 @@ def _subset_walk(
     26 NFA states that is two lookups and no loop.
     """
     n = nfa.size
-    closure = _closure_masks(nfa)
+    closure = nfa.closure()
     width = -(-n // max(2, -(-n // 13)))
     wmask = (1 << width) - 1
     tables = _chunk_tables(_successor_words(nfa, closure), width)
     # at n = 1 the one table serves both lookups
     lo, top, high = tables[0], tables[-1], (len(tables) - 1) * width
     middle = [(tab, c * width) for c, tab in enumerate(tables[1:-1], 1)]
-    start = 0
-    for q in nfa.initials:
-        start |= closure[q]
+    start = image(closure, nfa.initials)
 
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
@@ -268,12 +236,9 @@ def determinize(nfa: EpsNfa, cap: int = DEFAULT_SUBSET_CAP) -> SubsetDfa:
     order, columns, packed = _subset_walk(nfa, cap)
     if len(order) > cap:
         raise SubsetCapExceeded(cap + 1, cap)
-    finals_mask = 0
-    for q in nfa.finals:
-        finals_mask |= 1 << q
     alphabet = nfa.alphabet
     delta = {x: tuple(col) for x, col in zip(alphabet, columns)}
-    finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
+    finals = frozenset(compress(range(len(order)), map(nfa.finals.__and__, order)))
     dfa = Dfa(len(order), alphabet, delta, 0, finals)
     return SubsetDfa(dfa, bytes(packed), nfa)
 

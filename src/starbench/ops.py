@@ -1,6 +1,6 @@
 """Language operations as automaton constructions.
 
-Star and concatenation are wired with epsilon edges on EpsNfa values;
+Star and concatenation are wired with epsilon edges on EpsNfa mask rows;
 boolean operations go through the reachable direct product of two DFAs,
 a ProductDfa that draws its own refinement keys. Inputs stay unmodified.
 """
@@ -14,7 +14,7 @@ from itertools import compress, count
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
-from .core import Dfa, EpsNfa
+from .core import Dfa, EpsNfa, image
 
 
 class BooleanOp(Enum):
@@ -37,18 +37,13 @@ _COMBINE = {BooleanOp.UNION: or_, BooleanOp.INTERSECTION: and_,
 
 def dfa_to_nfa(d: Dfa) -> EpsNfa:
     """Embed a DFA as an EpsNfa with singleton moves and no epsilon edges."""
-    moves = {
-        (s, x): frozenset((row[s],))
-        for x, row in d.delta.items()
-        for s in range(d.size)
-    }
     return EpsNfa(
         size=d.size,
         alphabet=d.alphabet,
-        moves=moves,
-        epsilon={},
-        initials=frozenset((d.initial,)),
-        finals=d.finals,
+        moves={x: tuple(1 << t for t in row) for x, row in d.delta.items()},
+        epsilon=(0,) * d.size,
+        initials=1 << d.initial,
+        finals=sum(1 << f for f in d.finals),
     )
 
 
@@ -66,47 +61,37 @@ def star_eps_nfa(base: EpsNfa) -> EpsNfa:
     explode the subset space).
     """
     s = base.size
-    start = base.eps_closure(base.initials)
-    moves = dict(base.moves)
-    for x in base.alphabet:
-        targets: set[int] = set()
-        for i in start:
-            targets.update(base.moves.get((i, x), ()))
-        if targets:
-            moves[(s, x)] = frozenset(targets)
-    epsilon = dict(base.epsilon)
-    for f in base.finals:
-        epsilon[f] = epsilon.get(f, frozenset()) | base.initials
+    start = image(base.closure(), base.initials)
     return EpsNfa(
         size=base.size + 1,
         alphabet=base.alphabet,
-        moves=moves,
-        epsilon=epsilon,
-        initials=frozenset((s,)),
-        finals=base.finals | {s},
+        moves={x: row + (image(row, start),) for x, row in base.moves.items()},
+        epsilon=_linked(base.epsilon, base.finals, base.initials) + (0,),
+        initials=1 << s,
+        finals=base.finals | 1 << s,
     )
 
 
-def _shift(states: frozenset[int], off: int) -> frozenset[int]:
-    return frozenset(s + off for s in states)
+def _linked(epsilon: tuple[int, ...], finals: int, targets: int) -> tuple[int, ...]:
+    """epsilon with an edge from every state of finals to every state of
+    targets."""
+    return tuple(e | targets if finals >> q & 1 else e
+                 for q, e in enumerate(epsilon))
 
 
 def _side_by_side(
     left: EpsNfa, right: EpsNfa
-) -> tuple[dict[tuple[int, str], frozenset[int]], dict[int, frozenset[int]], int]:
-    """Moves and epsilon edges of the disjoint union, right's states shifted
+) -> tuple[dict[str, tuple[int, ...]], tuple[int, ...], int]:
+    """Moves and epsilon rows of the disjoint union, right's states shifted
     past left's; returns them with the shift."""
     if left.alphabet != right.alphabet:
         raise ValueError(
             f"alphabet mismatch: {left.alphabet} vs {right.alphabet}"
         )
     off = left.size
-    moves = dict(left.moves)
-    for (s, x), targets in right.moves.items():
-        moves[(s + off, x)] = _shift(targets, off)
-    epsilon = dict(left.epsilon)
-    for s, targets in right.epsilon.items():
-        epsilon[s + off] = _shift(targets, off)
+    moves = {x: row + tuple(t << off for t in right.moves[x])
+             for x, row in left.moves.items()}
+    epsilon = left.epsilon + tuple(t << off for t in right.epsilon)
     return moves, epsilon, off
 
 
@@ -115,16 +100,13 @@ def concat_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
     finals of left to the initials of right; left finals become non-final.
     """
     moves, epsilon, off = _side_by_side(left, right)
-    shifted_initials = _shift(right.initials, off)
-    for f in left.finals:
-        epsilon[f] = epsilon.get(f, frozenset()) | shifted_initials
     return EpsNfa(
         size=left.size + right.size,
         alphabet=left.alphabet,
         moves=moves,
-        epsilon=epsilon,
+        epsilon=_linked(epsilon, left.finals, right.initials << off),
         initials=left.initials,
-        finals=_shift(right.finals, off),
+        finals=right.finals << off,
     )
 
 
@@ -137,8 +119,8 @@ def union_nfa(left: EpsNfa, right: EpsNfa) -> EpsNfa:
         alphabet=left.alphabet,
         moves=moves,
         epsilon=epsilon,
-        initials=left.initials | _shift(right.initials, off),
-        finals=left.finals | _shift(right.finals, off),
+        initials=left.initials | right.initials << off,
+        finals=left.finals | right.finals << off,
     )
 
 

@@ -28,16 +28,30 @@ def simulate():
     """The NFA reference: simulate(nfa, w) runs nfa on w one set of states
     at a time, sharing no code with the subset construction."""
 
+    def states(nfa, mask):
+        return {q for q in range(nfa.size) if mask >> q & 1}
+
+    def closure(nfa, start):
+        """start and all states reached from it along epsilon edges, by a
+        depth-first search over sets, apart from EpsNfa.closure."""
+        seen = set(start)
+        stack = list(seen)
+        while stack:
+            for t in states(nfa, nfa.epsilon[stack.pop()]) - seen:
+                seen.add(t)
+                stack.append(t)
+        return seen
+
     def run(nfa, w):
-        current = nfa.eps_closure(nfa.initials)
+        current = closure(nfa, states(nfa, nfa.initials))
         for x in w:
             if x not in nfa.alphabet:
                 raise ValueError(f"unknown letter {x!r}")
             moved = set()
             for s in current:
-                moved.update(nfa.moves.get((s, x), ()))
-            current = nfa.eps_closure(moved)
-        return bool(current & nfa.finals)
+                moved |= states(nfa, nfa.moves[x][s])
+            current = closure(nfa, moved)
+        return bool(current & states(nfa, nfa.finals))
 
     return run
 

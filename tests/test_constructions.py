@@ -29,9 +29,9 @@ def test_dfa_to_nfa_embedding(witness, simulate, run):
     u3 = witness("U", 3)
     nfa = dfa_to_nfa(u3)
     assert nfa.size == 3
-    assert nfa.initials == {0}
-    assert nfa.finals == {2}
-    assert not nfa.epsilon
+    assert nfa.initials == 1 << 0
+    assert nfa.finals == 1 << 2
+    assert not any(nfa.epsilon)
     for length in range(9):
         for w in itertools.product(u3.alphabet, repeat=length):
             assert simulate(nfa, w) == run(u3, w)
@@ -43,11 +43,11 @@ def test_star_nfa_shape(witness, simulate):
     d = witness("U", 5, "bac")
     nfa = star_nfa(d)
     assert nfa.size == 6
-    assert nfa.initials == {5}
-    assert nfa.finals == {4, 5}
+    assert nfa.initials == 1 << 5
+    assert nfa.finals == 1 << 4 | 1 << 5
     for x in d.alphabet:
-        assert nfa.moves[(5, x)] == {d.delta[x][0]}
-    assert nfa.epsilon == {4: frozenset((0,))}
+        assert nfa.moves[x][5] == 1 << d.delta[x][0]
+    assert nfa.epsilon == (0, 0, 0, 0, 1 << 0, 0)
     assert simulate(nfa, ())  # the empty word is always in L*
 
 
@@ -65,10 +65,10 @@ def test_concat_nfa_wiring(witness):
     right = star_nfa(witness("T", 5, "bac"))
     nfa = concat_nfa(left, right)
     assert nfa.size == 10
-    assert nfa.initials == {0}
-    assert nfa.finals == {8, 9}  # star's finals shifted by 4
-    assert nfa.epsilon[3] == frozenset((9,))  # left final to right initial s
-    assert nfa.epsilon[8] == frozenset((4,))  # star loop-back, shifted
+    assert nfa.initials == 1 << 0
+    assert nfa.finals == 1 << 8 | 1 << 9  # star's finals shifted by 4
+    assert nfa.epsilon[3] == 1 << 9  # left final to right initial s
+    assert nfa.epsilon[8] == 1 << 4  # star loop-back, shifted
 
 
 def test_concat_with_epsilon_language_is_identity(witness, simulate, run):
@@ -99,8 +99,8 @@ def test_concat_alphabet_mismatch(witness):
 def test_reverse_nfa_shape(witness):
     u3 = witness("U", 3)
     rev = reverse_nfa(u3)
-    assert rev.initials == {2}
-    assert rev.finals == {0}
+    assert rev.initials == 1 << 2
+    assert rev.finals == 1 << 0
 
 
 def test_reverse_nfa_flips_the_dfa_embedding(every_family):
@@ -111,13 +111,13 @@ def test_reverse_nfa_flips_the_dfa_embedding(every_family):
             d = build(WitnessSpec(family, n, order))
             rev = reverse_nfa(d)
             assert rev == dfa_to_nfa(d).reverse()
-            moves = {}
+            moves = {x: [0] * d.size for x in d.alphabet}
             for x, t in d.delta.items():
                 for s, target in enumerate(t):
-                    moves.setdefault((target, x), set()).add(s)
-            assert rev.moves == moves
+                    moves[x][target] |= 1 << s
+            assert rev.moves == {x: tuple(row) for x, row in moves.items()}
             assert (rev.epsilon, rev.initials, rev.finals) == (
-                {}, d.finals, {d.initial})
+                (0,) * d.size, sum(1 << f for f in d.finals), 1 << d.initial)
 
 
 def test_reverse_of_reversal_closed_language(simulate, run):

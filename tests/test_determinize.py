@@ -77,21 +77,23 @@ def random_dfa(rng, size, alphabet=("a", "b")):
 def random_nfa(rng, size, alphabet=("a", "b")):
     """Mostly one move per (state, letter), some none, a few two; a few
     epsilon edges; two initial states."""
-    moves = {}
+    moves = {x: [0] * size for x in alphabet}
     for q in range(size):
         for x in alphabet:
-            targets = frozenset(
-                rng.randrange(size) for _ in range(rng.choice((0, 1, 1, 1, 2)))
-            )
-            if targets:
-                moves[(q, x)] = targets
-    epsilon = {
-        q: frozenset((rng.randrange(size),))
-        for q in range(size) if rng.random() < 0.1
-    }
-    initials = frozenset(rng.sample(range(size), min(size, 2)))
-    finals = frozenset(q for q in range(size) if rng.random() < 0.3)
-    return EpsNfa(size, alphabet, moves, epsilon, initials, finals)
+            for _ in range(rng.choice((0, 1, 1, 1, 2))):
+                moves[x][q] |= 1 << rng.randrange(size)
+    epsilon = tuple(1 << rng.randrange(size) if rng.random() < 0.1 else 0
+                    for _ in range(size))
+    initials = sum(1 << q for q in rng.sample(range(size), min(size, 2)))
+    finals = sum(1 << q for q in range(size) if rng.random() < 0.3)
+    return EpsNfa(size, alphabet, {x: tuple(row) for x, row in moves.items()},
+                  epsilon, initials, finals)
+
+
+def _chain_nfa():
+    """Epsilon edges 0 -> 1 -> 2, only 2 final, and an a-loop on 3."""
+    return EpsNfa(4, ("a",), {"a": (0, 0, 0, 0b1000)}, (0b10, 0b100, 0, 0),
+                  0b1, 0b100)
 
 
 def relabel_states(d, perm):
@@ -134,7 +136,7 @@ def test_initial_subset_label_of_kstar_l(witness):
 
 def test_empty_subset_becomes_dead_state():
     # single letter NFA with no moves: everything falls into the dead state
-    nfa = EpsNfa(1, ("a",), {}, {}, frozenset((0,)), frozenset((0,)))
+    nfa = EpsNfa(1, ("a",), {"a": (0,)}, (0,), 1, 1)
     sd = determinize(nfa)
     assert sd.dfa.size == 2
     assert subset_labels(sd)[1] == frozenset()
@@ -142,14 +144,8 @@ def test_empty_subset_becomes_dead_state():
 
 
 def test_chained_epsilon_closure():
-    nfa = EpsNfa(
-        4, ("a",),
-        {(3, "a"): frozenset((3,))},
-        {0: frozenset((1,)), 1: frozenset((2,))},
-        frozenset((0,)),
-        frozenset((2,)),
-    )
-    assert nfa.eps_closure((0,)) == {0, 1, 2}
+    nfa = _chain_nfa()
+    assert nfa.closure() == [0b111, 0b110, 0b100, 0b1000]
     sd = determinize(nfa)
     assert subset_labels(sd)[0] == frozenset((0, 1, 2))
     assert 0 in sd.dfa.finals  # the empty word reaches the final state
@@ -431,29 +427,42 @@ def test_distinguishing_word_matches_brute_force(distinguishing_word, run):
     assert outcomes == {None, 0, 1, 2}
 
 
+def _states(nfa, mask):
+    return frozenset(q for q in range(nfa.size) if mask >> q & 1)
+
+
+def _eps_closure(nfa, states):
+    """The epsilon-closure of a set of states, as a set: rounds that add
+    the epsilon targets of every state so far until none is new, apart
+    from EpsNfa.closure."""
+    closed = frozenset(states)
+    while True:
+        more = closed.union(*(_states(nfa, nfa.epsilon[s]) for s in closed))
+        if more == closed:
+            return closed
+        closed = more
+
+
 def _reference_determinize(nfa, cap=DEFAULT_SUBSET_CAP):
     """The bit-by-bit subset loop that the chunk tables replaced, with the
-    epsilon closures taken from EpsNfa.eps_closure. Returns the DFA and the
+    epsilon closures taken from _eps_closure. Returns the DFA and the
     subset labels built eagerly."""
     n = nfa.size
     alphabet = nfa.alphabet
-    closure = [sum(1 << t for t in nfa.eps_closure((q,))) for q in range(n)]
+    closure = [sum(1 << t for t in _eps_closure(nfa, (q,))) for q in range(n)]
     succ = []
     for x in alphabet:
         col = [0] * n
         for q in range(n):
             acc = 0
-            for t in nfa.moves.get((q, x), ()):
+            for t in _states(nfa, nfa.moves[x][q]):
                 acc |= closure[t]
             col[q] = acc
         succ.append(col)
 
     start = 0
-    for q in nfa.initials:
+    for q in _states(nfa, nfa.initials):
         start |= closure[q]
-    finals_mask = 0
-    for q in nfa.finals:
-        finals_mask |= 1 << q
 
     index = {start: 0}
     order = [start]
@@ -485,7 +494,7 @@ def _reference_determinize(nfa, cap=DEFAULT_SUBSET_CAP):
         x: tuple(rows[s][li] for s in range(size))
         for li, x in enumerate(alphabet)
     }
-    finals = frozenset(i for i, mask in enumerate(order) if mask & finals_mask)
+    finals = frozenset(i for i, mask in enumerate(order) if mask & nfa.finals)
     labels = tuple(
         frozenset(q for q in range(n) if mask >> q & 1) for mask in order
     )
@@ -550,10 +559,8 @@ def test_determinize_matches_reference_past_64_bits(witness):
 def test_determinize_matches_reference_on_constructions(witness):
     k, l = witness("U", 4), witness("U", 5, "bac")
     cases = [
-        EpsNfa(4, ("a",), {(3, "a"): frozenset((3,))},
-               {0: frozenset((1,)), 1: frozenset((2,))},
-               frozenset((0,)), frozenset((2,))),
-        EpsNfa(1, ("a",), {}, {}, frozenset((0,)), frozenset((0,))),
+        _chain_nfa(),
+        EpsNfa(1, ("a",), {"a": (0,)}, (0,), 1, 1),
         star_nfa(k),
         star_nfa(l.restrict("ab")),
         concat_nfa(dfa_to_nfa(k), dfa_to_nfa(l)),
@@ -564,6 +571,20 @@ def test_determinize_matches_reference_on_constructions(witness):
         assert _assert_same_determinization(nfa)
     # the empty subset is reached, and decodes to the empty label
     assert frozenset() in subset_labels(determinize(cases[1]))
+
+
+def test_references_catch_a_closure_that_stops_after_one_step(
+        monkeypatch, simulate, run):
+    # the references close over epsilon edges by their own searches: a
+    # closure that follows one edge, not chains of them, passes neither
+    nfa = _chain_nfa()
+    assert _assert_same_determinization(nfa)
+    assert simulate(nfa, ()) and run(minimal_dfa(nfa), ())
+    monkeypatch.setattr(EpsNfa, "closure", lambda self: [
+        1 << q | targets for q, targets in enumerate(self.epsilon)])
+    with pytest.raises(AssertionError):
+        _assert_same_determinization(nfa)
+    assert simulate(nfa, ()) and not run(minimal_dfa(nfa), ())
 
 
 def test_packed_masks_match_reference_labels(witness):
@@ -590,11 +611,11 @@ def test_label_refuses_states_out_of_range(witness):
 def _accepts_from(nfa, q, word):
     """Whether the NFA started in state q alone accepts word, by a direct
     set-based run."""
-    current = nfa.eps_closure((q,))
+    current = _eps_closure(nfa, (q,))
     for x in word:
-        current = nfa.eps_closure(
-            t for s in current for t in nfa.moves.get((s, x), ()))
-    return bool(current & nfa.finals)
+        current = _eps_closure(nfa, frozenset().union(
+            *(_states(nfa, nfa.moves[x][s]) for s in current)))
+    return bool(current & _states(nfa, nfa.finals))
 
 
 def _reference_reverse_masks(nfa, limit):
@@ -625,20 +646,19 @@ def _seed_nfas():
         for _ in range(3):
             nfa = random_nfa(rng, size)
             half = size // 2
-            cycle = dict(nfa.epsilon)
+            cycle = list(nfa.epsilon)
             for q in range(half + 1):
-                cycle[q] = cycle.get(q, frozenset()) | {q + 1 if q < half else 0}
+                cycle[q] |= 1 << (q + 1 if q < half else 0)
             # the four extra states lead into the NFA, and one is final
-            extra = range(size, size + 4)
+            moves = {x: row + (int(x == "a"),) * 4 for x, row in nfa.moves.items()}
             cases += [
                 nfa,
-                replace(nfa, epsilon=cycle),
-                replace(nfa, finals=frozenset()),
-                replace(nfa, finals=frozenset(range(size))),
-                replace(nfa, size=size + 4,
-                        moves={**nfa.moves, **{(q, "a"): frozenset((0,)) for q in extra}},
-                        epsilon={**nfa.epsilon, size: frozenset((size + 1,))},
-                        finals=nfa.finals | {size + 2}),
+                replace(nfa, epsilon=tuple(cycle)),
+                replace(nfa, finals=0),
+                replace(nfa, finals=(1 << size) - 1),
+                replace(nfa, size=size + 4, moves=moves,
+                        epsilon=nfa.epsilon + (1 << size + 1, 0, 0, 0),
+                        finals=nfa.finals | 1 << size + 2),
             ]
     return cases
 

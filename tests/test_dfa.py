@@ -95,25 +95,42 @@ def test_dfa_row_must_be_a_tuple():
 
 
 def test_eps_nfa_validation_names_the_first_offender():
-    def nfa(moves, epsilon):
-        return EpsNfa(3, ("a", "b"), moves, epsilon, frozenset((0,)),
-                      frozenset((2,)))
+    good = {"a": (0b110, 0, 0), "b": (0, 0, 0b1)}
 
-    good = {(0, "a"): frozenset((1, 2)), (2, "b"): frozenset((0,))}
-    assert nfa(good, {1: frozenset((0, 2))}).size == 3
-    with pytest.raises(ValueError, match=r"^move target 3 out of range \[0, 3\)$"):
-        nfa({**good, (1, "b"): frozenset((0, 3))}, {})
-    with pytest.raises(ValueError, match=r"^epsilon target -1 out of range \[0, 3\)$"):
-        nfa(good, {1: frozenset((0,)), 2: frozenset((-1, 1))})
-    with pytest.raises(ValueError, match=r"^move source 5 out of range \[0, 3\)$"):
-        nfa({(5, "a"): frozenset((0,))}, {})
-    with pytest.raises(ValueError, match=r"^move on unknown letter 'c'$"):
-        nfa({(0, "c"): frozenset((0,))}, {})
-    with pytest.raises(ValueError, match=r"^epsilon source 3 out of range \[0, 3\)$"):
-        nfa(good, {3: frozenset((0,))})
-    # moves are checked before epsilon edges, sources before targets
-    with pytest.raises(ValueError, match=r"^move target 4"):
-        nfa({(0, "a"): frozenset((4,))}, {7: frozenset((0,))})
+    def nfa(moves=good, epsilon=(0, 0b101, 0), initials=0b1, finals=0b100):
+        return EpsNfa(3, ("a", "b"), moves, epsilon, initials, finals)
+
+    assert nfa().size == 3
+    refused = [
+        (r"move letters \['a', 'c'\] != alphabet \['a', 'b'\]",
+         dict(moves={"a": good["a"], "c": good["b"]})),
+        (r"letter 'b' row is a list, not a tuple", dict(moves={**good, "b": [0, 0, 1]})),
+        (r"letter 'b' has 2 targets, expected 3", dict(moves={**good, "b": (0, 0)})),
+        (r"epsilon row is a list, not a tuple", dict(epsilon=[0, 0, 0])),
+        (r"epsilon has 4 targets, expected 3", dict(epsilon=(0, 0, 0, 0))),
+        # a set where a mask belongs, a negative mask, and a bit past size
+        (r"letter 'a' targets of state 1 are a frozenset, not an int mask",
+         dict(moves={**good, "a": (0b110, frozenset((0,)), 0)})),
+        (r"letter 'b' targets of state 2 are a negative mask -1",
+         dict(moves={**good, "b": (0, 0, -1)})),
+        (r"letter 'b' targets of state 0 hold state 3 out of range \[0, 3\)",
+         dict(moves={**good, "b": (0b1001, 0, 0)})),
+        (r"epsilon targets of state 0 are a float, not an int mask",
+         dict(epsilon=(1.0, 0, 0))),
+        (r"epsilon targets of state 2 hold state 5 out of range \[0, 3\)",
+         dict(epsilon=(0, 0, 0b100000))),
+        (r"initials are a frozenset, not an int mask",
+         dict(initials=frozenset((0,)))),
+        (r"initials hold state 3 out of range \[0, 3\)", dict(initials=0b1001)),
+        (r"finals are a negative mask -2", dict(finals=-2)),
+        (r"finals hold state 7 out of range \[0, 3\)", dict(finals=1 << 7)),
+        # moves are checked before epsilon edges, states in ascending order
+        (r"letter 'a' targets of state 1 hold state 4 out of range \[0, 3\)",
+         dict(moves={**good, "a": (0, 1 << 4, 1 << 5)}, epsilon=(1 << 6, 0, 0))),
+    ]
+    for message, fields in refused:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nfa(**fields)
 
 
 def test_write_u4_exact_block(witness):

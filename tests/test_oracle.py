@@ -8,6 +8,8 @@ import pytest
 
 from starbench.bounds import TABLE
 from starbench.core import Dfa
+from starbench.minimize import minimal_dfa, minimize
+from starbench.ops import star_nfa
 from starbench import oracle as oracle_module
 from starbench.oracle import SemanticOracle
 from starbench.verify import (exhaustive_oracle, membership_oracle,
@@ -61,6 +63,41 @@ def test_oracle_agrees_with_pipeline_small(op, run, member):
     for _ in range(250):
         w = tuple(rng.choice(right.alphabet) for _ in range(rng.randint(0, 10)))
         assert member(oracle, w) == run(final, w), (op, w)
+
+
+def _random_minimal(rng, size, alphabet):
+    """A seeded random DFA over alphabet, minimized, drawn again until it
+    has exactly `size` states."""
+    while True:
+        delta = {x: tuple(rng.randrange(size) for _ in range(size))
+                 for x in alphabet}
+        finals = frozenset(s for s in range(size) if rng.random() < 0.5)
+        d = minimize(Dfa(size, alphabet, delta, 0, finals))
+        if d.size == size:
+            return d
+
+
+@pytest.mark.parametrize("op", [op for op in TABLE if TABLE[op].formula])
+def test_random_operands_stay_within_the_bound(op):
+    # a bound holds for every operand pair, not just for its witnesses:
+    # seeded random minimal operands of m and n states, m, n = 3..4, over
+    # the entry's alphabet measure at most the formula, and the oracle
+    # agrees with the pipeline on every word up to length 6. The KL* and
+    # K*L* formulas hold only where L* ≠ L, so there L is drawn until it is
+    entry = TABLE[op]
+    rng = random.Random(op)
+    for m in ((3, 4) if entry.arity == 2 else (None,)):
+        for n in (3, 4):
+            alphabet = _operands_for(op, m, n)[1].alphabet
+            left = None if m is None else _random_minimal(rng, m, alphabet)
+            right = _random_minimal(rng, n, alphabet)
+            while entry.shape in ("k_lstar", "kstar_lstar") and (
+                    minimal_dfa(star_nfa(right)) == right):
+                right = _random_minimal(rng, n, alphabet)
+            final, _ = run_pipeline(op, left, right)
+            assert final.size <= entry.formula(m, n), (m, n, left, right)
+            oracle = SemanticOracle(op, left, right)
+            assert oracle.compare_all(final, 6)[1:] == (0, None), (m, n)
 
 
 def test_membership_oracle_report_fields():
@@ -241,7 +278,7 @@ def test_dialect_stars_with_the_empty_word(monkeypatch, witness, op, pair,
 
     def base_star(d):
         return replace(star_nfa(d.with_finals({d.size - 1})),
-                       finals=d.finals | {d.size})
+                       finals=sum(1 << f for f in d.finals | {d.size}))
 
     monkeypatch.setitem(verify._SHAPES, "kstar_circ_lstar",
                         lambda k, l, b, cap: product_dfa(

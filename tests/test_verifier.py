@@ -252,14 +252,12 @@ def test_mismatch_diagnostics_format():
 
 def test_below_bound_diagnostics_decode_only_the_shown_labels(monkeypatch):
     # a forced mismatch on a cell with more subsets than are shown: the
-    # text is unchanged, and only the shown masks are decoded
-    import importlib
-
+    # text is unchanged, and only the shown labels are decoded
     from starbench import bounds
     from starbench.core import write_dfa
+    from starbench.minimize import SubsetDfa
     from starbench.verify import _operands_for, run_pipeline, verify_cell
 
-    minimize_module = importlib.import_module("starbench.minimize")
     left, right, _ = _operands_for("star", None, 5)
     final, sd = run_pipeline("star", left, right)
     assert sd.dfa.size > 20
@@ -269,14 +267,14 @@ def test_below_bound_diagnostics_decode_only_the_shown_labels(monkeypatch):
     ) + "\n"
 
     decoded = []
-    decode = minimize_module._decode
-    monkeypatch.setattr(minimize_module, "_decode",
-                        lambda mask: decoded.append(mask) or decode(mask))
+    label = SubsetDfa.label
+    monkeypatch.setattr(SubsetDfa, "label",
+                        lambda sd, state: decoded.append(state) or label(sd, state))
     monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size + 1)
     cell = verify_cell("star", None, 5)
     assert cell.verdict == "below-bound"
     assert cell.diagnostics == expected
-    assert 0 < len(decoded) <= 20
+    assert decoded == list(range(20))
 
 
 def test_a_measured_size_above_the_bound_is_loud(monkeypatch):
