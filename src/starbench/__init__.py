@@ -2,13 +2,7 @@
 constructions, minimize, and check measured state counts against the
 closed-form bounds."""
 
-from .core import (
-    Dfa,
-    DfaFormatError,
-    EpsNfa,
-    read_dfa,
-    write_dfa,
-)
+from .core import Dfa, EpsNfa, write_dfa
 from .ops import BooleanOp, concat_nfa, dfa_to_nfa, product_dfa, reverse_nfa, star_nfa
 from .minimize import (
     DEFAULT_SUBSET_CAP,
@@ -36,7 +30,6 @@ __all__ = [
     "BooleanOp",
     "DEFAULT_SUBSET_CAP",
     "Dfa",
-    "DfaFormatError",
     "EpsNfa",
     "NoKnownBound",
     "OracleReport",
@@ -62,7 +55,6 @@ __all__ = [
     "monoid_size",
     "parse_witness",
     "product_dfa",
-    "read_dfa",
     "reverse_nfa",
     "run_pipeline",
     "star_nfa",

@@ -1,4 +1,4 @@
-"""Core value types: complete DFAs, epsilon-NFAs, and DFA text I/O.
+"""Core value types: complete DFAs, epsilon-NFAs, and DFA text output.
 
 Everything here is immutable after construction and safe to share between
 workers. A DFA letter is a single printable symbol; its action on the state
@@ -9,11 +9,7 @@ act left to right: the first letter is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-
-class DfaFormatError(ValueError):
-    """Raised when DFA text cannot be parsed; message names line and cause."""
+from typing import Iterable, Iterator, Sequence
 
 
 def _check_state(n: int, s: int, what: str) -> None:
@@ -201,86 +197,3 @@ def write_dfa(d: Dfa) -> str:
     for x in d.alphabet:
         lines.append(x + " " + " ".join(map(str, d.delta[x])))
     return "\n".join(lines) + "\n"
-
-
-def _parse_int(text: str, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DfaFormatError(f"line {lineno}: {what} is not an integer: {text!r}") from None
-
-
-def _at_line(lineno: int, make: Callable[..., Any], *args: Any) -> Any:
-    """make(*args), its ValueError re-raised as a format error on the line."""
-    try:
-        return make(*args)
-    except ValueError as e:
-        raise DfaFormatError(f"line {lineno}: {e}") from None
-
-
-def read_dfa(text: str) -> Dfa:
-    """Parse the text format produced by write_dfa; strict line order."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    def get(idx: int, what: str) -> tuple[int, list[str]]:
-        if idx >= len(lines):
-            raise DfaFormatError(f"line {idx + 1}: missing {what} line")
-        return idx + 1, lines[idx].split(" ")
-
-    lineno, parts = get(0, "'dfa <n>'")
-    if len(parts) != 2 or parts[0] != "dfa":
-        raise DfaFormatError(f"line {lineno}: expected 'dfa <n>', got {lines[0]!r}")
-    size = _parse_int(parts[1], lineno, "state count")
-    if size < 1:
-        raise DfaFormatError(f"line {lineno}: state count must be positive")
-
-    lineno, parts = get(1, "'alphabet'")
-    if parts[0] != "alphabet" or len(parts) < 2:
-        raise DfaFormatError(f"line {lineno}: expected 'alphabet <letters>'")
-    alphabet = tuple(parts[1:])
-    _at_line(lineno, _check_alphabet, alphabet)
-
-    lineno, parts = get(2, "'initial'")
-    if parts[0] != "initial" or len(parts) != 2:
-        raise DfaFormatError(f"line {lineno}: expected 'initial <state>'")
-    initial = _parse_int(parts[1], lineno, "initial state")
-    _at_line(lineno, _check_state, size, initial, "initial state")
-
-    lineno, parts = get(3, "'finals'")
-    if parts[0] != "finals":
-        raise DfaFormatError(f"line {lineno}: expected 'finals <states>'")
-    finals_list = [_parse_int(p, lineno, "final state") for p in parts[1:] if p != ""]
-    if finals_list != sorted(set(finals_list)):
-        raise DfaFormatError(f"line {lineno}: finals must be strictly ascending")
-    for f in finals_list:
-        _at_line(lineno, _check_state, size, f, "final state")
-
-    delta: dict[str, tuple[int, ...]] = {}
-    for i, x in enumerate(alphabet):
-        idx = 4 + i
-        if idx >= len(lines):
-            raise DfaFormatError(
-                f"line {idx + 1}: incomplete delta (missing row for letter {x!r})"
-            )
-        lineno, parts = idx + 1, lines[idx].split(" ")
-        if parts[0] != x:
-            raise DfaFormatError(
-                f"line {lineno}: expected row for letter {x!r}, got {parts[0]!r}"
-            )
-        targets = [_parse_int(p, lineno, "target state") for p in parts[1:] if p != ""]
-        if len(targets) != size:
-            raise DfaFormatError(
-                f"line {lineno}: incomplete delta row for {x!r}: "
-                f"{len(targets)} targets, expected {size}"
-            )
-        for t in targets:
-            _at_line(lineno, _check_state, size, t, "target state")
-        delta[x] = tuple(targets)
-
-    extra = 4 + len(alphabet)
-    if extra < len(lines):
-        raise DfaFormatError(f"line {extra + 1}: trailing content: {lines[extra]!r}")
-
-    return Dfa(size, alphabet, delta, initial, frozenset(finals_list))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from starbench.core import Dfa, DfaFormatError, EpsNfa, read_dfa, write_dfa
+from starbench.core import Dfa, EpsNfa, write_dfa
 
 U4_TEXT = """dfa 4
 alphabet a b c
@@ -134,69 +134,14 @@ def test_eps_nfa_validation_names_the_first_offender():
 
 
 def test_write_u4_exact_block(witness):
-    assert write_dfa(witness("U", 4)) == U4_TEXT
-
-
-def test_read_write_round_trip(witness):
-    for d in (witness("U", 4), witness("W", 5, "dcba"),
-              witness("S", 6, "ba"), witness("U", 3).complement()):
-        assert read_dfa(write_dfa(d)) == d
-
-
-def test_round_trip_empty_finals(witness):
-    d = witness("U", 3)
-    empty = Dfa(d.size, d.alphabet, dict(d.delta), 0, frozenset())
-    assert read_dfa(write_dfa(empty)) == empty
-
-
-def test_read_missing_row_is_incomplete_delta():
-    text = "\n".join(U4_TEXT.split("\n")[:-2]) + "\n"  # drop the c row
-    with pytest.raises(DfaFormatError, match="incomplete delta"):
-        read_dfa(text)
-
-
-def test_read_short_row_is_incomplete_delta():
-    text = U4_TEXT.replace("c 0 1 2 0", "c 0 1 2")
-    with pytest.raises(DfaFormatError, match="incomplete delta"):
-        read_dfa(text)
-
-
-@pytest.mark.parametrize("mangle, message", [
-    (lambda t: t.replace("dfa 4", "dfa x"), "not an integer"),
-    (lambda t: t.replace("initial 0", "initial"), "initial"),
-    (lambda t: t.replace("finals 3", "finals 3 1"), "ascending"),
-    (lambda t: t.replace("a 1 2 3 0", "b 1 2 3 0"), "expected row"),
-    (lambda t: t + "extra\n", "trailing"),
-    (lambda t: t.replace("a 1 2 3 0", "a 1 2 3 9"),
-     r"line 5: target state 9 out of range \[0, 4\)"),
-    (lambda t: "dfa 4\n", "line 2: missing 'alphabet' line"),
-    (lambda t: t.replace("dfa 4", "dfb 4"), "expected 'dfa <n>'"),
-    (lambda t: t.replace("dfa 4", "dfa 0"), "must be positive"),
-    (lambda t: t.replace("alphabet a b c", "alphabet"),
-     "expected 'alphabet <letters>'"),
-    (lambda t: t.replace("finals 3", "final 3"), "expected 'finals"),
-    (lambda t: t.replace("initial 0", "initial 9"),
-     "initial state 9 out of range"),
-    # the letters and states the Dfa would refuse are refused at their line
-    (lambda t: t.replace("alphabet a b c", "alphabet a b c "),
-     "line 2: letter must be a single printable symbol: ''"),
-    (lambda t: t.replace("alphabet a b c", "alphabet a b a"),
-     "line 2: alphabet letters must be distinct"),
-    (lambda t: t.replace("alphabet a b c", "alphabet a b cc"),
-     "line 2: letter must be a single printable symbol: 'cc'"),
-    (lambda t: t.replace("initial 0", "initial 4"),
-     r"line 3: initial state 4 out of range \[0, 4\)"),
-    (lambda t: t.replace("finals 3", "finals 4"),
-     r"line 4: final state 4 out of range \[0, 4\)"),
-    (lambda t: t.replace("finals 3", "finals -1 3"),
-     r"line 4: final state -1 out of range \[0, 4\)"),
-])
-def test_read_errors_name_line_and_cause(mangle, message):
-    with pytest.raises(DfaFormatError, match=message):
-        read_dfa(mangle(U4_TEXT))
-
-
-def test_read_error_carries_line_number():
-    text = U4_TEXT.replace("c 0 1 2 0", "c 0 1 2")
-    with pytest.raises(DfaFormatError, match="line 7"):
-        read_dfa(text)
+    u4 = witness("U", 4)
+    assert write_dfa(u4) == U4_TEXT
+    # an empty final set leaves a bare "finals" line, with no trailing space
+    assert write_dfa(u4.with_finals(())) == U4_TEXT.replace("finals 3\n", "finals\n")
+    # rows follow the alphabet's order, not the letters' sorted order
+    lines = U4_TEXT.splitlines()
+    backwards = Dfa(4, ("c", "b", "a"), u4.delta, 0, u4.finals)
+    assert write_dfa(backwards).splitlines() == [
+        lines[0], "alphabet c b a", *lines[2:4], *lines[:3:-1]]
+    # finals ascend, whatever order the set iterates in
+    assert write_dfa(witness("U", 9).with_finals((8, 0))).splitlines()[3] == "finals 0 8"
