@@ -31,13 +31,11 @@ memberships holds. Rounds from finality take 4 to 20 on the large cells;
 from these keys, 0 to 2. A state alone in its block never splits again,
 so a round signs only the states of blocks of two or more, in a list
 rebuilt whenever that halves one of over 64 states: after the keys, 0%
-to 2% of a large cell's states. A DFA still splitting after
-2·bit_length(n) rounds (a chain, say, which needs n) is refined from
-scratch by Hopcroft's algorithm on a refinable partition held in flat
-arrays (Hopcroft 1971; Valmari, "Fast brief practical DFA minimization",
-IPL 2012), so the worst case stays O(kn log n); its blocks, too, are
-named by their least states. The uncapped Moore refinement both are
-checked against lives in the tests.
+to 2% of a large cell's states. A round over s such states and k letters
+costs O(k(s + 64)), and the rounds run until one splits nothing: the
+Moore depth of the starting partition, at most n (a chain needs n, one
+split a round). The plain Moore refinement the rounds are checked
+against lives in the tests.
 
 A construction result is numbered breadth first from state 0, every state
 reachable, and a plain DFA is given that numbering first. There the first
@@ -48,10 +46,9 @@ states: its canonical numbering is the rank of the block names.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, filterfalse
+from itertools import accumulate, compress
 from operator import eq, ne, or_
 
 from .core import Dfa, EpsNfa, bits, image, transpose
@@ -268,99 +265,19 @@ def _bfs_numbering(d: Dfa) -> Dfa:
     return d if order == list(range(d.size)) else _renumbered(d, order, index)
 
 
-def _hopcroft_blocks(trans: list[list[int]], final: list[bool]) -> Sequence[int]:
-    """Hopcroft's algorithm on a refinable partition (Valmari 2012).
-
-    Returns block_of: state -> block, each block named by its least state
-    as the capped Moore rounds name theirs. Each block is a range
-    [first, end) of the permutation `elems` of the states, and `loc` is its
-    inverse. Refining by a splitter and a letter marks each predecessor by
-    swapping it into its block's marked prefix [first, mid). A block marked
-    only in part is cut at mid; the smaller side becomes a new block and
-    joins the worklist. If the old block is still waiting there, both
-    halves now are; if not, the larger half need not be. So a state joins
-    the worklist O(log n) times, and the work stays O(kn log n).
-    """
-    n = len(final)
-    elems = list(compress(range(n), final))
-    nfinal = len(elems)
-    if nfinal in (0, n):
-        return [0] * n
-    elems = array("I", elems + list(filterfalse(final.__getitem__, range(n))))
-    loc = array("I", sorted(range(n), key=elems.__getitem__))
-    block_of = array("I", [0 if f else 1 for f in final])
-    first, mid, end = [0, nfinal], [0, nfinal], [nfinal, n]
-    # one of the two initial blocks suffices, as stability under a set
-    # and the whole state set gives stability under its complement
-    work = [0 if nfinal <= n - nfinal else 1]
-
-    inverse = []  # per letter, CSR: pre[start[q]:start[q + 1]] enter q
-    for col in trans:
-        start = [0] * (n + 1)
-        for t in col:
-            start[t + 1] += 1
-        pre = array("I", sorted(range(n), key=col.__getitem__))
-        inverse.append((array("I", accumulate(start)), pre))
-
-    while work:
-        a = work.pop()
-        splitter = elems[first[a]:end[a]]  # snapshot: a may split below
-        for start, pre in inverse:
-            touched = []
-            for q in splitter:
-                for p in pre[start[q]:start[q + 1]]:
-                    b = block_of[p]
-                    m = mid[b]
-                    if m == first[b]:
-                        if m + 1 == end[b]:
-                            continue  # a singleton cannot split
-                        touched.append(b)
-                    i = loc[p]
-                    r = elems[m]
-                    elems[i] = r
-                    loc[r] = i
-                    elems[m] = p
-                    loc[p] = m
-                    mid[b] = m + 1
-            for b in touched:
-                f, m, e = first[b], mid[b], end[b]
-                if m == e:
-                    mid[b] = f
-                    continue
-                new = len(first)
-                if m - f <= e - m:
-                    first.append(f)
-                    end.append(m)
-                    first[b] = mid[b] = m
-                    lo, hi = f, m
-                else:
-                    first.append(m)
-                    end.append(e)
-                    end[b] = m
-                    mid[b] = f
-                    lo, hi = m, e
-                mid.append(lo)
-                for s in elems[lo:hi]:
-                    block_of[s] = new
-                work.append(new)
-    least = [min(elems[f:e]) for f, e in zip(first, end)]
-    return list(map(least.__getitem__, block_of))
-
-
-def _capped_moore_blocks(
+def _moore_rounds(
     trans: list[list[int]], final: list[bool], labels: Iterable[Hashable] | None = None
 ) -> Sequence[int]:
-    """Moore's rounds at C speed, at most 2·bit_length(n) of them; a DFA
-    still splitting after that is refined by Hopcroft from scratch.
+    """Moore's rounds at C speed, run to their fixed point.
 
     The first partition is by `labels`, one per state, if given (they
     must refine finality and only tell apart inequivalent states), else
-    by finality; Hopcroft always starts from finality. A round gives each
-    state the signature (its block, its successors' blocks) and names
-    each new block by its least state, the first to claim the signature,
-    so block names are always states and no round mints new ones. The
-    rounds stop when one splits nothing, or as soon as every block is a
-    singleton, which needs no confirming round.
+    by finality. A round gives each state the signature (its block, its
+    successors' blocks) and names each new block by its least state, the
+    first to claim the signature, so block names are always states and no
+    round mints new ones. The rounds stop when one splits nothing, or as
+    soon as every block is a singleton, which needs no confirming round:
+    at most n rounds, the Moore depth of the starting partition.
 
     A state alone in its block never splits again, so a round signs only
     the `active` states, ascending, through per-letter columns restricted
@@ -380,9 +297,7 @@ def _capped_moore_blocks(
     block_of = list(map(ids.setdefault, final if labels is None else labels, active))
     nblocks = inside = len(ids)  # blocks in all, blocks of the active states
     signed, cols = block_of, trans  # the active states' blocks and columns
-    for _ in range(2 * n.bit_length()):
-        if nblocks == n:
-            return block_of
+    while nblocks < n:
         # over half the active are singletons; from 64 states or fewer,
         # dropping them costs more than the rounds it saves
         if len(active) > 64 and 4 * inside > 3 * len(active):
@@ -397,14 +312,14 @@ def _capped_moore_blocks(
         successors = (map(block_of.__getitem__, col) for col in cols)
         signed = list(map(ids.setdefault, zip(signed, *successors), active))
         if len(ids) == inside:
-            return block_of
+            break
         if len(active) == n:
             block_of = signed
         else:
             any(map(block_of.__setitem__, active, signed))
         nblocks += len(ids) - inside
         inside = len(ids)
-    return block_of if nblocks == n else _hopcroft_blocks(trans, final)
+    return block_of
 
 
 def minimize(d: Dfa | SubsetDfa) -> Dfa:
@@ -426,7 +341,7 @@ def minimize(d: Dfa | SubsetDfa) -> Dfa:
             labels = d._keys(limit)
         d = d.dfa
     trans = [d.delta[x] for x in d.alphabet]
-    block_of = _capped_moore_blocks(
+    block_of = _moore_rounds(
         trans, list(map(d.finals.__contains__, range(d.size))), labels)
     names = list(compress(block_of, map(eq, block_of, range(d.size))))
     if len(names) == d.size:

@@ -11,7 +11,6 @@ from starbench.core import Dfa, EpsNfa
 from starbench.minimize import (
     DEFAULT_SUBSET_CAP,
     SubsetCapExceeded,
-    _hopcroft_blocks,
     determinize,
     minimal_dfa,
     minimize,
@@ -32,30 +31,40 @@ MINIMIZE = importlib.import_module("starbench.minimize")
 OPS = importlib.import_module("starbench.ops")
 
 
-def _moore_blocks(trans, final):
-    """Moore's quadratic refinement, uncapped: the reference the capped
-    rounds and Hopcroft are checked against.
+def _moore_refinement(trans, labels):
+    """Moore's quadratic refinement from the partition by `labels`, over
+    every state each round: the reference that minimize's restricted
+    rounds are checked against.
 
     Each round renames every state by its block and its successors' blocks,
-    each block named by its least state, until no block splits.
+    each block named by its least state, until no block splits or every
+    block is a singleton. Returns the blocks and the rounds: those that
+    split a block, and one that splits nothing unless all are singletons.
     """
-    block_of = [1 if f else 0 for f in final]
-    nblocks = len(set(block_of))
-    while True:
+    ids = {}
+    block_of = list(map(ids.setdefault, labels, itertools.count()))
+    nblocks, rounds = len(ids), 0
+    while nblocks < len(block_of):
+        rounds += 1
         successors = (map(block_of.__getitem__, col) for col in trans)
-        signatures = zip(block_of, *successors)
         ids = {}
-        block_of = list(map(ids.setdefault, signatures, itertools.count()))
+        block_of = list(map(ids.setdefault, zip(block_of, *successors), itertools.count()))
         if len(ids) == nblocks:
-            return block_of
+            break
         nblocks = len(ids)
+    return block_of, rounds
+
+
+def _moore_blocks(trans, final):
+    """The reference blocks from finality."""
+    return _moore_refinement(trans, final)[0]
 
 
 def minimize_by(monkeypatch, refine, d):
     """minimize(d) with `refine`, which starts from finality, in place of
-    the capped Moore rounds."""
+    the restricted Moore rounds."""
     with monkeypatch.context() as patch:
-        patch.setattr(MINIMIZE, "_capped_moore_blocks",
+        patch.setattr(MINIMIZE, "_moore_rounds",
                       lambda trans, final, labels=None: refine(trans, final))
         return minimize(d)
 
@@ -200,9 +209,7 @@ def test_moore_and_hopcroft_agree(monkeypatch):
     rng = random.Random(7)
     for _ in range(60):
         d = random_dfa(rng, rng.randint(1, 10), ("a", "b", "c"))
-        moore = minimize_by(monkeypatch, _moore_blocks, d)
-        assert minimize_by(monkeypatch, _hopcroft_blocks, d) == moore
-        assert minimize(d) == moore
+        assert minimize(d) == minimize_by(monkeypatch, _moore_blocks, d)
 
 
 def _chain(n):
@@ -258,47 +265,38 @@ def _conjecture_subset_dfa(m, n):
         "conjecture-3-3", "conjecture-3-4"])
 def test_moore_and_hopcroft_agree_on_edge_cases(monkeypatch, make, minimal_size):
     d = make()
-    hopcroft = minimize_by(monkeypatch, _hopcroft_blocks, d)
-    assert hopcroft == minimize_by(monkeypatch, _moore_blocks, d)
-    assert minimize(d) == hopcroft
+    m = minimize(d)
+    assert m == minimize_by(monkeypatch, _moore_blocks, d)
     if minimal_size is not None:
-        assert hopcroft.size == minimal_size
+        assert m.size == minimal_size
 
 
-def _spy_on_hopcroft(monkeypatch):
-    """Record the size of every DFA the capped Moore rounds hand to Hopcroft."""
-    calls = []
-
-    def spy(trans, final):
-        calls.append(len(final))
-        return _hopcroft_blocks(trans, final)
-
-    monkeypatch.setattr(MINIMIZE, "_hopcroft_blocks", spy)
-    return calls
-
-
-def test_chain_falls_back_to_hopcroft(monkeypatch):
-    # Moore needs a round per state on a chain; past 2·bit_length(n)
-    # rounds the capped Moore rounds start over with Hopcroft
-    calls = _spy_on_hopcroft(monkeypatch)
-    d = _chain(1500)
-    assert minimize(d) == minimize_by(monkeypatch, _moore_blocks, d)
-    assert calls == [1500]
-
-
-def test_table_cells_need_no_fallback(monkeypatch):
-    # the measured DFAs are nearly all distinguishable and shallow for
-    # Moore: no cell of the registry at m, n = 3..4 reaches the guard
+def test_table_cells_refine_in_few_rounds(monkeypatch):
+    # a tripwire: the measured DFAs are nearly all distinguishable and
+    # shallow for Moore, so every refinement in the registry's cells at
+    # m, n = 3..4 needs at most 2·bit_length(n) rounds from the partition
+    # minimize starts it from; keys or constructions that made them deep
+    # would make the rounds quadratic
     from starbench.bounds import TABLE
     from starbench.verify import verify_cell
 
-    calls = _spy_on_hopcroft(monkeypatch)
+    refine = MINIMIZE._moore_rounds
+    seen = []
+
+    def counted(trans, final, labels=None):
+        start = final if labels is None else list(labels)
+        seen.append((len(final), _moore_refinement(trans, start)[1], labels is not None))
+        return refine(trans, final, start)
+
+    monkeypatch.setattr(MINIMIZE, "_moore_rounds", counted)
     for op, entry in TABLE.items():
         for m in ((3, 4) if entry.arity == 2 else (None,)):
             for n in (3, 4):
                 cell = verify_cell(op, m, n)
                 assert cell.verdict in ("match", "open-measured"), cell
-    assert calls == []
+    assert [(size, rounds) for size, rounds, _ in seen
+            if rounds > 2 * size.bit_length()] == []
+    assert any(keyed for _, _, keyed in seen)
 
 
 def test_minimize_returns_canonical_minimal_dfa_itself(witness):
@@ -746,7 +744,7 @@ def _assert_keys_seed_minimize(dfa, keys):
     assert len(keys) == dfa.size
     assert len(set(zip(blocks, keys))) == len(set(blocks))
     assert [bool(key & 1) for key in keys] == final
-    refine = MINIMIZE._capped_moore_blocks
+    refine = MINIMIZE._moore_rounds
     assert refine(trans, final, iter(keys)) == refine(trans, final)
 
 
@@ -774,30 +772,28 @@ def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
     walk = MINIMIZE._subset_walk
     monkeypatch.setattr(MINIMIZE, "_subset_walk",
                         lambda nfa, limit: walks.append(limit) or walk(nfa, limit))
-    refine = MINIMIZE._capped_moore_blocks
+    refine = MINIMIZE._moore_rounds
     drawn = []
 
     def rounds(trans, final, labels=None):
         drawn.append((labels is not None, len(walks)))
         return refine(trans, final, labels)
 
-    monkeypatch.setattr(MINIMIZE, "_capped_moore_blocks", rounds)
+    monkeypatch.setattr(MINIMIZE, "_moore_rounds", rounds)
     assert minimize(small) == minimize(small.dfa)
     assert minimize(sd) == minimize(sd.dfa)
     assert drawn == [(False, 0), (False, 0), (True, 0), (False, 1)]
     assert walks == [4 * (sd.dfa.size // 16)]
 
 
-def test_subset_keys_of_kstar_l_are_its_nerode_classes(monkeypatch):
+def test_subset_keys_of_kstar_l_are_its_nerode_classes():
     # half the key bits go to the reverse subsets of fewest states, nearer
     # to atoms: K*L (7,6) has 4,994 subsets in 4,993 Nerode classes, and
-    # its keys alone give all of them, so no round needs Hopcroft
+    # its keys alone give all of them
     sd = _construction("K*L", 7, 6)
     keys = list(sd._keys(min(sd.dfa.size // 16, 512)))
     assert (sd.dfa.size, len(set(keys))) == (4994, 4993)
-    calls = _spy_on_hopcroft(monkeypatch)
     assert minimize(sd).size == 4993
-    assert calls == []
 
 
 def test_subset_keys_bit_0_is_finality_on_the_registry():
@@ -826,7 +822,7 @@ def test_keys_follow_a_renumbering_of_the_states(witness):
         relabelled[perm[s]] = key
     trans = [shuffled.delta[x] for x in shuffled.alphabet]
     final = [s in shuffled.finals for s in range(shuffled.size)]
-    refine = MINIMIZE._capped_moore_blocks
+    refine = MINIMIZE._moore_rounds
     assert refine(trans, final, relabelled) == refine(trans, final)
 
 
@@ -848,19 +844,17 @@ class _CountingColumn(list):
         return super().__iter__()
 
 
-def _assert_restricted_rounds(monkeypatch, d, keys):
-    """The capped rounds from `keys` give d's reference blocks without
-    Hopcroft, and read the columns only as restricted rounds should: a
-    state whose key no other state shares is never looked up, and as each
-    rebuild of the active list (its states looked up in ascending order)
-    at least halves it, all of them look up fewer than twice the states
-    that share a key. Returns (rebuilds, whole-column scans)."""
+def _assert_restricted_rounds(d, keys):
+    """Moore's rounds from `keys` give d's reference blocks, and read the
+    columns only as restricted rounds should: a state whose key no other
+    state shares is never looked up, and as each rebuild of the active
+    list (its states looked up in ascending order) at least halves it, all
+    of them look up fewer than twice the states that share a key. Returns
+    (rebuilds, whole-column scans)."""
     final = [s in d.finals for s in range(d.size)]
     trans = [_CountingColumn(d.delta[x]) for x in d.alphabet]
-    calls = _spy_on_hopcroft(monkeypatch)
-    blocks = MINIMIZE._capped_moore_blocks(trans, final, iter(keys))
+    blocks = MINIMIZE._moore_rounds(trans, final, iter(keys))
     assert blocks == _moore_blocks([d.delta[x] for x in d.alphabet], final)
-    assert calls == []
     sharing = collections.Counter(keys)
     shared = {s for s, key in enumerate(keys) if sharing[key] > 1}
     looked_up = trans[0].looked_up
@@ -883,16 +877,18 @@ def _random_with_tail(rng, size, tail):
     return Dfa(n, ("a", "b"), delta, 0, frozenset((n - 1,)))
 
 
-def test_restricted_rounds_match_moore_from_keys(monkeypatch):
+def test_restricted_rounds_match_moore_from_keys():
     # rounds that sign only the states of non-singleton blocks reach
-    # Moore's blocks from keys that leave a few, many or no blocks to split
-    rebuilds = []
+    # Moore's blocks from keys that leave a few, many or no blocks to split;
+    # the last draws' tails need rounds far past 2·bit_length(n)
+    rebuilds, deep = [], []
     rng = random.Random(23)
-    for _ in range(30):
+    for tails in [(0, 12)] * 30 + [(40, 200)] * 6:
         size = rng.randint(100, 1000)
-        d = _random_with_tail(rng, size, rng.randint(0, 12))
+        d = _random_with_tail(rng, size, rng.randint(*tails))
         final = [s in d.finals for s in range(d.size)]
-        nerode = _moore_blocks([d.delta[x] for x in d.alphabet], final)
+        trans = [d.delta[x] for x in d.alphabet]
+        nerode = _moore_blocks(trans, final)
         # a key may be any function of the Nerode block that keeps finality;
         # these show some blocks and lump the others, the tail's among them
         reveal = rng.choice((0.3, 0.7, 0.9, 1.0))
@@ -900,8 +896,13 @@ def test_restricted_rounds_match_moore_from_keys(monkeypatch):
         spread = rng.choice((1, 2, 5))
         keys = [(f, b if b in shown else -1 - b % spread)
                 for f, b in zip(final, nerode)]
-        rebuilds.append(_assert_restricted_rounds(monkeypatch, d, keys)[0])
-    assert max(rebuilds) >= 2
+        rebuilds.append(_assert_restricted_rounds(d, keys)[0])
+        if tails[0]:
+            deep.append(_moore_refinement(trans, keys)[1] - 2 * d.size.bit_length())
+    assert max(rebuilds[:30]) >= 2
+    # every long tail runs the rounds past the old cap, and some rebuild
+    # the active list more than once
+    assert min(deep) > 0 and max(rebuilds[30:]) >= 2
     # constructions with their own keys: refined over several rebuilds,
     # keys already final with blocks of two left to confirm, and keys all
     # distinct, where the rounds read no column at all
@@ -911,7 +912,7 @@ def test_restricted_rounds_match_moore_from_keys(monkeypatch):
         built = _construction(op, m, n)
         keys = list(built._keys(min(built.dfa.size // 16, 512)))
         final_keys = len(set(keys)) == minimize(built).size
-        runs[op] = _assert_restricted_rounds(monkeypatch, built.dfa, keys), final_keys
+        runs[op] = _assert_restricted_rounds(built.dfa, keys), final_keys
     assert runs["K*\\L*"][0][0] >= 2 and runs["(KL)*"][0][0] >= 1
     # (rebuilds, whole-column scans), keys final
     assert runs["K*L*"] == ((1, 0), True)
