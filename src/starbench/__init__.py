@@ -13,7 +13,7 @@ from .minimize import (
     minimize,
 )
 from .witnesses import WitnessSpec, build, format_witness, monoid_size, parse_witness
-from .bounds import NoKnownBound, Recipe, TABLE, UnknownOperation, evaluate
+from .bounds import NoKnownBound, TABLE, UnknownOperation, evaluate
 from .oracle import SemanticOracle
 from .verify import (
     OracleReport,
@@ -33,7 +33,6 @@ __all__ = [
     "EpsNfa",
     "NoKnownBound",
     "OracleReport",
-    "Recipe",
     "SemanticOracle",
     "SubsetCapExceeded",
     "SubsetDfa",

@@ -28,27 +28,6 @@ class UnknownOperation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Recipe:
-    """The exact operands of a verification cell: witness specs plus the
-    operand-level transforms (complement, alphabet restriction)."""
-
-    left: WitnessSpec | None
-    right: WitnessSpec
-    complement_right: bool = False
-    restrict_right: tuple[str, ...] | None = None
-
-    def witness_names(self) -> str:
-        right = format_witness(self.right)
-        if self.restrict_right:
-            right += "|" + "".join(self.restrict_right)
-        if self.complement_right:
-            right = f"complement({right})"
-        if self.left is None:
-            return right
-        return f"{format_witness(self.left)}, {right}"
-
-
 def _compile(text: str) -> Callable[[int, int], int]:
     """The bound formula as a function of (m, n): `^` is power, and no name
     but m and n may appear, so the text cannot reach anything else."""
@@ -100,14 +79,27 @@ class BoundEntry:
             raise ValueError(
                 f"{self.op} requires m, n >= 3, got m={m}, n={n}")
 
-    def witnesses(self, m: int | None, n: int) -> Recipe:
+    def witnesses(
+        self, m: int | None, n: int
+    ) -> tuple[WitnessSpec | None, WitnessSpec]:
         """The witness pair at (m, n); for the open operation, its candidate
         pair. m is ignored by unary operations."""
         self.check_range(m, n)
         left = (None if self.left is None
                 else parse_witness(f"{self.left}:n={m}"))
-        return Recipe(left, parse_witness(f"{self.right}:n={n}"),
-                      self.complement_right, self.restrict_right)
+        return left, parse_witness(f"{self.right}:n={n}")
+
+    def witness_names(self, m: int | None, n: int) -> str:
+        """The operands at (m, n) as the reports spell them."""
+        left, right = self.witnesses(m, n)
+        names = format_witness(right)
+        if self.restrict_right:
+            names += "|" + "".join(self.restrict_right)
+        if self.complement_right:
+            names = f"complement({names})"
+        if left is None:
+            return names
+        return f"{format_witness(left)}, {names}"
 
 
 _K_CIRC_LSTAR = "m*(2^(n-1) + 2^(n-2) - 1) + 1"

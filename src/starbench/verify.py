@@ -161,16 +161,16 @@ def verify_cell(
     cell_m = None if entry.arity == 1 else m
     start = time.perf_counter()
     try:
-        left, right, names = _operands_for(op, m, n, cap)
-        final, sd = run_pipeline(op, left, right, cap)
+        final, sd = run_pipeline(op, *_operands_for(op, m, n, cap), cap)
     except SubsetCapExceeded as e:
         final, skip = None, e
     millis = int((time.perf_counter() - start) * 1000)
     expected = None if entry.status == "open" else bounds.evaluate(op, m, n)
+    names = entry.witness_names(m, n)
     if final is None:
         return VerificationCell(
             entry.op, entry.status, cell_m, n, expected, None, "skipped",
-            millis, entry.witnesses(m, n).witness_names(), note=skip.note,
+            millis, names, note=skip.note,
         )
     measured = final.size
     note = ""
@@ -291,24 +291,24 @@ def render_json(cells: list[VerificationCell]) -> str:
 
 def _operands_for(
     op: str, m: int | None, n: int, cap: int = DEFAULT_SUBSET_CAP
-) -> tuple[Dfa | None, Dfa, str]:
-    """The operand DFAs of a cell, named by tag or alias, and their witness
-    names; the open operation gets its candidate pair. The registry checks
-    m and n, and a bound above `cap` raises SubsetCapExceeded before any
-    witness is built."""
+) -> tuple[Dfa | None, Dfa]:
+    """The operand DFAs of a cell, named by tag or alias; the open
+    operation gets its candidate pair. The registry checks m and n, and a
+    bound above `cap` raises SubsetCapExceeded before any witness is
+    built."""
     entry = bounds.lookup(op)
-    rec = entry.witnesses(m, n)
+    left_spec, right_spec = entry.witnesses(m, n)
     if entry.formula is not None:
         bound = entry.formula(m, n)
         if bound > cap:
             raise SubsetCapExceeded(bound, cap, bound=True)
-    left = build(rec.left) if rec.left is not None else None
-    right = build(rec.right)
-    if rec.restrict_right:
-        right = right.restrict(rec.restrict_right)
-    if rec.complement_right:
+    left = build(left_spec) if left_spec is not None else None
+    right = build(right_spec)
+    if entry.restrict_right:
+        right = right.restrict(entry.restrict_right)
+    if entry.complement_right:
         right = right.complement()
-    return left, right, rec.witness_names()
+    return left, right
 
 
 def _sampled_words(
@@ -343,7 +343,7 @@ def exhaustive_word_count(op: str, m: int | None, n: int, maxlen: int) -> int:
     alphabet of length at most maxlen. A cell whose bound is over the
     default cap raises SubsetCapExceeded, as the oracle would."""
     _check_maxlen(maxlen)
-    _, right, _ = _operands_for(op, m, n)
+    _, right = _operands_for(op, m, n)
     letters = len(right.alphabet)
     return sum(letters**k for k in range(maxlen + 1))
 
@@ -357,7 +357,7 @@ def _oracle(
     if count is not None and count < 1:
         raise ValueError(f"the word count must be at least 1, got {count}")
     _check_maxlen(maxlen)
-    left, right, _ = _operands_for(op, m, n)
+    left, right = _operands_for(op, m, n)
     final, _ = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
     if count is None:

@@ -51,7 +51,6 @@ class Family:
     """The roles and finals of a witness family at one arity. FAMILIES
     files it under its witness-syntax name and its arity."""
 
-    arity: int
     roles: Callable[[int], tuple[_Row, ...]]
     finals: Callable[[int], frozenset[int]]
 
@@ -72,36 +71,27 @@ def _w_roles(n: int) -> tuple[_Row, ...]:
             _row(n, (1, 0)), _row(n))
 
 
-def _by_name(*rows: tuple[str, Family]) -> dict[str, dict[int, Family]]:
-    families: dict[str, dict[int, Family]] = {}
-    for name, fam in rows:
-        families.setdefault(name, {})[fam.arity] = fam
-    return families
-
-
-FAMILIES = _by_name(
-    ("U", Family(3, _u_roles, _last)),
-    ("U0", Family(3, _u_roles, _zero)),
+FAMILIES: dict[str, dict[int, Family]] = {
+    "U": {3: Family(_u_roles, _last), 4: Family(_u4_roles, _last)},
+    "U0": {3: Family(_u_roles, _zero), 4: Family(_u4_roles, _zero)},
     # like U but the singular sends 1 -> 0
-    ("T", Family(3, lambda n: (_cycle(n), _row(n, (0, 1), (1, 0)),
+    "T": {3: Family(lambda n: (_cycle(n), _row(n, (0, 1), (1, 0)),
                                _row(n, (1, 0))),
-                 _last)),
-    ("W", Family(4, _w_roles, _last)),
-    ("W0E", Family(4, _w_roles, lambda n: frozenset((0, n - 1)))),
-    ("U", Family(4, _u4_roles, _last)),
-    ("U0", Family(4, _u4_roles, _zero)),
+                    _last)},
+    "W": {4: Family(_w_roles, _last)},
+    "W0E": {4: Family(_w_roles, lambda n: frozenset((0, n - 1)))},
     # the four-letter U plus the subcycle on 1..n-1
-    ("U5L", Family(5, lambda n: _u4_roles(n) + (_cycle(n, 1),), _last)),
+    "U5L": {5: Family(lambda n: _u4_roles(n) + (_cycle(n, 1),), _last)},
     # binary: cycle and 0 -> 1, final {0}
-    ("S", Family(2, lambda n: (_cycle(n), _row(n, (0, 1))), _zero)),
+    "S": {2: Family(lambda n: (_cycle(n), _row(n, (0, 1))), _zero)},
     # the six-letter intersection pair
-    ("JO6K", Family(6, lambda n: (_cycle(n), _row(n), _cycle(n, 1), _row(n),
+    "JO6K": {6: Family(lambda n: (_cycle(n), _row(n), _cycle(n, 1), _row(n),
                                   _row(n, (1, 0)), _row(n)),
-                    _last)),
-    ("JO6L", Family(6, lambda n: (_cycle(n), _cycle(n), _row(n), _cycle(n, 1),
-                                  _row(n), _row(n, (1, 0))),
-                    _last)),
-)
+                       _last)},
+    "JO6L": {6: Family(lambda n: (_cycle(n), _cycle(n), _row(n),
+                                  _cycle(n, 1), _row(n), _row(n, (1, 0))),
+                       _last)},
+}
 
 
 @dataclass(frozen=True)

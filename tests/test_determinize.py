@@ -205,7 +205,7 @@ def test_minimize_idempotent_and_canonical():
         assert minimize(relabel_states(d, perm)) == m
 
 
-def test_moore_and_hopcroft_agree(monkeypatch):
+def test_minimize_agrees_with_moore_reference(monkeypatch):
     rng = random.Random(7)
     for _ in range(60):
         d = random_dfa(rng, rng.randint(1, 10), ("a", "b", "c"))
@@ -242,7 +242,7 @@ def _construction(op, m, n):
 
     entry = TABLE[op]
     boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
-    left, right, _ = _operands_for(op, m, n)
+    left, right = _operands_for(op, m, n)
     built = _SHAPES[entry.shape](left, right, boolean, DEFAULT_SUBSET_CAP)
     return determinize(built) if isinstance(built, EpsNfa) else built
 
@@ -263,7 +263,7 @@ def _conjecture_subset_dfa(m, n):
     (lambda: _conjecture_subset_dfa(3, 4), 3072),
 ], ids=["chain", "all-final", "no-final", "unreachable", "one-state",
         "conjecture-3-3", "conjecture-3-4"])
-def test_moore_and_hopcroft_agree_on_edge_cases(monkeypatch, make, minimal_size):
+def test_minimize_agrees_with_moore_reference_on_edge_cases(monkeypatch, make, minimal_size):
     d = make()
     m = minimize(d)
     assert m == minimize_by(monkeypatch, _moore_blocks, d)
@@ -673,7 +673,7 @@ def _registry_built(sizes, cap=DEFAULT_SUBSET_CAP):
             for n in sizes:
                 boolean = None if entry.boolean is None else BooleanOp(entry.boolean)
                 try:
-                    left, right, _ = _operands_for(op, m, n, cap)
+                    left, right = _operands_for(op, m, n, cap)
                     yield entry.shape, m, n, _SHAPES[entry.shape](left, right, boolean, cap)
                 except SubsetCapExceeded:
                     continue

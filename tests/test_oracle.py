@@ -56,7 +56,7 @@ def test_concatenation_oracle_uses_split_points(witness, run, member):
 @pytest.mark.parametrize("op", [op for op in TABLE if TABLE[op].status != "open"])
 def test_oracle_agrees_with_pipeline_small(op, run, member):
     m = None if TABLE[op].arity == 1 else 3
-    left, right, _ = _operands_for(op, m, 3)
+    left, right = _operands_for(op, m, 3)
     final, _labels = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
     rng = random.Random(1)
@@ -246,14 +246,14 @@ def test_reference_covers_every_shape():
 
 @pytest.mark.parametrize("op", list(TABLE))
 def test_oracle_matches_reference_on_every_short_word(op, run, member):
-    left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     _check_against_reference(op, left, right, 6, run, member)
 
 
 def test_oracle_matches_reference_on_long_random_words(run, member):
     rng = random.Random(4520)
     for op, entry in TABLE.items():
-        left, right, _ = _operands_for(op, None if entry.arity == 1 else 4, 5)
+        left, right = _operands_for(op, None if entry.arity == 1 else 4, 5)
         reference = _reference(entry.shape, entry.boolean, left, right, run)
         oracle = SemanticOracle(op, left, right)
         for _ in range(300):
@@ -317,7 +317,7 @@ def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op, run, member):
     real = verify.run_pipeline
     monkeypatch.setattr(verify, "run_pipeline", flipped)
     report = verify.exhaustive_oracle(op, 3, 3, maxlen=6)
-    left, right, _ = _operands_for(op, 3, 3)
+    left, right = _operands_for(op, 3, 3)
     final, _ = flipped(op, left, right)
     oracle = SemanticOracle(op, left, right)
     wrong = [w for w in _shortlex(right.alphabet, 6)
@@ -349,7 +349,7 @@ def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit, run, member
     # reach the same (node, state) key, so the merge is exercised; the trie
     # DFA of _check_against_reference gives every word its own key
     monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
-    left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     final, _ = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
     words = _shortlex(right.alphabet, 7)
@@ -382,7 +382,7 @@ def test_merged_walk_memory_stays_bounded():
     # a group is walked as soon as it holds _LEVEL_LIMIT // |Σ| keys, so the
     # walk holds at most one partial group per depth, and words of length
     # maxlen are never stored
-    left, right, _ = _operands_for("K*∪L*", 3, 3)
+    left, right = _operands_for("K*∪L*", 3, 3)
     final, _ = run_pipeline("K*∪L*", left, right)
     oracle = SemanticOracle("K*∪L*", left, right)
     tracemalloc.start()
@@ -401,7 +401,7 @@ def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit, run, mem
     # maxlen is the length of the flipped DFA's shortest disagreeing word,
     # so every disagreement is a leaf, checked from its parent's pop
     monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
-    left, right, _ = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     final, _ = run_pipeline(op, left, right)
     flipped = _flipped(final)
     oracle = SemanticOracle(op, left, right)
@@ -425,7 +425,7 @@ def test_walk_deeper_than_the_recursion_limit():
 
 
 def test_compare_takes_letter_indices_and_returns_letters(run, member):
-    left, right, _ = _operands_for("K*L", 3, 3)
+    left, right = _operands_for("K*L", 3, 3)
     final, _ = run_pipeline("K*L", left, right)
     flipped = _flipped(final)
     oracle = SemanticOracle("K*L", left, right)

@@ -54,28 +54,36 @@ def test_open_operation_is_measured_not_asserted():
 
 def test_cap_marks_cell_skipped():
     # a bound over the cap skips the cell before anything is built; the
-    # open entry has no bound, so its subset frontier meets the cap
-    for (op, m, n), note in [
-        (("K*L", 5, 5), "skipped: cap (bound 593 > 10)"),
-        (("(K⊕L)*-open", 3, 3), "skipped: cap (11 > 10 subsets)"),
+    # open entry has no bound, so its subset frontier meets the cap; either
+    # way the cell names its operands as a measured cell would
+    for (op, m, n), note, names in [
+        (("K*L", 5, 5), "skipped: cap (bound 593 > 10)",
+         "U:n=5:order=abcd, U:n=5:order=dcba"),
+        (("(K⊕L)*-open", 3, 3), "skipped: cap (11 > 10 subsets)",
+         "U5L:n=3, U5L:n=3:order=ecbad"),
+        (("star", None, 5), "skipped: cap (bound 24 > 10)", "U:n=5|ab"),
     ]:
         cell = verify_cell(op, m, n, cap=10)
         assert cell.verdict == "skipped"
         assert cell.measured is None
         assert "skipped: cap" in cell.note
         assert cell.note == note
+        assert cell.witnesses == names
 
 
 def test_bound_over_the_default_cap_skips_at_once():
     # the starred-boolean cells used to fill the 2M-subset frontier first,
     # for seconds and hundreds of MiB; K*∪L* ends in a product, which the
     # frontier cap never saw
-    for op, m, n, bound in [("KiL-s", 5, 5, 25165824),
-                            ("(K\\L)*", 5, 6, 805306368),
-                            ("KsuLs", 11, 11, 2356226)]:
+    for op, m, n, bound, names in [
+        ("KiL-s", 5, 5, 25165824, "U5L:n=5, U5L:n=5:order=ecbad"),
+        ("(K\\L)*", 5, 6, 805306368, "JO6K:n=5, complement(JO6L:n=6)"),
+        ("KsuLs", 11, 11, 2356226, "W:n=11, W:n=11:order=dcba"),
+    ]:
         cell = verify_cell(op, m, n)
         assert (cell.verdict, cell.expected) == ("skipped", bound)
         assert cell.note == f"skipped: cap (bound {bound} > 2000000)"
+        assert cell.witnesses == names
         assert cell.millis < 1000
 
 
@@ -258,7 +266,7 @@ def test_below_bound_diagnostics_decode_only_the_shown_labels(monkeypatch):
     from starbench.minimize import SubsetDfa
     from starbench.verify import _operands_for, run_pipeline, verify_cell
 
-    left, right, _ = _operands_for("star", None, 5)
+    left, right = _operands_for("star", None, 5)
     final, sd = run_pipeline("star", left, right)
     assert sd.dfa.size > 20
     expected = write_dfa(final) + "subset labels: " + " ".join(
@@ -284,7 +292,7 @@ def test_a_measured_size_above_the_bound_is_loud(monkeypatch):
     from starbench.core import write_dfa
     from starbench.verify import _operands_for, run_pipeline
 
-    left, right, _ = _operands_for("KL*", 3, 3)
+    left, right = _operands_for("KL*", 3, 3)
     final, sd = run_pipeline("KL*", left, right)
     labels = " ".join(
         "{" + ",".join(str(q) for q in sorted(label)) + "}"
@@ -313,7 +321,7 @@ def test_a_product_ending_cell_dumps_only_its_own_dfa(monkeypatch):
     from starbench.core import write_dfa
     from starbench.verify import _operands_for, run_pipeline
 
-    left, right, _ = _operands_for("K∪L*", 3, 3)
+    left, right = _operands_for("K∪L*", 3, 3)
     final, sd = run_pipeline("K∪L*", left, right)
     assert sd is None
     monkeypatch.setattr(bounds, "evaluate", lambda op, m, n: final.size + 1)
@@ -328,7 +336,7 @@ def test_a_large_offending_dfa_is_named_not_dumped(monkeypatch):
     from starbench import bounds, verify
     from starbench.verify import _operands_for, run_pipeline
 
-    left, right, _ = _operands_for("KL*", 3, 3)
+    left, right = _operands_for("KL*", 3, 3)
     final, sd = run_pipeline("KL*", left, right)
     labels = " ".join(
         "{" + ",".join(str(q) for q in sorted(label)) + "}"
@@ -354,7 +362,7 @@ def test_every_row_is_measured_minimal(monkeypatch):
     def empty_product(k, l, b, cap):
         return product_dfa(k, k.complement(), BooleanOp.INTERSECTION)
 
-    left, right, _ = _operands_for("bool-union", 3, 3)
+    left, right = _operands_for("bool-union", 3, 3)
     assert empty_product(left, right, None, 0).dfa.size == 3
     monkeypatch.setitem(verify._SHAPES, "boolean", empty_product)
     final, sd = run_pipeline("bool-union", left, right)

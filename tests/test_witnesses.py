@@ -7,6 +7,7 @@ from starbench.core import Dfa
 from starbench.minimize import minimal_dfa
 from starbench.ops import dfa_to_nfa, star_nfa
 from starbench.witnesses import (
+    FAMILIES,
     WitnessSpec,
     build,
     format_witness,
@@ -90,6 +91,17 @@ def test_every_family_is_minimal_for_all_sizes(every_family):
         for n in range(3, 9):
             d = build(WitnessSpec(family, n, order))
             assert minimal_dfa(dfa_to_nfa(d)).size == n, (family, order, n)
+
+
+def test_every_family_has_one_role_per_letter():
+    # build zips the letters with the roles, so a role past the arity
+    # would be dropped without a word; the table key is the only arity
+    for family, arities in FAMILIES.items():
+        for arity, fam in arities.items():
+            for n in range(3, 9):
+                roles = fam.roles(n)
+                assert len(roles) == arity, (family, arity, n)
+                assert all(len(row) == n for row in roles), (family, arity, n)
 
 
 def permute_letters(d, pi):
