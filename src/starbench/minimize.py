@@ -11,8 +11,11 @@ The subset construction reads successors from chunk tables of at most
 2^13 entries, so over an NFA of n states a subset costs max(2, ceil(n/13))
 lookups whatever its size, and keeps only the bit mask of each subset,
 packed at a fixed width into one bytes value;
-`SubsetDfa.label` decodes one when asked. The SubsetDfa also keeps its
-NFA, so it draws the keys below itself, as an ops.ProductDfa does.
+`SubsetDfa.label` decodes one when asked. A subset's number is found in
+a list of 2^n slots when 2^n is at most the walk's limit (n <= 20 at the
+default cap), 8 bytes per possible subset, and in a dict otherwise. The
+SubsetDfa also keeps its NFA, so it draws the keys below itself, as an
+ops.ProductDfa does.
 
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
@@ -176,6 +179,12 @@ def _subset_walk(
 
     It stops as soon as it discovers subset number `limit` (from 0), which
     it appends last, so a walk that stopped holds more than `limit` masks.
+    A subset's number is read from `index`, None while undiscovered: a
+    list of one slot per possible subset when there are at most `limit`
+    of them, 8 bytes each, so at most 8·limit bytes, and a dict
+    otherwise. One loop reads both through `find`, the list's
+    __getitem__ or the dict's get, as subscripting a dict subclass with
+    __missing__ would make every dict-form walk slower.
 
     Successors come from chunk tables (the "Four Russians" method of
     Arlazarov, Dinic, Kronrod and Faradzev, 1970): a subset's moves on all
@@ -198,7 +207,13 @@ def _subset_walk(
 
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
-    index: dict[int, int] = {start: 0}
+    if full < limit:
+        index = [None] * (full + 1)
+        find = index.__getitem__
+    else:
+        index = {}
+        find = index.get
+    index[start] = 0
     order = [start]
     columns: list[list[int]] = [[] for _ in nfa.alphabet]
     letters = [(li * n, column) for li, column in enumerate(columns)]
@@ -211,7 +226,7 @@ def _subset_walk(
                 moves |= tab[mask >> shift & wmask]
         for shift, column in letters:
             target = moves >> shift & full
-            ti = index.get(target)
+            ti = find(target)
             if ti is None:
                 ti = len(order)
                 order.append(target)

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import operator
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -543,6 +544,55 @@ def test_subset_walk_tables_stay_within_2_to_the_13(monkeypatch, size):
     tables, = built
     assert max(map(len, tables)) <= 2 ** 13
     assert len(tables) == 2 if size <= 26 else len(tables) > 2
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_flat_and_dict_subset_index_agree(size):
+    # cap 2^n indexes the subsets by a list of 2^n slots and cap 2^n - 1
+    # by a dict; each gives the reference's DFA and labels, and where both
+    # finish their results are field-identical
+    rng = random.Random(1000 + size)
+    for _ in range(6):
+        nfa = random_nfa(rng, size)
+        assert _assert_same_determinization(nfa, cap=2 ** size)
+        if _assert_same_determinization(nfa, cap=2 ** size - 1):
+            assert determinize(nfa, 2 ** size - 1) == determinize(nfa, 2 ** size)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_subset_cap_off_by_one_on_each_index_form(witness, n):
+    # the reversal of U_n reaches all 2^n subsets: the list form holds
+    # them all at cap 2^n (no cap of that form is below the subset
+    # count), and the dict form at cap 2^n - 1 stops at the last one
+    rev = reverse_nfa(witness("U", n))
+    assert determinize(rev, 2 ** n).dfa.size == 2 ** n
+    with pytest.raises(SubsetCapExceeded) as got:
+        determinize(rev, 2 ** n - 1)
+    assert (got.value.discovered, got.value.cap) == (2 ** n, 2 ** n - 1)
+    # the star of U_n reaches 3 * 2^(n-2) of its 2^(n+1) subsets, so
+    # both caps take the dict form
+    star, reached = star_nfa(witness("U", n)), 3 * 2 ** (n - 2)
+    assert determinize(star, reached).dfa.size == reached
+    with pytest.raises(SubsetCapExceeded) as got:
+        determinize(star, reached - 1)
+    assert (got.value.discovered, got.value.cap) == (reached, reached - 1)
+
+
+@pytest.mark.parametrize("size, limit", [(27, 50), (16, 2 ** 16), (16, 2 ** 16 - 1)])
+def test_subset_index_memory_follows_the_limit(size, limit):
+    # the walk holds 8 bytes per possible subset only when 2^n <= limit,
+    # so never more than 8 * limit: at limit 50 a 27-state walk keeps a
+    # dict, where a list of 2^27 slots would take 1 GiB
+    nfa = random_nfa(random.Random(size), size)
+    tracemalloc.start()
+    try:
+        MINIMIZE._subset_walk(nfa, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = 8 * 2 ** size
+    assert (peak >= slots) == (slots <= 8 * limit)
+    assert peak < 2 ** 20
 
 
 def test_determinize_matches_reference_past_64_bits(witness):
