@@ -18,7 +18,6 @@ from .oracle import SemanticOracle
 from .verify import (
     OracleReport,
     VerificationCell,
-    conjecture_scan,
     exhaustive_oracle,
     membership_oracle,
     run_pipeline,
@@ -42,7 +41,6 @@ __all__ = [
     "WitnessSpec",
     "build",
     "concat_nfa",
-    "conjecture_scan",
     "determinize",
     "dfa_to_nfa",
     "evaluate",

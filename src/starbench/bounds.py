@@ -64,6 +64,9 @@ class BoundEntry:
 
     def __post_init__(self) -> None:
         text = self.formula_text
+        if (self.status == "open") != (text is None):
+            raise ValueError(f"entry {self.op}: an entry has no formula "
+                             "exactly when its status is open")
         object.__setattr__(self, "formula", text and _compile(text))
 
     @property
@@ -190,29 +193,31 @@ def evaluate(op: str, m: int | None, n: int) -> int:
 
 
 def cells(
-    ops: list[str] | None, ms: list[int] | None, ns: list[int]
+    ops: list[str] | None, pairs: list[tuple[int | None, int]]
 ) -> list[tuple[str, int | None, int]]:
     """The (op, m, n) cells of the named operations (every one when ops is
-    None) over ms x ns, in table order: a unary operation has one cell per
-    n, with m None. Each cell is checked by its entry's `check_range`, so
-    a binary operation with ms None is refused."""
+    None) over the (m, n) pairs, in table order: a unary operation has one
+    cell per distinct n, with m None. Every cell is checked by its entry's
+    `check_range` before any is returned, so a binary operation with m
+    None is refused."""
     chosen = TABLE if ops is None else {lookup(o).op for o in ops}
+    unary = [(None, n) for n in dict.fromkeys(n for _, n in pairs)]
     cells = []
     for entry in TABLE.values():
         if entry.op in chosen:
-            for m in [None] if entry.arity == 1 or ms is None else ms:
-                for n in ns:
-                    entry.check_range(m, n)
-                    cells.append((entry.op, m, n))
+            for m, n in unary if entry.arity == 1 else pairs:
+                entry.check_range(m, n)
+                cells.append((entry.op, m, n))
     return cells
 
 
-def table_csv(ms: list[int] | None, ns: list[int]) -> str:
-    """Dump the bound table as CSV: op, status, formula-text, m, n, value."""
+def table_csv(pairs: list[tuple[int | None, int]]) -> str:
+    """Dump the bound table over the (m, n) pairs as CSV: op, status,
+    formula-text, m, n, value."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["op", "status", "formula", "m", "n", "value"])
-    for op, m, n in cells(None, ms, ns):
+    for op, m, n in cells(None, pairs):
         entry = TABLE[op]
         value = "open" if entry.formula is None else entry.formula(m, n)
         writer.writerow(

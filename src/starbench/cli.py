@@ -95,8 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("op")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--words", default="500",
-                   help="sample size, or 'all' for exhaustive")
+    p.add_argument(
+        "--words", default=500, help="sample size, or 'all' for exhaustive",
+        type=lambda text: text if text == "all" else _positive_int(text))
     p.add_argument("--maxlen", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
 
@@ -140,11 +141,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(cell.note, file=sys.stderr)
         return 1 if verify.any_above_bound([cell]) else 0
 
+    if args.verb in ("bound", "verify"):  # --m x --n, m None without --m
+        pairs = [(m, n) for m in args.m or [None] for n in args.n]
+
     if args.verb == "bound":
         if args.op == "all":
-            print(bounds.table_csv(args.m, args.n), end="")
+            print(bounds.table_csv(pairs), end="")
             return 0
-        cells = bounds.cells([args.op], args.m, args.n)
+        cells = bounds.cells([args.op], pairs)
         for _, m, n in cells:
             value = bounds.evaluate(args.op, m, n)
             if len(cells) > 1:
@@ -154,7 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "verify":
         ops = None if args.op == "all" else [args.op]
-        cells = verify.verify_table(ops, args.m, args.n, args.cap, args.jobs)
+        cells = verify.verify_table(ops, pairs, args.cap, args.jobs)
         renderer = {
             "text": verify.render_text,
             "csv": verify.render_csv,
@@ -171,12 +175,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             report = verify.exhaustive_oracle(args.op, args.m, args.n, args.maxlen)
         else:
-            try:
-                count = int(args.words)
-            except ValueError:
-                raise ValueError(f"--words takes an integer or 'all', got {args.words!r}")
             report = verify.membership_oracle(
-                args.op, args.m, args.n, count, args.maxlen, args.seed
+                args.op, args.m, args.n, args.words, args.maxlen, args.seed
             )
         seed = "-" if report.seed is None else report.seed
         print(
@@ -189,7 +189,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1 if report.disagreements else 0
 
     if args.verb == "conjecture":
-        cells = verify.conjecture_scan(args.pairs, args.cap, args.jo6)
+        ops = ["(K∩L)*-conjecture"] + (["(K\\L)*"] if args.jo6 else [])
+        cells = verify.verify_table(ops, args.pairs, args.cap)
         print(verify.render_text(cells), end="")
         return 1 if verify.any_above_bound(cells) else 0
 

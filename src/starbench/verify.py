@@ -165,7 +165,7 @@ def verify_cell(
     except SubsetCapExceeded as e:
         final, skip = None, e
     millis = int((time.perf_counter() - start) * 1000)
-    expected = None if entry.status == "open" else bounds.evaluate(op, m, n)
+    expected = None if entry.formula is None else bounds.evaluate(op, m, n)
     names = entry.witness_names(m, n)
     if final is None:
         return VerificationCell(
@@ -175,7 +175,7 @@ def verify_cell(
     measured = final.size
     note = ""
     diagnostics = ""
-    if entry.status == "open":
+    if expected is None:
         verdict = "open-measured"
     elif measured == expected:
         verdict = "match"
@@ -200,15 +200,14 @@ def verify_cell(
 
 def verify_table(
     ops: list[str] | None,
-    ms: list[int],
-    ns: list[int],
+    pairs: list[tuple[int | None, int]],
     cap: int = DEFAULT_SUBSET_CAP,
     jobs: int = 1,
 ) -> list[VerificationCell]:
-    """All requested cells in deterministic (op, m, n) order, on at most
-    `jobs` worker processes, and never more than there are cells or CPUs:
-    a fork-started pool starts all its workers at the first submit."""
-    cells = bounds.cells(ops, ms, ns)
+    """The cells bounds.cells names, all range-checked before any is run, on
+    at most `jobs` worker processes, and never more than there are cells or
+    CPUs: a fork-started pool starts all its workers at the first submit."""
+    cells = bounds.cells(ops, pairs)
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         return [verify_cell(op, m, n, cap) for op, m, n in cells]
@@ -387,14 +386,3 @@ def exhaustive_oracle(
 ) -> OracleReport:
     """Compare pipeline vs semantics on every word up to maxlen."""
     return _oracle(op, m, n, maxlen, None, None)
-
-
-def conjecture_scan(
-    pairs: list[tuple[int, int]],
-    cap: int = DEFAULT_SUBSET_CAP,
-    include_jo6: bool = False,
-) -> list[VerificationCell]:
-    """The starred-intersection conjecture cells (and optionally the
-    six-letter starred-difference cells) over the given (m, n) pairs."""
-    ops = ["(K∩L)*-conjecture"] + (["(K\\L)*"] if include_jo6 else [])
-    return [verify_cell(op, m, n, cap) for op in ops for m, n in pairs]

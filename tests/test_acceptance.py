@@ -7,6 +7,7 @@ assertions pin exact state counts and the stated wall-clock budgets.
 import random
 import time
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,6 @@ from starbench.bounds import evaluate
 from starbench.core import Dfa, write_dfa
 from starbench.minimize import minimize
 from starbench.verify import (
-    conjecture_scan,
     exhaustive_oracle,
     membership_oracle,
     run_pipeline,
@@ -52,14 +52,14 @@ def assert_all_match(cells):
 def test_criterion_1_basic_bounds():
     with budget(1, "basic bounds", 5):
         ns = list(range(3, 9))
-        cells = verify_table(["star", "reversal"], ns, ns)
+        cells = verify_table(["star", "reversal"], list(product(ns, ns)))
         assert_all_match(cells)
         assert {(c.op, c.n): c.measured for c in cells}[("star", 4)] == 12
         small = list(range(3, 7))
         cells = verify_table(
             ["product", "bool-union", "bool-intersection",
              "bool-difference", "bool-symdiff"],
-            small, small,
+            list(product(small, small)),
         )
         assert_all_match(cells)
         for c in cells:
@@ -71,7 +71,7 @@ def test_criterion_2_boolean_with_one_star():
     with budget(2, "boolean with one starred argument", 5):
         small = list(range(3, 7))
         cells = verify_table(["K∪L*", "K∩L*", "K⊕L*", "K\\L*", "L*\\K"],
-                             small, small)
+                             list(product(small, small)))
         assert_all_match(cells)
         assert verify_cell("K∪L*", 4, 5).measured == 93
 
@@ -92,7 +92,7 @@ def test_criterion_3_boolean_with_two_stars():
     with budget(3, "boolean with two starred arguments", 10):
         small = list(range(3, 7))
         cells = verify_table(["K*∪L*", "K*∩L*", "K*\\L*", "K*⊕L*"],
-                             small, small)
+                             list(product(small, small)))
         assert_all_match(cells)
         assert verify_cell("K*∪L*", 4, 5).measured == 254
 
@@ -100,7 +100,7 @@ def test_criterion_3_boolean_with_two_stars():
 def test_criterion_4_products_with_stars():
     with budget(4, "products with starred arguments", 30):
         rng = list(range(3, 8))
-        cells = verify_table(["KL*", "K*L", "K*L*"], rng, rng)
+        cells = verify_table(["KL*", "K*L", "K*L*"], list(product(rng, rng)))
         assert_all_match(cells)
         by = {(c.op, c.m, c.n): c.measured for c in cells}
         assert by[("KL*", 4, 5)] == 88
@@ -111,7 +111,7 @@ def test_criterion_4_products_with_stars():
 def test_criterion_5_stars_of_product_and_union():
     with budget(5, "stars of product and union", 30):
         rng = list(range(3, 8))
-        cells = verify_table(["(KL)*", "(K∪L)*"], rng, rng)
+        cells = verify_table(["(KL)*", "(K∪L)*"], list(product(rng, rng)))
         assert_all_match(cells)
         by = {(c.op, c.m, c.n): c.measured for c in cells}
         assert by[("(KL)*", 4, 5)] == 269
@@ -120,7 +120,8 @@ def test_criterion_5_stars_of_product_and_union():
 
 def test_criterion_6_conjecture_reproduction():
     with budget(6, "starred intersection conjecture", 120):
-        cells = conjecture_scan([(3, 3), (3, 4), (3, 5)])
+        cells = verify_table(["(K∩L)*-conjecture"],
+                             [(3, 3), (3, 4), (3, 5)])
         values = [(c.m, c.n, c.measured, c.verdict) for c in cells]
         assert values == [
             (3, 3, 384, "match"),

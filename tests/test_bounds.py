@@ -5,6 +5,7 @@ import pytest
 
 from starbench.bounds import (
     ALIASES,
+    BoundEntry,
     NoKnownBound,
     TABLE,
     UnknownOperation,
@@ -177,14 +178,17 @@ def test_registry_witnesses_use_the_canonical_spelling():
 def test_cells_follow_the_table_order():
     # aliases resolve, a unary entry has one cell per n with no m, and a
     # name given twice still gives its cells once
-    assert cells(["KLs", "star", "KL*"], [3, 4], [5]) == [
+    assert cells(["KLs", "star", "KL*"], [(3, 5), (4, 5)]) == [
         ("star", None, 5), ("KL*", 3, 5), ("KL*", 4, 5)]
-    everything = cells(None, [3, 4], [3, 4])
+    # in order of each n's first appearance
+    assert cells(["star"], [(3, 5), (3, 4), (4, 5)]) == [
+        ("star", None, 5), ("star", None, 4)]
+    everything = cells(None, [(3, 3), (3, 4), (4, 3), (4, 4)])
     assert len(everything) == 2 * 2 + 22 * 4
     assert everything[:3] == [("star", None, 3), ("star", None, 4),
                               ("reversal", None, 3)]
     with pytest.raises(UnknownOperation):
-        cells(["nope"], [3], [3])
+        cells(["nope"], [(3, 3)])
 
 
 def test_cells_check_every_size():
@@ -192,11 +196,20 @@ def test_cells_check_every_size():
     # upper limit, and a unary entry ignores m
     with pytest.raises(ValueError,
                        match=r"^KL\* requires m, n >= 3, got m=2, n=3$"):
-        cells(["KL*"], [2], [3])
+        cells(["KL*"], [(2, 3)])
     with pytest.raises(ValueError, match="m, n >= 3"):
-        cells(["star"], [3], [2])
-    assert cells(["star"], [2], [3]) == [("star", None, 3)]
-    assert cells(["K*L"], [13], [3]) == [("K*L", 13, 3)]
+        cells(["star"], [(3, 2)])
+    assert cells(["star"], [(2, 3)]) == [("star", None, 3)]
+    assert cells(["K*L"], [(13, 3)]) == [("K*L", 13, 3)]
+
+
+@pytest.mark.parametrize("status, formula_text", [
+    ("open", "m*n"), ("theorem", None), ("conjecture", None)])
+def test_an_entry_is_open_exactly_when_it_has_no_formula(status,
+                                                         formula_text):
+    with pytest.raises(ValueError, match=r"^entry bogus: "):
+        BoundEntry("bogus", None, status, "boolean", formula_text, "U", "U",
+                   "union")
 
 
 def test_resolve_aliases():
@@ -210,7 +223,7 @@ def test_resolve_aliases():
 
 
 def test_table_csv_shape():
-    text = table_csv([3, 4], [3, 4])
+    text = table_csv([(3, 3), (3, 4), (4, 3), (4, 4)])
     lines = text.strip().split("\n")
     assert lines[0] == "op,status,formula,m,n,value"
     # unary entries emit one row per n, binary per (m, n), 24 ops total

@@ -238,6 +238,20 @@ def test_conjecture_verb(capsys):
     assert "384" in out and "3072" in out
 
 
+def test_conjecture_checks_every_pair_before_measuring_any(capsys,
+                                                           monkeypatch):
+    from starbench import verify
+
+    measured = []
+    real = verify.verify_cell
+    monkeypatch.setattr(verify, "verify_cell",
+                        lambda *cell: measured.append(cell) or real(*cell))
+    code, out, err = run_cli(capsys, "conjecture", "--pairs", "3:3,2:3")
+    assert (code, out, measured) == (2, "", [])
+    assert err == ("error: (K∩L)*-conjecture requires m, n >= 3, "
+                   "got m=2, n=3\n")
+
+
 def test_monoid_verb(capsys):
     code, out, _ = run_cli(capsys, "monoid", "U:n=3")
     assert code == 0
@@ -348,7 +362,14 @@ def test_oracle_disagreement_prints_the_word_and_fails(capsys, monkeypatch):
     (("conjecture", "--pairs", "a:b"), "bad pair"),
     (("bound", "star", "--n", "5..3"), "empty range"),
     (("oracle", "KsL", "--m", "3", "--n", "3", "--words", "many"),
-     "--words takes an integer or 'all'"),
+     "argument --words: expected an integer >= 1"),
+    # a count follows --cap's rule: decimal digits only
+    (("oracle", "KsL", "--m", "3", "--n", "3", "--words", "1_0"),
+     "argument --words: expected an integer >= 1, got '1_0'"),
+    (("oracle", "KsL", "--m", "3", "--n", "3", "--words", " 5"),
+     "argument --words: expected an integer >= 1, got ' 5'"),
+    (("oracle", "KsL", "--m", "3", "--n", "3", "--words", "+5"),
+     "argument --words: expected an integer >= 1, got '+5'"),
 ])
 def test_malformed_arguments_exit_two(capsys, argv, message):
     try:
@@ -380,11 +401,20 @@ def test_missing_verb_exits_two(capsys):
     ("--words", "20", "--maxlen", "-1"),
 ])
 def test_oracle_rejects_nonsense_sizes(capsys, argv):
-    code, out, err = run_cli(capsys, "oracle", "KsL", "--m", "3", "--n", "3",
-                             *argv)
+    # argparse refuses a word count below 1, naming the flag; the oracle
+    # refuses a negative maxlen
+    try:
+        code = main(["oracle", "KsL", "--m", "3", "--n", "3", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    if argv[1] in ("-5", "0"):
+        assert (f"argument --words: expected an integer >= 1, "
+                f"got '{argv[1]}'") in err
+    else:
+        assert err.startswith("error: maxlen must be at least 0")
 
 
 def test_open_operation_checks_m(capsys):

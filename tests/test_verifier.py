@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,6 @@ from starbench.oracle import SemanticOracle
 from starbench.verify import (
     VerificationCell,
     any_above_bound,
-    conjecture_scan,
     render_csv,
     render_json,
     render_text,
@@ -93,13 +93,14 @@ def test_verify_cell_accepts_an_alias():
 
 
 def test_unary_cells_have_no_m():
-    cells = verify_table(["star"], [3, 4], [3, 4])
+    cells = verify_table(["star"], list(product([3, 4], [3, 4])))
     assert [(c.m, c.n) for c in cells] == [(None, 3), (None, 4)]
     assert all(c.verdict == "match" for c in cells)
 
 
 def test_verify_table_order_and_counts():
-    cells = verify_table(["K*L", "star", "KL*"], [3, 4], [3, 4])
+    cells = verify_table(["K*L", "star", "KL*"],
+                         list(product([3, 4], [3, 4])))
     # table order (as declared), not call order: star before KL* before K*L
     assert [c.op for c in cells] == (
         ["star"] * 2 + ["KL*"] * 4 + ["K*L"] * 4
@@ -112,15 +113,15 @@ def test_verify_table_order_and_counts():
 
 def test_verify_table_rejects_out_of_range():
     with pytest.raises(ValueError):
-        verify_table(["star"], [3], [2])
+        verify_table(["star"], [(3, 2)])
     with pytest.raises(ValueError):
-        verify_table(["KL*"], [2], [3])
+        verify_table(["KL*"], [(2, 3)])
 
 
 def test_verify_table_all_small_with_cap():
     # every operation at (3, 3); tiny cap keeps nothing from matching at
     # this size except nothing -- all theorem cells must match exactly
-    cells = verify_table(None, [3], [3])
+    cells = verify_table(None, [(3, 3)])
     by_op = {c.op: c for c in cells}
     assert len(cells) == 24
     for op, entry in TABLE.items():
@@ -172,19 +173,22 @@ def test_verify_table_starts_no_more_workers_than_cells_or_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    serial = [c.measured for c in verify_table(["star"], None, [3, 4, 5, 6])]
+    unary = [(None, n) for n in range(3, 7)]
+    serial = [c.measured for c in verify_table(["star"], unary)]
     for ns, jobs, size in (([3, 4], 100_000, 2), ([3, 4, 5, 6], 100_000, 3),
                            ([3, 4, 5, 6], 2, 2)):
-        cells = verify_table(["star"], None, ns, jobs=jobs)
+        cells = verify_table(["star"], [(None, n) for n in ns], jobs=jobs)
         assert [c.measured for c in cells] == serial[:len(ns)]
         assert sizes.pop() == size
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    verify_table(["star"], None, [3, 4], jobs=4)
+    verify_table(["star"], [(None, 3), (None, 4)], jobs=4)
     assert sizes == []
 
 def test_verify_table_parallel_matches_serial():
-    serial = verify_table(["KL*", "star"], [3, 4], [3, 4], jobs=1)
-    parallel = verify_table(["KL*", "star"], [3, 4], [3, 4], jobs=2)
+    serial = verify_table(["KL*", "star"], list(product([3, 4], [3, 4])),
+                          jobs=1)
+    parallel = verify_table(["KL*", "star"], list(product([3, 4], [3, 4])),
+                            jobs=2)
     strip = lambda cells: [
         (c.op, c.m, c.n, c.expected, c.measured, c.verdict, c.witnesses)
         for c in cells
@@ -193,15 +197,15 @@ def test_verify_table_parallel_matches_serial():
 
 
 def test_determinism_except_elapsed():
-    a = verify_table(["K*L*"], [3, 4], [3, 4])
-    b = verify_table(["K*L*"], [3, 4], [3, 4])
+    a = verify_table(["K*L*"], list(product([3, 4], [3, 4])))
+    b = verify_table(["K*L*"], list(product([3, 4], [3, 4])))
     fields = lambda c: (c.op, c.status, c.m, c.n, c.expected, c.measured,
                         c.verdict, c.witnesses, c.note, c.diagnostics)
     assert [fields(c) for c in a] == [fields(c) for c in b]
 
 
 def test_render_csv_columns():
-    cells = verify_table(["star"], [3], [3, 4])
+    cells = verify_table(["star"], [(3, 3), (3, 4)])
     text = render_csv(cells)
     lines = text.strip().split("\n")
     assert lines[0] == "op,status,m,n,expected,measured,verdict,millis,note"
@@ -210,7 +214,7 @@ def test_render_csv_columns():
 
 
 def test_render_json_mirrors_cells():
-    cells = verify_table(["KL*"], [3], [3])
+    cells = verify_table(["KL*"], [(3, 3)])
     data = json.loads(render_json(cells))
     assert data[0]["op"] == "KL*"
     assert data[0]["m"] == 3 and data[0]["n"] == 3
@@ -223,7 +227,7 @@ def test_render_json_mirrors_cells():
 
 
 def test_render_text_has_summary():
-    cells = verify_table(["star"], [3], [3, 4, 5])
+    cells = verify_table(["star"], [(3, 3), (3, 4), (3, 5)])
     text = render_text(cells)
     assert "summary: match=3 mismatch=0 open=0 skip=0" in text
     assert text.splitlines()[0].startswith("op")
@@ -387,7 +391,7 @@ def test_above_bound_sets_flag():
 
 
 def test_conjecture_scan_required_pairs():
-    cells = conjecture_scan([(3, 3), (3, 4)])
+    cells = verify_table(["(K∩L)*-conjecture"], [(3, 3), (3, 4)])
     assert [(c.m, c.n, c.measured) for c in cells] == [(3, 3, 384), (3, 4, 3072)]
     assert all(c.status == "conjecture" for c in cells)
 
@@ -401,7 +405,7 @@ def test_conjecture_scan_skips_a_bound_over_the_cap(monkeypatch):
     build = verify.build
     monkeypatch.setattr(verify, "build",
                         lambda spec: built.append(spec.n) or build(spec))
-    cells = conjecture_scan([(3, 3), (6, 5)])
+    cells = verify_table(["(K∩L)*-conjecture"], [(3, 3), (6, 5)])
     assert cells[0].verdict == "match"
     assert built == [3, 3]
     assert cells[1].verdict == "skipped"
@@ -411,7 +415,7 @@ def test_conjecture_scan_skips_a_bound_over_the_cap(monkeypatch):
 
 
 def test_conjecture_scan_with_jo6():
-    cells = conjecture_scan([(3, 3)], include_jo6=True)
+    cells = verify_table(["(K∩L)*-conjecture", "(K\\L)*"], [(3, 3)])
     ops = [c.op for c in cells]
     assert ops == ["(K∩L)*-conjecture", "(K\\L)*"]
     assert all(c.measured == 384 for c in cells)
