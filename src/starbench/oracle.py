@@ -7,15 +7,18 @@ time: after reading w[:j], an operand carries one bit mask per state, the
 start positions i <= j whose substring w[i:j] leads there. The column of
 positions i with w[i:j] accepted is the OR over the final states, and star
 and product memberships are reach masks over positions, each extended by
-at most one bit per letter. A letter costs O(|Q|) big-int operations. The
-exhaustive walk shares every prefix's work with all its extensions, and
-prefixes of one length that reach the same node and pipeline state share
-it with each other too.
+at most one bit per letter. A letter is one step compiled over both
+operands' masks and final columns with one call to the shape, still
+O(|Q|) big-int operations. The exhaustive walk shares every prefix's work
+with all its extensions, and prefixes of one length that reach the same
+node and pipeline state share it with each other too.
 Disagreement with the pipeline is data, never tolerated.
 """
 
 from __future__ import annotations
 
+from operator import and_, or_, xor
+from types import SimpleNamespace
 from typing import Callable, Generator, Iterable, Sequence
 
 from .bounds import lookup
@@ -33,53 +36,56 @@ Result = tuple[int, int, "tuple[str, ...] | None"]
 _LEVEL_LIMIT = 1024
 
 
-def _lambda(args: str, body: str) -> Callable:
-    """A mask function compiled from an expression over m[state]; bodies
-    are built from state numbers only."""
-    return eval(f"lambda {args}: {body}", {"__builtins__": {}})
-
-
-def _ors(states: Iterable[int]) -> str:
-    return " | ".join(f"m[{s}]" for s in states) or "0"
-
-
 class _Runner:
-    """An operand DFA read from every start position at once, its letters
-    indexed by position in the oracle's alphabet. moves[li](masks, bit) is
-    the masks one letter on, where `bit` is the new position, which starts
-    at the initial state; each letter's is compiled to one tuple
-    expression, as the step is the oracle's inner loop.
+    """An operand DFA read from every start position at once, as source
+    for the oracle's compiled steps: over the masks that `masks` names, one
+    per state, cells[li] is them one letter on, where `bit` is the new
+    position, which starts at the initial state, and columns[li] the start
+    positions whose substring up to that letter is accepted, the OR of the
+    final states' cells. Letters are indexed by position in the oracle's
+    alphabet; the source holds state numbers only.
 
     For reversal (`reverse`), the operand carries q -> final(δ(q, reversed
-    prefix)) instead; reading x prepends x to the reversed word.
+    prefix)) instead; reading x prepends x to the reversed word, and the
+    column is the initial state's digit.
     """
 
-    def __init__(self, d: Dfa, alphabet: tuple[str, ...], reverse: bool = False):
-        self.initial = d.initial
-        self.moves = []
+    def __init__(self, d: Dfa, alphabet: tuple[str, ...], name: str,
+                 reverse: bool = False):
+        names = [f"{name}{q}" for q in range(d.size)]
+        self.masks = f"({', '.join(names)},)"
+        self.cells, self.columns = [], []
+        accepting = [d.initial] if reverse else sorted(d.finals)
         for x in alphabet:
             row = d.delta[x]
             if reverse:
-                cells = [f"m[{t}]" for t in row]
+                cells = [names[t] for t in row]
             else:
-                cells = [_ors(s for s in range(d.size) if row[s] == t)
+                cells = [" | ".join(names[s] for s in range(d.size)
+                                    if row[s] == t) or "0"
                          for t in range(d.size)]
-                cells[d.initial] += " | b"
-            self.moves.append(_lambda("m, b", f"({', '.join(cells)},)"))
+                cells[d.initial] += " | bit"
+            self.cells.append(f"({', '.join(cells)},)")
+            self.columns.append(" | ".join(cells[q] for q in accepting) or "0")
         self.start = tuple(s in d.finals if reverse else int(s == d.initial)
                            for s in range(d.size))
-        # the start positions whose substring up to here is accepted
-        self.column = _lambda("m", _ors(sorted(d.finals)))
 
+
+# One letter's whole step, from both operands' columns and cells
+_STEP = """def step(node, bit):
+    _, {km}, {lm}, a, b = node
+    member, a, b = shape({kc}, {lc}, a, b, bit)
+    return member, {k_cells}, {l_cells}, a, b
+"""
 
 # Boolean operations on bit masks of positions; on single bools they give
 # the boolean result. Difference is a & (a ^ b), not a & ~b: ~ on a bool
 # is deprecated since Python 3.12.
 _ROW_COMBINE: dict[str, Callable[[int, int], int]] = {
-    "union": lambda a, b: a | b,
-    "intersection": lambda a, b: a & b,
+    "union": or_,
+    "intersection": and_,
     "difference": lambda a, b: a & (a ^ b),
-    "symmetric-difference": lambda a, b: a ^ b,
+    "symmetric-difference": xor,
 }
 
 
@@ -92,30 +98,38 @@ class SemanticOracle:
     complemented/restricted where the recipe says so), so oracle and
     pipeline answer the exact same question by different routes. Words are
     over the right operand's alphabet. The operation's registry shape names
-    the method that makes a node from the operands' masks after a letter,
-    the reach masks a and b before it, and the new position `bit`. Its
-    defaults are the reach masks before position 0, so on the start masks
-    it makes the node of the empty word.
+    the method that makes membership and reach masks from the operands'
+    columns after a letter, the reach masks a and b before it, and the new
+    position `bit`. Its defaults are the reach masks before position 0, so
+    on the empty prefix's columns it makes the node of the empty word.
     """
 
     def __init__(self, op: str, left: Dfa | None, right: Dfa):
         entry = lookup(op)
         self.op = entry.op
         self.alphabet = right.alphabet
-        k = None if left is None else _Runner(left, self.alphabet)
-        l = self.right = _Runner(right, self.alphabet, entry.shape == "reversal")
         self.combine = _ROW_COMBINE.get(entry.boolean)
-        self.kc, self.lc = k and k.column, l.column  # the operands' columns
         logic = getattr(self, "_" + entry.shape)
-        k_moves = k.moves if k else [lambda m, b: None] * len(self.alphabet)
-        l_moves = l.moves
+        size = len(self.alphabet)
+        l = _Runner(right, self.alphabet, "l", entry.shape == "reversal")
+        # a unary operation has no left masks: its nodes carry None
+        k = (_Runner(left, self.alphabet, "k") if left is not None else
+             SimpleNamespace(masks="km", cells=["km"] * size,
+                             columns=["None"] * size, start=None))
+        scope = {"__builtins__": {}, "shape": logic}
+        self.steps: list[Callable[[Node, int], Node]] = []
+        for li in range(size):  # a source per letter keeps the parser small
+            exec(_STEP.format(km=k.masks, kc=k.columns[li],
+                              k_cells=k.cells[li], lm=l.masks,
+                              lc=l.columns[li], l_cells=l.cells[li]), scope)
+            self.steps.append(scope.pop("step"))
+        member, a, b = logic(left is not None and left.initial in left.finals,
+                             right.initial in right.finals)
+        self.start: Node = member, k.start, l.start, a, b
 
-        def step(node: Node, li: int, bit: int) -> Node:
-            _, km, lm, a, b = node
-            return logic(k_moves[li](km, bit), l_moves[li](lm, bit), a, b, bit)
-
-        self.step: Callable[[Node, int, int], Node] = step
-        self.start: Node = logic(k and k.start, l.start)
+    def step(self, node: Node, li: int, bit: int) -> Node:
+        """steps[li], letter li's compiled step: the node one letter on."""
+        return self.steps[li](node, bit)
 
     def compare(self, final: Dfa, words: Iterable[Indices]) -> Result:
         """(words, disagreements, first disagreeing word) of the pipeline
@@ -123,13 +137,13 @@ class SemanticOracle:
         A word is given as the indices of its letters in the alphabet; the
         example is returned in letters."""
         rows = [final.delta[x] for x in self.alphabet]
-        step = self.step
+        steps = self.steps
         checked = disagreements = 0
         example = None
         for w in words:
             node, s = self.start, final.initial
             for j, li in enumerate(w, 1):
-                node = step(node, li, 1 << j)
+                node = steps[li](node, 1 << j)
                 s = rows[li][s]
             checked += 1
             if node[0] != (s in final.finals):
@@ -153,7 +167,7 @@ class SemanticOracle:
         never stored."""
         rows = [final.delta[x] for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
-        step, size = self.step, len(self.alphabet)
+        steps, size = self.steps, len(self.alphabet)
         fill = max(1, _LEVEL_LIMIT // size)
         checked = disagreements = 0
         example = None
@@ -172,7 +186,7 @@ class SemanticOracle:
                         example = word
                 if depth + 1 < maxlen:
                     for li, row in enumerate(rows):
-                        key = step(node, li, bit), row[s]
+                        key = steps[li](node, bit), row[s]
                         if key in below:
                             below[key][0] += count
                         else:
@@ -183,7 +197,7 @@ class SemanticOracle:
                 elif depth < maxlen:
                     checked += count * size
                     for li, row in enumerate(rows):
-                        if step(node, li, bit)[0] != is_final[row[s]]:
+                        if steps[li](node, bit)[0] != is_final[row[s]]:
                             disagreements += count
                             if example is None or depth + 1 < len(example):
                                 example = word + (li,)
@@ -204,73 +218,74 @@ class SemanticOracle:
         return checked, disagreements, example
 
     # -- unary -----------------------------------------------------------
-    def _star(self, km, lm, a=1, b=0, bit=1) -> Node:
-        if a & self.lc(lm):
+    def _star(self, kc, lc, a=1, b=0, bit=1):
+        if a & lc:
             a |= bit
-        return a & bit != 0, km, lm, a, b
+        return a & bit != 0, a, b
 
-    def _reversal(self, km, lm, a=0, b=0, bit=1) -> Node:
-        return lm[self.right.initial], km, lm, a, b
+    def _reversal(self, kc, lc, a=0, b=0, bit=1):
+        return lc, a, b
 
     # -- products; bit 0 of K's column says whether K accepts the prefix --
-    def _product(self, km, lm, a=0, b=0, bit=1) -> Node:
-        if self.kc(km) & 1:
+    def _product(self, kc, lc, a=0, b=0, bit=1):
+        if kc & 1:
             a |= bit
-        return a & self.lc(lm) != 0, km, lm, a, b
+        return a & lc != 0, a, b
 
-    def _k_lstar(self, km, lm, a=0, b=0, bit=1) -> Node:
-        if self.kc(km) & 1 or a & self.lc(lm):
+    def _k_lstar(self, kc, lc, a=0, b=0, bit=1):
+        if kc & 1 or a & lc:
             a |= bit
-        return a & bit != 0, km, lm, a, b
+        return a & bit != 0, a, b
 
-    def _kstar_l(self, km, lm, a=1, b=0, bit=1) -> Node:
-        if a & self.kc(km):
+    def _kstar_l(self, kc, lc, a=1, b=0, bit=1):
+        if a & kc:
             a |= bit
-        return a & self.lc(lm) != 0, km, lm, a, b
+        return a & lc != 0, a, b
 
-    def _kstar_lstar(self, km, lm, a=1, b=1, bit=1) -> Node:
-        if a & self.kc(km):
+    def _kstar_lstar(self, kc, lc, a=1, b=1, bit=1):
+        if a & kc:
             a |= bit
-        if a & bit or b & self.lc(lm):
+        if a & bit or b & lc:
             b |= bit
-        return b & bit != 0, km, lm, a, b
+        return b & bit != 0, a, b
 
-    def _product_star(self, km, lm, a=0, b=1, bit=1) -> Node:
+    def _product_star(self, kc, lc, a=0, b=1, bit=1):
         # b: positions after whole KL chunks; a: after a further K chunk. A K
         # or L holding the empty word links the two at the same position,
         # so the L test runs again after the K test.
-        l_col = self.lc(lm)
-        if a & l_col:
+        if a & lc:
             b |= bit
-        if b & self.kc(km):
+        if b & kc:
             a |= bit
-            if a & l_col:
+            if a & lc:
                 b |= bit
-        return b & bit != 0, km, lm, a, b
+        return b & bit != 0, a, b
 
     # -- boolean families --------------------------------------------------
-    def _boolean(self, km, lm, a=0, b=0, bit=1) -> Node:
-        return self.combine(self.kc(km) & 1, self.lc(lm) & 1), km, lm, a, b
+    def _boolean(self, kc, lc, a=0, b=0, bit=1):
+        return self.combine(kc & 1, lc & 1), a, b
 
-    def _k_circ_lstar(self, km, lm, a=1, b=0, bit=1) -> Node:
-        star = self._star(km, lm, a, b, bit)
-        return self.combine(self.kc(km) & 1, star[0]), *star[1:]
-
-    def _lstar_circ_k(self, km, lm, a=1, b=0, bit=1) -> Node:
-        star = self._star(km, lm, a, b, bit)
-        return self.combine(star[0], self.kc(km) & 1), *star[1:]
-
-    def _kstar_circ_lstar(self, km, lm, a=1, b=1, bit=1) -> Node:
-        if a & self.kc(km):
+    def _k_circ_lstar(self, kc, lc, a=1, b=0, bit=1):
+        if a & lc:
             a |= bit
-        if b & self.lc(lm):
+        return self.combine(kc & 1, a & bit != 0), a, b
+
+    def _lstar_circ_k(self, kc, lc, a=1, b=0, bit=1):
+        if a & lc:
+            a |= bit
+        return self.combine(a & bit != 0, kc & 1), a, b
+
+    def _kstar_circ_lstar(self, kc, lc, a=1, b=1, bit=1):
+        if a & kc:
+            a |= bit
+        if b & lc:
             b |= bit
-        return self.combine(a & bit != 0, b & bit != 0), km, lm, a, b
+        return self.combine(a & bit != 0, b & bit != 0), a, b
 
-    def _boolean_star(self, km, lm, a=1, b=0, bit=1) -> Node:
-        if a & self.combine(self.kc(km), self.lc(lm)):
+    def _boolean_star(self, kc, lc, a=1, b=0, bit=1):
+        if a & self.combine(kc, lc):
             a |= bit
-        return a & bit != 0, km, lm, a, b
+        return a & bit != 0, a, b
 
     # (K∪L)* is built from an NFA union rather than a product; its
     # semantics are the starred boolean ones

@@ -1,8 +1,10 @@
 import functools
+import gc
 import itertools
 import random
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -305,6 +307,40 @@ def test_product_star_with_the_empty_word(witness, pair, run, member):
     assert oracle.compare_all(final, 6)[1:] == (0, None)
 
 
+def _edge_operands():
+    """Operands at the edges of the compiled step, over letters that would
+    break its source if a letter ever reached it: one state accepting
+    every word or none, and three states with a final state and without."""
+    alphabet = ("(", ")", "'", "{")
+    everything = Dfa(1, alphabet, {x: (0,) for x in alphabet}, 0,
+                     frozenset({0}))
+    three = Dfa(3, alphabet, {"(": (1, 2, 0), ")": (0, 0, 2),
+                              "'": (2, 1, 1), "{": (0, 2, 1)},
+                0, frozenset({2}))
+    return everything, everything.with_finals(()), three.with_finals(()), three
+
+
+@pytest.mark.parametrize("op", list({e.shape: op
+                                     for op, e in TABLE.items()}.values()))
+def test_oracle_matches_reference_on_edge_operands(op, run, member):
+    *edges, three = _edge_operands()
+    if TABLE[op].arity == 1:
+        pairs = [(None, d) for d in (*edges, three)]
+    else:
+        pairs = [(e, three) for e in edges] + [(three, e) for e in edges]
+    for left, right in pairs:
+        _check_against_reference(op, left, right, 4, run, member)
+
+
+def test_compiled_steps_are_freed_with_their_oracle():
+    left, right = _operands_for("K*L", 4, 5)
+    oracle = SemanticOracle("K*L", left, right)
+    steps = [weakref.ref(step) for step in oracle.steps]
+    del oracle
+    gc.collect()
+    assert [step() for step in steps] == [None] * len(steps)
+
+
 @pytest.mark.parametrize("op", ["K*L", "(KL)*", "K∪L*", "(K∩L)*-conjecture",
                                 "KdLs"])
 def test_forced_mismatch_matches_a_per_word_loop(monkeypatch, op, run, member):
@@ -356,12 +392,14 @@ def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit, run, member
     members = [member(oracle, w) for w in words]
     steps = 0
 
-    def counted(node, li, bit):
-        nonlocal steps
-        steps += 1
-        return real_step(node, li, bit)
+    def counted(real_step):
+        def step(node, bit):
+            nonlocal steps
+            steps += 1
+            return real_step(node, bit)
+        return step
 
-    real_step, oracle.step = oracle.step, counted
+    oracle.steps = [counted(step) for step in oracle.steps]
     for dfa in (final, _flipped(final)):
         for maxlen in range(8):
             wrong = [w for w, member in zip(words, members)
