@@ -7,11 +7,14 @@ time: after reading w[:j], an operand carries one bit mask per state, the
 start positions i <= j whose substring w[i:j] leads there. The column of
 positions i with w[i:j] accepted is the OR over the final states, and star
 and product memberships are reach masks over positions, each extended by
-at most one bit per letter. A letter is one step compiled over both
-operands' masks and final columns with one call to the shape, still
-O(|Q|) big-int operations. The exhaustive walk shares every prefix's work
-with all its extensions, and prefixes of one length that reach the same
-node and pipeline state share it with each other too.
+at most one bit per letter. Each shape's semantics is written once, as a
+source fragment over both operands' final columns. A sampled word is
+folded in one compiled loop over both operands' masks with the fragment
+inline, and the exhaustive walk takes one compiled step per letter with
+the same fragment; a letter is still O(|Q|) big-int operations. The
+exhaustive walk shares every prefix's work with all its extensions, and
+prefixes of one length that reach the same node and pipeline state share
+it with each other too.
 Disagreement with the pipeline is data, never tolerated.
 """
 
@@ -27,7 +30,8 @@ from .core import Dfa
 # a word as the indices of its letters in the oracle's alphabet
 Indices = Sequence[int]
 # The state after a prefix: (membership of the prefix, left operand's
-# masks, right operand's masks, reach mask a, reach mask b).
+# masks, () for a unary operation, right operand's masks, reach mask a,
+# reach mask b).
 Node = tuple
 Result = tuple[int, int, "tuple[str, ...] | None"]
 # the most keys one group's expansion in compare_all considers, as a group
@@ -38,8 +42,8 @@ _LEVEL_LIMIT = 1024
 
 class _Runner:
     """An operand DFA read from every start position at once, as source
-    for the oracle's compiled steps: over the masks that `masks` names, one
-    per state, cells[li] is them one letter on, where `bit` is the new
+    for the oracle's compiled folds: over the masks `names`, one per
+    state, cells[li] is them one letter on, where `bit` is the new
     position, which starts at the initial state, and columns[li] the start
     positions whose substring up to that letter is accepted, the OR of the
     final states' cells. Letters are indexed by position in the oracle's
@@ -52,8 +56,7 @@ class _Runner:
 
     def __init__(self, d: Dfa, alphabet: tuple[str, ...], name: str,
                  reverse: bool = False):
-        names = [f"{name}{q}" for q in range(d.size)]
-        self.masks = f"({', '.join(names)},)"
+        self.names = names = [f"{name}{q}" for q in range(d.size)]
         self.cells, self.columns = [], []
         accepting = [d.initial] if reverse else sorted(d.finals)
         for x in alphabet:
@@ -65,18 +68,43 @@ class _Runner:
                                     if row[s] == t) or "0"
                          for t in range(d.size)]
                 cells[d.initial] += " | bit"
-            self.cells.append(f"({', '.join(cells)},)")
+            self.cells.append(cells)
             self.columns.append(" | ".join(cells[q] for q in accepting) or "0")
         self.start = tuple(s in d.finals if reverse else int(s == d.initial)
                            for s in range(d.size))
 
 
-# One letter's whole step, from both operands' columns and cells
-_STEP = """def step(node, bit):
-    _, {km}, {lm}, a, b = node
-    member, a, b = shape({kc}, {lc}, a, b, bit)
-    return member, {k_cells}, {l_cells}, a, b
-"""
+# Each registry shape's semantics, written once: the reach masks a and b
+# before position 0; their update from the operands' columns kc and lc
+# after a letter, where `bit` is the new position; and the membership they
+# make. Bit 0 of K's column says whether K accepts the prefix.
+_FRAGMENTS: dict[str, tuple[int, int, str, str]] = {
+    "star": (1, 0, "if a & lc: a |= bit", "a & bit != 0"),
+    "reversal": (0, 0, "", "lc"),
+    "product": (0, 0, "if kc & 1: a |= bit", "a & lc != 0"),
+    "k_lstar": (0, 0, "if kc & 1 or a & lc: a |= bit", "a & bit != 0"),
+    "kstar_l": (1, 0, "if a & kc: a |= bit", "a & lc != 0"),
+    "kstar_lstar": (1, 1, "if a & kc: a |= bit\n"
+                          "if a & bit or b & lc: b |= bit", "b & bit != 0"),
+    # b: positions after whole KL chunks; a: after a further K chunk. A K
+    # or L holding the empty word links the two at the same position, so
+    # the L test runs again after the K test.
+    "product_star": (0, 1, "if a & lc: b |= bit\n"
+                           "if b & kc:\n    a |= bit\n"
+                           "    if a & lc: b |= bit", "b & bit != 0"),
+    "boolean": (0, 0, "", "combine(kc & 1, lc & 1)"),
+    "k_circ_lstar": (1, 0, "if a & lc: a |= bit",
+                     "combine(kc & 1, a & bit != 0)"),
+    "lstar_circ_k": (1, 0, "if a & lc: a |= bit",
+                     "combine(a & bit != 0, kc & 1)"),
+    "kstar_circ_lstar": (1, 1, "if a & kc: a |= bit\nif b & lc: b |= bit",
+                         "combine(a & bit != 0, b & bit != 0)"),
+    "boolean_star": (1, 0, "if a & combine(kc, lc): a |= bit",
+                     "a & bit != 0"),
+}
+# (K∪L)* is built from an NFA union rather than a product; its semantics
+# are the starred boolean ones
+_FRAGMENTS["union_star"] = _FRAGMENTS["boolean_star"]
 
 # Boolean operations on bit masks of positions; on single bools they give
 # the boolean result. Difference is a & (a ^ b), not a & ~b: ~ on a bool
@@ -88,44 +116,86 @@ _ROW_COMBINE: dict[str, Callable[[int, int], int]] = {
     "symmetric-difference": xor,
 }
 
+# One letter's step: the fragment over both operands' columns, and both
+# operands' masks one letter on
+_STEP = """def step(node, bit):
+    _, [{km}], [{lm}], a, b = node
+    kc, lc = {kc}, {lc}
+    {update}
+    return {member}, ({k_cells}), ({l_cells}), a, b
+"""
+
+# A whole word's fold from the start node: each letter's branch sets the
+# columns and masks as its step does, the fragment follows inline, and the
+# membership is made once, after the last letter
+_WALK = """def walk(word):
+    _, [{km}], [{lm}], a, b = start
+    kc, lc, bit = {kc}, {lc}, 1
+    for li in word:
+        bit <<= 1
+{letters}
+        {update}
+    return {member}
+"""
+
+
+def _listed(sources: Iterable[str]) -> str:
+    """sources as the items of a tuple or a target list: each then ", "."""
+    return "".join(f"{x}, " for x in sources)
+
 
 class SemanticOracle:
     """Word membership for one operation over materialized operand DFAs:
     `step` folded along a word from `start` ends in a node whose first
-    field says whether the word is a member.
+    field says whether the word is a member; `walk`, once `compare` has
+    compiled it, folds a whole word and returns that field alone.
 
     The operands are the actual DFAs fed to the pipeline (already
     complemented/restricted where the recipe says so), so oracle and
     pipeline answer the exact same question by different routes. Words are
     over the right operand's alphabet. The operation's registry shape names
-    the method that makes membership and reach masks from the operands'
-    columns after a letter, the reach masks a and b before it, and the new
-    position `bit`. Its defaults are the reach masks before position 0, so
-    on the empty prefix's columns it makes the node of the empty word.
+    its fragment in _FRAGMENTS, which both compiled folds hold inline. The
+    start node is the fragment's step on the empty prefix's columns from
+    the reach masks before position 0, with `bit` 1.
     """
 
     def __init__(self, op: str, left: Dfa | None, right: Dfa):
         entry = lookup(op)
         self.op = entry.op
         self.alphabet = right.alphabet
-        self.combine = _ROW_COMBINE.get(entry.boolean)
-        logic = getattr(self, "_" + entry.shape)
+        a, b, update, member = _FRAGMENTS[entry.shape]
         size = len(self.alphabet)
         l = _Runner(right, self.alphabet, "l", entry.shape == "reversal")
-        # a unary operation has no left masks: its nodes carry None
+        # a unary operation has no left masks: its nodes carry ()
         k = (_Runner(left, self.alphabet, "k") if left is not None else
-             SimpleNamespace(masks="km", cells=["km"] * size,
-                             columns=["None"] * size, start=None))
-        scope = {"__builtins__": {}, "shape": logic}
-        self.steps: list[Callable[[Node, int], Node]] = []
-        for li in range(size):  # a source per letter keeps the parser small
-            exec(_STEP.format(km=k.masks, kc=k.columns[li],
-                              k_cells=k.cells[li], lm=l.masks,
-                              lc=l.columns[li], l_cells=l.cells[li]), scope)
-            self.steps.append(scope.pop("step"))
-        member, a, b = logic(left is not None and left.initial in left.finals,
-                             right.initial in right.finals)
-        self.start: Node = member, k.start, l.start, a, b
+             SimpleNamespace(names=[], cells=[[]] * size,
+                             columns=["0"] * size, start=()))
+        self._scope = {"__builtins__": {},
+                       "combine": _ROW_COMBINE.get(entry.boolean)}
+        self._runners = k, l
+        # the start node's step: columns of the empty prefix, masks kept
+        self._fields = dict(
+            km=_listed(k.names), lm=_listed(l.names),
+            k_cells=_listed(k.names), l_cells=_listed(l.names),
+            kc=left is not None and left.initial in left.finals,
+            lc=right.initial in right.finals,
+            update=update.replace("\n", "\n    "), member=member)
+        self.steps: list[Callable[[Node, int], Node]] = [
+            # a source per letter keeps the parser small
+            self._compiled("step", _STEP, kc=k.columns[li], lc=l.columns[li],
+                           k_cells=_listed(k.cells[li]),
+                           l_cells=_listed(l.cells[li]))
+            for li in range(size)]
+        self.start: Node = self._compiled("step", _STEP)(
+            (None, k.start, l.start, a, b), 1)
+        self._scope["start"] = self.start
+        self.walk: Callable[[Indices], int] | None = None
+
+    def _compiled(self, name: str, source: str, **fields) -> Callable:
+        """The function `name` that source defines, filled in with this
+        oracle's fields, `fields` taking their place."""
+        exec(source.format(**{**self._fields, **fields}), self._scope)
+        return self._scope.pop(name)
 
     def step(self, node: Node, li: int, bit: int) -> Node:
         """steps[li], letter li's compiled step: the node one letter on."""
@@ -133,20 +203,35 @@ class SemanticOracle:
 
     def compare(self, final: Dfa, words: Iterable[Indices]) -> Result:
         """(words, disagreements, first disagreeing word) of the pipeline
-        DFA `final` against these semantics, folding both along each word.
-        A word is given as the indices of its letters in the alphabet; the
-        example is returned in letters."""
+        DFA `final` against these semantics, folding both along each word:
+        the semantics in `walk`, compiled on the first call, the pipeline
+        DFA here. A word is given as the indices of its letters in the
+        alphabet; the example is returned in letters."""
+        if self.walk is None:
+            k, l = self._runners
+            letters = ""
+            for li in range(len(self.alphabet)):
+                # a mask that the letter leaves in place is not assigned
+                moved = [(q, c) for q, c in zip(
+                    ["kc", "lc", *k.names, *l.names],
+                    [k.columns[li], l.columns[li], *k.cells[li], *l.cells[li]])
+                    if q != c]
+                letters += (f"        {'el' if li else ''}if li == {li}: "
+                            f"{_listed(q for q, _ in moved)}= "
+                            f"{_listed(c for _, c in moved)}\n")
+            self.walk = self._compiled(
+                "walk", _WALK, letters=letters,
+                update=self._fields["update"].replace("\n", "\n    "))
+        walk = self.walk
         rows = [final.delta[x] for x in self.alphabet]
-        steps = self.steps
         checked = disagreements = 0
         example = None
         for w in words:
-            node, s = self.start, final.initial
-            for j, li in enumerate(w, 1):
-                node = steps[li](node, 1 << j)
+            s = final.initial
+            for li in w:
                 s = rows[li][s]
             checked += 1
-            if node[0] != (s in final.finals):
+            if walk(w) != (s in final.finals):
                 disagreements += 1
                 if example is None:
                     example = tuple(self.alphabet[i] for i in w)
@@ -216,77 +301,3 @@ class SemanticOracle:
         if example is not None:
             example = tuple(self.alphabet[i] for i in example)
         return checked, disagreements, example
-
-    # -- unary -----------------------------------------------------------
-    def _star(self, kc, lc, a=1, b=0, bit=1):
-        if a & lc:
-            a |= bit
-        return a & bit != 0, a, b
-
-    def _reversal(self, kc, lc, a=0, b=0, bit=1):
-        return lc, a, b
-
-    # -- products; bit 0 of K's column says whether K accepts the prefix --
-    def _product(self, kc, lc, a=0, b=0, bit=1):
-        if kc & 1:
-            a |= bit
-        return a & lc != 0, a, b
-
-    def _k_lstar(self, kc, lc, a=0, b=0, bit=1):
-        if kc & 1 or a & lc:
-            a |= bit
-        return a & bit != 0, a, b
-
-    def _kstar_l(self, kc, lc, a=1, b=0, bit=1):
-        if a & kc:
-            a |= bit
-        return a & lc != 0, a, b
-
-    def _kstar_lstar(self, kc, lc, a=1, b=1, bit=1):
-        if a & kc:
-            a |= bit
-        if a & bit or b & lc:
-            b |= bit
-        return b & bit != 0, a, b
-
-    def _product_star(self, kc, lc, a=0, b=1, bit=1):
-        # b: positions after whole KL chunks; a: after a further K chunk. A K
-        # or L holding the empty word links the two at the same position,
-        # so the L test runs again after the K test.
-        if a & lc:
-            b |= bit
-        if b & kc:
-            a |= bit
-            if a & lc:
-                b |= bit
-        return b & bit != 0, a, b
-
-    # -- boolean families --------------------------------------------------
-    def _boolean(self, kc, lc, a=0, b=0, bit=1):
-        return self.combine(kc & 1, lc & 1), a, b
-
-    def _k_circ_lstar(self, kc, lc, a=1, b=0, bit=1):
-        if a & lc:
-            a |= bit
-        return self.combine(kc & 1, a & bit != 0), a, b
-
-    def _lstar_circ_k(self, kc, lc, a=1, b=0, bit=1):
-        if a & lc:
-            a |= bit
-        return self.combine(a & bit != 0, kc & 1), a, b
-
-    def _kstar_circ_lstar(self, kc, lc, a=1, b=1, bit=1):
-        if a & kc:
-            a |= bit
-        if b & lc:
-            b |= bit
-        return self.combine(a & bit != 0, b & bit != 0), a, b
-
-    def _boolean_star(self, kc, lc, a=1, b=0, bit=1):
-        if a & self.combine(kc, lc):
-            a |= bit
-        return a & bit != 0, a, b
-
-    # (K∪L)* is built from an NFA union rather than a product; its
-    # semantics are the starred boolean ones
-    _union_star = _boolean_star

@@ -31,13 +31,12 @@ def test_every_traced_name_resolves():
 
 def test_every_shape_has_one_construction_row_and_an_oracle():
     from starbench.bounds import TABLE
-    from starbench.oracle import SemanticOracle
+    from starbench.oracle import _FRAGMENTS
     from starbench.verify import _SHAPES
 
     shapes = {e.shape for e in TABLE.values()}
     assert set(_SHAPES) == shapes
-    for shape in shapes:
-        assert hasattr(SemanticOracle, "_" + shape), shape
+    assert set(_FRAGMENTS) == shapes
 
 
 def test_every_shape_reports_its_layers_to_the_trace():
