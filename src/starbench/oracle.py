@@ -8,20 +8,20 @@ start positions i <= j whose substring w[i:j] leads there. The column of
 positions i with w[i:j] accepted is the OR over the final states, and star
 and product memberships are reach masks over positions, each extended by
 at most one bit per letter. Each shape's semantics is written once, as a
-source fragment over both operands' final columns. A sampled word is
-folded in one compiled loop over both operands' masks with the fragment
-inline, and the exhaustive walk takes one compiled step per letter with
-the same fragment; a letter is still O(|Q|) big-int operations. The
-exhaustive walk shares every prefix's work with all its extensions, and
-prefixes of one length that reach the same node and pipeline state share
-it with each other too.
+source fragment over both operands' final columns, and a node is one flat
+tuple: the membership, both operands' masks, the reach masks. A table of
+source rows, one per letter, fills both compiled folds: the exhaustive
+walk's step per letter, compiled with the oracle, and the loop that folds
+a sampled word, compiled when sampled words are first checked. A letter
+is still O(|Q|) big-int operations. The exhaustive walk shares every
+prefix's work with all its extensions, and prefixes of one length that
+reach the same node and pipeline state share it with each other too.
 Disagreement with the pipeline is data, never tolerated.
 """
 
 from __future__ import annotations
 
 from operator import and_, or_, xor
-from types import SimpleNamespace
 from typing import Callable, Generator, Iterable, Sequence
 
 from .bounds import lookup
@@ -29,9 +29,9 @@ from .core import Dfa
 
 # a word as the indices of its letters in the oracle's alphabet
 Indices = Sequence[int]
-# The state after a prefix: (membership of the prefix, left operand's
-# masks, () for a unary operation, right operand's masks, reach mask a,
-# reach mask b).
+# The state after a prefix, one flat tuple: the membership of the prefix,
+# the left operand's masks (none for a unary operation), the right
+# operand's masks, reach mask a, reach mask b.
 Node = tuple
 Result = tuple[int, int, "tuple[str, ...] | None"]
 # the most keys one group's expansion in compare_all considers, as a group
@@ -40,38 +40,37 @@ Result = tuple[int, int, "tuple[str, ...] | None"]
 _LEVEL_LIMIT = 1024
 
 
-class _Runner:
-    """An operand DFA read from every start position at once, as source
-    for the oracle's compiled folds: over the masks `names`, one per
-    state, cells[li] is them one letter on, where `bit` is the new
-    position, which starts at the initial state, and columns[li] the start
-    positions whose substring up to that letter is accepted, the OR of the
-    final states' cells. Letters are indexed by position in the oracle's
-    alphabet; the source holds state numbers only.
+def _operand(d: Dfa, alphabet: tuple[str, ...], name: str,
+             reverse: bool) -> tuple[list[list[str]], tuple]:
+    """An operand DFA read from every start position at once, as rows of
+    source for the oracle's compiled folds, each a column and then one
+    mask per state, and the masks before position 0. Row 0 names them,
+    `name` then "c" or the state number. Row 1 is the empty prefix's:
+    whether the initial state is final, and the masks kept. Row 2 + li is
+    letter li's: the start positions whose substring up to that letter is
+    accepted, the OR of the final states' new masks, and the masks one
+    letter on, where `bit` is the new position, which starts at the
+    initial state. The source holds state numbers only.
 
     For reversal (`reverse`), the operand carries q -> final(δ(q, reversed
     prefix)) instead; reading x prepends x to the reversed word, and the
     column is the initial state's digit.
     """
-
-    def __init__(self, d: Dfa, alphabet: tuple[str, ...], name: str,
-                 reverse: bool = False):
-        self.names = names = [f"{name}{q}" for q in range(d.size)]
-        self.cells, self.columns = [], []
-        accepting = [d.initial] if reverse else sorted(d.finals)
-        for x in alphabet:
-            row = d.delta[x]
-            if reverse:
-                cells = [names[t] for t in row]
-            else:
-                cells = [" | ".join(names[s] for s in range(d.size)
-                                    if row[s] == t) or "0"
-                         for t in range(d.size)]
-                cells[d.initial] += " | bit"
-            self.cells.append(cells)
-            self.columns.append(" | ".join(cells[q] for q in accepting) or "0")
-        self.start = tuple(s in d.finals if reverse else int(s == d.initial)
-                           for s in range(d.size))
+    names = [f"{name}{q}" for q in range(d.size)]
+    accepting = [d.initial] if reverse else sorted(d.finals)
+    rows = [[name + "c", *names], [str(d.initial in d.finals), *names]]
+    for x in alphabet:
+        row = d.delta[x]
+        if reverse:
+            cells = [names[t] for t in row]
+        else:
+            cells = [" | ".join(names[s] for s in range(d.size)
+                                if row[s] == t) or "0"
+                     for t in range(d.size)]
+            cells[d.initial] += " | bit"
+        rows.append([" | ".join(cells[q] for q in accepting) or "0", *cells])
+    return rows, tuple(s in d.finals if reverse else int(s == d.initial)
+                       for s in range(d.size))
 
 
 # Each registry shape's semantics, written once: the reach masks a and b
@@ -116,21 +115,21 @@ _ROW_COMBINE: dict[str, Callable[[int, int], int]] = {
     "symmetric-difference": xor,
 }
 
-# One letter's step: the fragment over both operands' columns, and both
-# operands' masks one letter on
+# One letter's step: the operands' columns after it, the fragment over
+# them, and the node one letter on
 _STEP = """def step(node, bit):
-    _, [{km}], [{lm}], a, b = node
-    kc, lc = {kc}, {lc}
+    _, {names}a, b = node
+    {columns}= {values}
     {update}
-    return {member}, ({k_cells}), ({l_cells}), a, b
+    return {member}, {cells}a, b
 """
 
 # A whole word's fold from the start node: each letter's branch sets the
 # columns and masks as its step does, the fragment follows inline, and the
 # membership is made once, after the last letter
 _WALK = """def walk(word):
-    _, [{km}], [{lm}], a, b = start
-    kc, lc, bit = {kc}, {lc}, 1
+    _, {names}a, b = start
+    {columns}bit = {values}1
     for li in word:
         bit <<= 1
 {letters}
@@ -144,62 +143,75 @@ def _listed(sources: Iterable[str]) -> str:
     return "".join(f"{x}, " for x in sources)
 
 
+def _compiled(name: str, source: str, scope: dict) -> Callable:
+    """The function `name` that source defines, with scope its globals."""
+    exec(source, scope)
+    return scope.pop(name)
+
+
 class SemanticOracle:
     """Word membership for one operation over materialized operand DFAs:
-    `step` folded along a word from `start` ends in a node whose first
-    field says whether the word is a member; `walk`, once `compare` has
-    compiled it, folds a whole word and returns that field alone.
+    steps[li], letter li's compiled step, folded along a word from `start`
+    ends in a node whose first field says whether the word is a member;
+    `walk`, once `compare` has compiled it, folds a whole word and returns
+    that field alone.
 
     The operands are the actual DFAs fed to the pipeline (already
     complemented/restricted where the recipe says so), so oracle and
-    pipeline answer the exact same question by different routes. Words are
-    over the right operand's alphabet. The operation's registry shape names
-    its fragment in _FRAGMENTS, which both compiled folds hold inline. The
-    start node is the fragment's step on the empty prefix's columns from
-    the reach masks before position 0, with `bit` 1.
+    pipeline answer the exact same question by different routes; a
+    missing or surplus left operand, or a second alphabet, is refused. The
+    shape's fragment in _FRAGMENTS is inline in both compiled folds, and
+    the start node is its step on the empty prefix's columns from the
+    reach masks before position 0, with `bit` 1.
     """
 
     def __init__(self, op: str, left: Dfa | None, right: Dfa):
         entry = lookup(op)
+        if (left is None) != (entry.arity == 1):
+            raise ValueError(f"operation {entry.op} takes "
+                             + ("one operand", "two operands")[left is None])
+        if left is not None and left.alphabet != right.alphabet:
+            raise ValueError(
+                f"alphabet mismatch: {left.alphabet} vs {right.alphabet}")
         self.op = entry.op
         self.alphabet = right.alphabet
         a, b, update, member = _FRAGMENTS[entry.shape]
-        size = len(self.alphabet)
-        l = _Runner(right, self.alphabet, "l", entry.shape == "reversal")
-        # a unary operation has no left masks: its nodes carry ()
-        k = (_Runner(left, self.alphabet, "k") if left is not None else
-             SimpleNamespace(names=[], cells=[[]] * size,
-                             columns=["0"] * size, start=()))
+        parts = [_operand(d, self.alphabet, name, entry.shape == "reversal")
+                 for d, name in ((left, "k"), (right, "l")) if d is not None]
+        # the source table, each row the operands' columns and then all
+        # their masks: its names, the empty prefix's row, each letter's
+        c = len(parts)
+        targets, empty, *letters = (
+            [rs[i][0] for rs, _ in parts]
+            + [x for rs, _ in parts for x in rs[i][1:]]
+            for i in range(len(self.alphabet) + 2))
+        names, columns = _listed(targets[c:]), _listed(targets[:c])
         self._scope = {"__builtins__": {},
                        "combine": _ROW_COMBINE.get(entry.boolean)}
-        self._runners = k, l
-        # the start node's step: columns of the empty prefix, masks kept
-        self._fields = dict(
-            km=_listed(k.names), lm=_listed(l.names),
-            k_cells=_listed(k.names), l_cells=_listed(l.names),
-            kc=left is not None and left.initial in left.finals,
-            lc=right.initial in right.finals,
-            update=update.replace("\n", "\n    "), member=member)
-        self.steps: list[Callable[[Node, int], Node]] = [
-            # a source per letter keeps the parser small
-            self._compiled("step", _STEP, kc=k.columns[li], lc=l.columns[li],
-                           k_cells=_listed(k.cells[li]),
-                           l_cells=_listed(l.cells[li]))
-            for li in range(size)]
-        self.start: Node = self._compiled("step", _STEP)(
-            (None, k.start, l.start, a, b), 1)
+
+        def step(row: list[str]) -> Callable[[Node, int], Node]:
+            return _compiled("step", _STEP.format(
+                names=names, columns=columns, values=_listed(row[:c]),
+                update=update.replace("\n", "\n    "), member=member,
+                cells=_listed(row[c:])), self._scope)
+
+        # a source per letter keeps the parser small
+        self.steps = [step(row) for row in letters]
+        self.start: Node = step(empty)(
+            (None, *(m for _, initial in parts for m in initial), a, b), 1)
         self._scope["start"] = self.start
+        branches = ""
+        for li, row in enumerate(letters):
+            # a mask that the letter leaves in place is not assigned
+            moved = [(t, v) for t, v in zip(targets, row) if t != v]
+            branches += (f"        {'el' if li else ''}if li == {li}: "
+                         f"{_listed(t for t, _ in moved)}= "
+                         f"{_listed(v for _, v in moved)}\n")
+        self._walk_source = _WALK.format(
+            names=names, columns=columns, values=_listed(empty[:c]),
+            letters=branches, update=update.replace("\n", "\n        "),
+            member=member)
         self.walk: Callable[[Indices], int] | None = None
-
-    def _compiled(self, name: str, source: str, **fields) -> Callable:
-        """The function `name` that source defines, filled in with this
-        oracle's fields, `fields` taking their place."""
-        exec(source.format(**{**self._fields, **fields}), self._scope)
-        return self._scope.pop(name)
-
-    def step(self, node: Node, li: int, bit: int) -> Node:
-        """steps[li], letter li's compiled step: the node one letter on."""
-        return self.steps[li](node, bit)
 
     def compare(self, final: Dfa, words: Iterable[Indices]) -> Result:
         """(words, disagreements, first disagreeing word) of the pipeline
@@ -208,20 +220,7 @@ class SemanticOracle:
         DFA here. A word is given as the indices of its letters in the
         alphabet; the example is returned in letters."""
         if self.walk is None:
-            k, l = self._runners
-            letters = ""
-            for li in range(len(self.alphabet)):
-                # a mask that the letter leaves in place is not assigned
-                moved = [(q, c) for q, c in zip(
-                    ["kc", "lc", *k.names, *l.names],
-                    [k.columns[li], l.columns[li], *k.cells[li], *l.cells[li]])
-                    if q != c]
-                letters += (f"        {'el' if li else ''}if li == {li}: "
-                            f"{_listed(q for q, _ in moved)}= "
-                            f"{_listed(c for _, c in moved)}\n")
-            self.walk = self._compiled(
-                "walk", _WALK, letters=letters,
-                update=self._fields["update"].replace("\n", "\n    "))
+            self.walk = _compiled("walk", self._walk_source, self._scope)
         walk = self.walk
         rows = [final.delta[x] for x in self.alphabet]
         checked = disagreements = 0

@@ -339,12 +339,12 @@ def _check_maxlen(maxlen: int) -> None:
 
 def exhaustive_word_count(op: str, m: int | None, n: int, maxlen: int) -> int:
     """How many words exhaustive_oracle checks: every word over the cell's
-    alphabet of length at most maxlen. A cell whose bound is over the
+    alphabet of length at most maxlen, a geometric sum, as every registry
+    alphabet has at least two letters. A cell whose bound is over the
     default cap raises SubsetCapExceeded, as the oracle would."""
     _check_maxlen(maxlen)
-    _, right = _operands_for(op, m, n)
-    letters = len(right.alphabet)
-    return sum(letters**k for k in range(maxlen + 1))
+    letters = len(_operands_for(op, m, n)[1].alphabet)
+    return (letters ** (maxlen + 1) - 1) // (letters - 1)
 
 
 def _oracle(

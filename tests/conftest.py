@@ -101,16 +101,16 @@ def run():
 
 @pytest.fixture
 def member():
-    """The per-word oracle: member(oracle, w) folds a SemanticOracle's step
-    along the word w, as its merged walks fold it along many; a letter
-    outside the oracle's alphabet is a ValueError."""
+    """The per-word oracle: member(oracle, w) folds a SemanticOracle's
+    compiled letter steps along the word w, as its merged walks fold them
+    along many; a letter outside the oracle's alphabet is a ValueError."""
 
     def fold(oracle, w):
         node = oracle.start
         for j, x in enumerate(w, 1):
             if x not in oracle.alphabet:
                 raise ValueError(f"unknown letter {x!r}")
-            node = oracle.step(node, oracle.alphabet.index(x), 1 << j)
+            node = oracle.steps[oracle.alphabet.index(x)](node, 1 << j)
         return bool(node[0])
 
     return fold

@@ -35,6 +35,28 @@ def test_member_rejects_a_letter_outside_the_alphabet(witness, member):
         member(oracle, ("a", "z"))
 
 
+def test_oracle_refuses_a_missing_left_operand(witness):
+    with pytest.raises(ValueError,
+                       match="operation product takes two operands"):
+        SemanticOracle("product", None, witness("U", 3))
+
+
+def test_oracle_refuses_a_left_operand_of_a_unary_operation(witness):
+    u3 = witness("U", 3)
+    with pytest.raises(ValueError, match="operation star takes one operand"):
+        SemanticOracle("star", u3, u3)
+
+
+def test_oracle_refuses_operands_over_two_alphabets(witness):
+    # worded as the pipeline words it, which refuses the same pair
+    left, right = witness("U", 3, "abcd"), witness("U", 3)
+    with pytest.raises(ValueError) as pipeline:
+        run_pipeline("product", left, right)
+    with pytest.raises(ValueError, match="alphabet mismatch") as oracle:
+        SemanticOracle("product", left, right)
+    assert str(oracle.value) == str(pipeline.value)
+
+
 def test_star_oracle_small_trace(witness, member):
     u3 = witness("U", 3)
     oracle = SemanticOracle("star", None, u3)
@@ -347,10 +369,23 @@ def test_compiled_steps_are_freed_with_their_oracle():
     assert [f() for f in compiled] == [None] * len(compiled)
 
 
+@pytest.mark.parametrize("op", ["K*∪L*", "star"])
+def test_nodes_are_one_flat_tuple_of_ints(op):
+    # (member, left masks, right masks, a, b), with no left masks for a
+    # unary operation, at the start and one letter on
+    left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    oracle = SemanticOracle(op, left, right)
+    size = 3 + right.size + (0 if left is None else left.size)
+    for node in (oracle.start,
+                 *(step(oracle.start, 2) for step in oracle.steps)):
+        assert len(node) == size, node
+        assert all(isinstance(field, int) for field in node[1:]), node
+
+
 def test_building_an_oracle_and_walking_its_words_stays_small():
     # the whole-word fold is compiled by compare alone, and each letter's
-    # step from its own source. On Python 3.11 this peaks at 64 KB; with
-    # the fold compiled as well it peaks at 123 KB
+    # step from its own source. On Python 3.11 this peaks at 54 KB; with
+    # the fold compiled as well it peaks at 111 KB
     left, right = _operands_for("K*⊕L*", 4, 5)
     final, _ = run_pipeline("K*⊕L*", left, right)
     tracemalloc.start()
@@ -484,6 +519,23 @@ def test_walk_deeper_than_the_recursion_limit():
     report = exhaustive_oracle("reversal", None, 3, maxlen)
     assert report.disagreements == 0
     assert report.words == sum(3**k for k in range(maxlen + 1))
+
+
+def test_exhaustive_word_count_is_the_sum_of_powers():
+    from starbench import verify
+
+    cells = {}
+    for op, entry in TABLE.items():
+        m = None if entry.arity == 1 else 3
+        cells.setdefault(len(_operands_for(op, m, 3)[1].alphabet), (op, m))
+    assert min(cells) >= 2
+    for letters, (op, m) in cells.items():
+        for maxlen in range(13):
+            assert verify.exhaustive_word_count(op, m, 3, maxlen) == sum(
+                letters**k for k in range(maxlen + 1)), (op, maxlen)
+    # in closed form, so a long maxlen costs no more than a short one
+    assert verify.exhaustive_word_count("reversal", None, 3, 60000) == (
+        3**60001 - 1) // 2
 
 
 def test_compare_takes_letter_indices_and_returns_letters(run, member):
