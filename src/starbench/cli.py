@@ -116,6 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # `--words all` prints exact word counts, thousands of digits long at
+    # a long --maxlen, past the int-to-str cap of newer Pythons
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,7 +22,7 @@ Disagreement with the pipeline is data, never tolerated.
 from __future__ import annotations
 
 from operator import and_, or_, xor
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bounds import lookup
 from .core import Dfa
@@ -34,10 +34,6 @@ Indices = Sequence[int]
 # operand's masks, reach mask a, reach mask b.
 Node = tuple
 Result = tuple[int, int, "tuple[str, ...] | None"]
-# the most keys one group's expansion in compare_all considers, as a group
-# holds at most _LEVEL_LIMIT // |Σ| keys; 1024 keeps the walk's memory near
-# a plain depth-first walk's
-_LEVEL_LIMIT = 1024
 
 
 def _operand(d: Dfa, alphabet: tuple[str, ...], name: str,
@@ -242,61 +238,52 @@ class SemanticOracle:
 
         Words of one length that reach the same (node, pipeline state) have
         the same future, as a step depends only on the node, the letter and
-        the length. So the word tree is walked depth first over groups, each
-        mapping such a key to the number of words that reach it and the
-        least of them. Expanding a group checks each key and merges the
-        keys' children into a fresh group, yielded to be walked as soon as
-        it fills, or returned at the end to take its parent's place on the
-        stack; a word of length maxlen is checked at its parent's step and
-        never stored."""
+        the length. So the word tree is walked one length at a time, each a
+        dict mapping such a key to the number of words that reach it and the
+        least of them, in lex order of the least words: a length's first
+        disagreeing key holds its least disagreeing word. Checking a length
+        merges its keys' children into the next, up to length maxlen - 2;
+        the last two lengths are checked from each key of the last merged
+        one and never stored, so only a shorter word replaces the
+        example."""
         rows = [final.delta[x] for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
-        steps, size = self.steps, len(self.alphabet)
-        fill = max(1, _LEVEL_LIMIT // size)
+        letters = list(enumerate(zip(self.steps, rows)))
+        size = len(rows)
         checked = disagreements = 0
         example = None
-
-        def expand(group: dict, depth: int) -> Generator[dict, None, dict]:
-            # keys, and a depth's groups in walk order, are in lex order of
-            # their least words: a depth's first disagreeing key holds its
-            # least disagreeing word, and only a shorter word replaces it
-            nonlocal checked, disagreements, example
+        level = {(self.start, final.initial): [1, ()]}
+        for depth in range(max(1, maxlen - 1)):
             bit, below = 2 << depth, {}
-            for (node, s), (count, word) in group.items():
+            for (node, s), (count, word) in level.items():
                 checked += count
                 if node[0] != is_final[s]:
                     disagreements += count
                     if example is None or depth < len(example):
                         example = word
-                if depth + 1 < maxlen:
-                    for li, row in enumerate(rows):
-                        key = steps[li](node, bit), row[s]
+                if depth + 2 < maxlen:
+                    for li, (step, row) in letters:
+                        key = step(node, bit), row[s]
                         if key in below:
                             below[key][0] += count
                         else:
                             below[key] = [count, word + (li,)]
-                            if len(below) == fill:
-                                yield below
-                                below = {}
                 elif depth < maxlen:
                     checked += count * size
-                    for li, row in enumerate(rows):
-                        if steps[li](node, bit)[0] != is_final[row[s]]:
+                    for li, (step, row) in letters:
+                        child, t = step(node, bit), row[s]
+                        if child[0] != is_final[t]:
                             disagreements += count
                             if example is None or depth + 1 < len(example):
                                 example = word + (li,)
-            return below
-
-        stack = [(expand({(self.start, final.initial): [1, ()]}, 0), 0)]
-        while stack:
-            expansion, depth = stack[-1]
-            try:
-                group = next(expansion)
-            except StopIteration as end:
-                stack.pop()
-                group = end.value
-            if group:
-                stack.append((expand(group, depth + 1), depth + 1))
+                        if depth + 1 < maxlen:
+                            checked += count * size
+                            for lj, (last, last_row) in letters:
+                                if last(child, bit << 1)[0] != is_final[last_row[t]]:
+                                    disagreements += count
+                                    if example is None:
+                                        example = word + (li, lj)
+            level = below
         if example is not None:
             example = tuple(self.alphabet[i] for i in example)
         return checked, disagreements, example

@@ -2,7 +2,31 @@ from collections import deque
 
 import pytest
 
+from starbench.core import Dfa
 from starbench.witnesses import CANONICAL_LETTERS, FAMILIES, WitnessSpec, build
+
+
+def random_dfa(rng, size, alphabet=("a", "b")):
+    """A seeded random DFA: each transition uniform, each state final with
+    probability 0.4, a uniform initial state."""
+    delta = {
+        x: tuple(rng.randrange(size) for _ in range(size))
+        for x in alphabet
+    }
+    finals = frozenset(s for s in range(size) if rng.random() < 0.4)
+    return Dfa(size, alphabet, delta, rng.randrange(size), finals)
+
+
+def relabel_states(d, perm):
+    """The same automaton under a bijective state renaming."""
+    delta = {}
+    for x, t in d.delta.items():
+        img = [0] * d.size
+        for s in range(d.size):
+            img[perm[s]] = perm[t[s]]
+        delta[x] = tuple(img)
+    return Dfa(d.size, d.alphabet, delta, perm[d.initial],
+               frozenset(perm[f] for f in d.finals))
 
 
 @pytest.fixture

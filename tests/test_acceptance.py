@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from conftest import random_dfa, relabel_states
 from starbench.bounds import evaluate
 from starbench.core import Dfa, write_dfa
 from starbench.minimize import minimize
@@ -144,26 +145,6 @@ def test_criterion_8_monoid_sizes():
         assert monoid_size(build(WitnessSpec("U", 4))) == 256
 
 
-def _random_dfa(rng, size, alphabet=("a", "b")):
-    delta = {
-        x: tuple(rng.randrange(size) for _ in range(size))
-        for x in alphabet
-    }
-    finals = frozenset(s for s in range(size) if rng.random() < 0.4)
-    return Dfa(size, alphabet, delta, rng.randrange(size), finals)
-
-
-def _relabel(d, perm):
-    delta = {}
-    for x, t in d.delta.items():
-        img = [0] * d.size
-        for s in range(d.size):
-            img[perm[s]] = perm[t[s]]
-        delta[x] = tuple(img)
-    return Dfa(d.size, d.alphabet, delta, perm[d.initial],
-               frozenset(perm[f] for f in d.finals))
-
-
 def test_criterion_9_property_suite(every_family):
     t0 = time.perf_counter()
 
@@ -194,12 +175,12 @@ def test_criterion_9_property_suite(every_family):
     # 8-state DFAs
     rng = random.Random(90125)
     for _ in range(100):
-        d = _random_dfa(rng, 8)
+        d = random_dfa(rng, 8)
         m = minimize(d)
         assert minimize(m) == m
         perm = list(range(d.size))
         rng.shuffle(perm)
-        assert minimize(_relabel(d, perm)) == m
+        assert minimize(relabel_states(d, perm)) == m
 
     # the text format on all built witnesses: the dfa, alphabet, initial and
     # finals lines, then per letter in alphabet order the letter and its row

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,31 @@ def test_oracle_exhaustive_announces_its_word_count(capsys):
     # 1 + 4 + 16 + 64 + 256 + 1024 words over K*L's four letters
     assert err == "checking all 1365 words up to length 5\n"
     assert "words=1365" in out
+
+
+def test_oracle_prints_counts_of_any_size(capsys, monkeypatch):
+    # reversal's 3 letters up to length 9100 make a count of 4,342 digits;
+    # Python caps int-to-str conversion at 4,300 digits by default
+    from starbench import verify
+
+    words = 10**5000
+    monkeypatch.setattr(verify, "exhaustive_word_count",
+                        lambda op, m, n, maxlen: words)
+    monkeypatch.setattr(verify, "exhaustive_oracle",
+                        lambda op, m, n, maxlen: verify.OracleReport(
+                            op, m, n, words, maxlen, None, 0))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        code, out, err = run_cli(capsys, "oracle", "reversal", "--n", "3",
+                                 "--words", "all", "--maxlen", "9100")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    digits = "1" + "0" * 5000
+    assert code == 0
+    assert err == f"checking all {digits} words up to length 9100\n"
+    assert out == (f"op=reversal m=- n=3 words={digits} maxlen=9100 seed=- "
+                   "disagreements=0\n")
 
 
 def test_oracle_skips_a_bound_over_the_cap(capsys):

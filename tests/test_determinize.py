@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import random_dfa, relabel_states
 from starbench.core import Dfa, EpsNfa
 from starbench.minimize import (
     DEFAULT_SUBSET_CAP,
@@ -75,15 +76,6 @@ def subset_labels(sd):
     return tuple(map(sd.label, range(sd.dfa.size)))
 
 
-def random_dfa(rng, size, alphabet=("a", "b")):
-    delta = {
-        x: tuple(rng.randrange(size) for _ in range(size))
-        for x in alphabet
-    }
-    finals = frozenset(s for s in range(size) if rng.random() < 0.4)
-    return Dfa(size, alphabet, delta, rng.randrange(size), finals)
-
-
 def random_nfa(rng, size, alphabet=("a", "b")):
     """Mostly one move per (state, letter), some none, a few two; a few
     epsilon edges; two initial states."""
@@ -104,18 +96,6 @@ def _chain_nfa():
     """Epsilon edges 0 -> 1 -> 2, only 2 final, and an a-loop on 3."""
     return EpsNfa(4, ("a",), {"a": (0, 0, 0, 0b1000)}, (0b10, 0b100, 0, 0),
                   0b1, 0b100)
-
-
-def relabel_states(d, perm):
-    """The same automaton under a bijective state renaming."""
-    delta = {}
-    for x, t in d.delta.items():
-        img = [0] * d.size
-        for s in range(d.size):
-            img[perm[s]] = perm[t[s]]
-        delta[x] = tuple(img)
-    return Dfa(d.size, d.alphabet, delta, perm[d.initial],
-               frozenset(perm[f] for f in d.finals))
 
 
 def test_star_of_binary_restriction_measures_six(witness):

@@ -12,7 +12,6 @@ from starbench.bounds import TABLE
 from starbench.core import Dfa
 from starbench.minimize import DEFAULT_SUBSET_CAP, minimal_dfa, minimize
 from starbench.ops import star_nfa
-from starbench import oracle as oracle_module
 from starbench.oracle import SemanticOracle
 from starbench.verify import (exhaustive_oracle, membership_oracle,
                               run_pipeline, _operands_for)
@@ -437,48 +436,50 @@ def _flipped(final):
     return final.with_finals(final.finals ^ {state})
 
 
-@pytest.mark.parametrize("limit", [1, 50, oracle_module._LEVEL_LIMIT, 1 << 30])
+def _counted(oracle):
+    """oracle with its steps wrapped to count their calls, and the count:
+    a list whose only item is the number of steps taken so far."""
+    steps = [0]
+
+    def counted(real_step):
+        def step(node, bit):
+            steps[0] += 1
+            return real_step(node, bit)
+        return step
+
+    oracle.steps = [counted(step) for step in oracle.steps]
+    return steps
+
+
 @pytest.mark.parametrize("op", ["K*∪L*", "(KL)*", "K∪L*", "star"])
-def test_merged_walk_matches_a_per_word_loop(monkeypatch, op, limit, run, member):
+def test_merged_walk_matches_a_per_word_loop(op, run, member):
     # against the pipeline DFA and a flipped copy, many words of one length
     # reach the same (node, state) key, so the merge is exercised; the trie
     # DFA of _check_against_reference gives every word its own key
-    monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
     left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     final, _ = run_pipeline(op, left, right)
     oracle = SemanticOracle(op, left, right)
     words = _shortlex(right.alphabet, 7)
     members = [member(oracle, w) for w in words]
-    steps = 0
-
-    def counted(real_step):
-        def step(node, bit):
-            nonlocal steps
-            steps += 1
-            return real_step(node, bit)
-        return step
-
-    oracle.steps = [counted(step) for step in oracle.steps]
+    steps = _counted(oracle)
     for dfa in (final, _flipped(final)):
         for maxlen in range(8):
             wrong = [w for w, member in zip(words, members)
                      if len(w) <= maxlen and run(dfa, w) != member]
             checked = sum(len(w) <= maxlen for w in words)
-            steps = 0
+            steps[0] = 0
             assert oracle.compare_all(dfa, maxlen) == (
                 checked, len(wrong), wrong[0] if wrong else None), (dfa, maxlen)
-        # one step per word but the empty one, unless words were merged
-        if limit == 1:
-            assert steps == len(words) - 1
-        else:
-            assert steps < len(words) - 1
+        # fewer steps than a per-word walk's one per word but the empty one
+        assert steps[0] < len(words) - 1
     assert wrong  # the flipped DFA disagrees, so the example is compared
 
 
 def test_merged_walk_memory_stays_bounded():
-    # a group is walked as soon as it holds _LEVEL_LIMIT // |Σ| keys, so the
-    # walk holds at most one partial group per depth, and words of length
-    # maxlen are never stored
+    # the walk holds one merged length and the next, and the last two
+    # lengths, which hold most words, are checked from their grandparent's
+    # key and never stored. On Python 3.11 this peaks at 536 KB; storing
+    # every length up to maxlen peaks at 1,945 KB
     left, right = _operands_for("K*∪L*", 3, 3)
     final, _ = run_pipeline("K*∪L*", left, right)
     oracle = SemanticOracle("K*∪L*", left, right)
@@ -492,12 +493,10 @@ def test_merged_walk_memory_stays_bounded():
     assert peak < 1 << 20, peak
 
 
-@pytest.mark.parametrize("limit", [1, 50, oracle_module._LEVEL_LIMIT])
 @pytest.mark.parametrize("op", ["K*∪L*", "K∪L*", "star"])
-def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit, run, member):
+def test_walk_with_every_disagreement_at_maxlen(op, run, member):
     # maxlen is the length of the flipped DFA's shortest disagreeing word,
-    # so every disagreement is a leaf, checked from its parent's pop
-    monkeypatch.setattr(oracle_module, "_LEVEL_LIMIT", limit)
+    # so every disagreement is a leaf, checked from its grandparent's key
     left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     final, _ = run_pipeline(op, left, right)
     flipped = _flipped(final)
@@ -512,13 +511,27 @@ def test_walk_with_every_disagreement_at_maxlen(monkeypatch, op, limit, run, mem
 
 
 def test_walk_deeper_than_the_recursion_limit():
-    # reversal's node is a tuple of |Q| bools, so a depth holds at most 2^|Q|
-    # keys and no group fills: a walk far deeper than the interpreter's
-    # recursion limit stays cheap, and must finish
+    # reversal's node is a tuple of |Q| bools, so a length holds at most
+    # 2^|Q| keys: a walk far deeper than the interpreter's recursion limit
+    # stays cheap, and must finish
     maxlen = sys.getrecursionlimit() + 500
     report = exhaustive_oracle("reversal", None, 3, maxlen)
     assert report.disagreements == 0
     assert report.words == sum(3**k for k in range(maxlen + 1))
+
+
+def test_walk_is_linear_in_maxlen_when_lengths_hold_many_keys():
+    # at n = 9 a length holds up to 2^9 keys, so a walk that merges each
+    # length once takes at most |Σ|·2^9 steps per length; one that merges
+    # only part of a length can grow exponentially with maxlen
+    left, right = _operands_for("reversal", None, 9)
+    final, _ = run_pipeline("reversal", left, right)
+    oracle = SemanticOracle("reversal", left, right)
+    steps = _counted(oracle)
+    letters = len(right.alphabet)
+    assert oracle.compare_all(final, 40) == (
+        (letters**41 - 1) // (letters - 1), 0, None)
+    assert steps[0] <= letters * 2**9 * 40, steps[0]
 
 
 def test_exhaustive_word_count_is_the_sum_of_powers():
