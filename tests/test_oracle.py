@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from conftest import relabel_states
 from starbench.bounds import TABLE
 from starbench.core import Dfa
 from starbench.minimize import DEFAULT_SUBSET_CAP, minimal_dfa, minimize
@@ -436,6 +437,12 @@ def _flipped(final):
     return final.with_finals(final.finals ^ {state})
 
 
+def _renumbered(dfa, seed):
+    """dfa with its states renumbered by a seeded random permutation."""
+    return relabel_states(dfa, random.Random(seed).sample(range(dfa.size),
+                                                          dfa.size))
+
+
 def _counted(oracle):
     """oracle with its steps wrapped to count their calls, and the count:
     a list whose only item is the number of steps taken so far."""
@@ -451,13 +458,16 @@ def _counted(oracle):
     return steps
 
 
+@pytest.mark.parametrize("seed", [1, 50, 1024, 1 << 30])
 @pytest.mark.parametrize("op", ["K*∪L*", "(KL)*", "K∪L*", "star"])
-def test_merged_walk_matches_a_per_word_loop(op, run, member):
+def test_merged_walk_matches_a_per_word_loop(op, seed, run, member):
     # against the pipeline DFA and a flipped copy, many words of one length
     # reach the same (node, state) key, so the merge is exercised; the trie
-    # DFA of _check_against_reference gives every word its own key
+    # DFA of _check_against_reference gives every word its own key. The
+    # seed renumbers the pipeline DFA's states, which the walk's keys hold,
+    # so its result must not depend on that numbering
     left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
-    final, _ = run_pipeline(op, left, right)
+    final = _renumbered(run_pipeline(op, left, right)[0], seed)
     oracle = SemanticOracle(op, left, right)
     words = _shortlex(right.alphabet, 7)
     members = [member(oracle, w) for w in words]
@@ -493,12 +503,14 @@ def test_merged_walk_memory_stays_bounded():
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("seed", [1, 50, 1024])
 @pytest.mark.parametrize("op", ["K*∪L*", "K∪L*", "star"])
-def test_walk_with_every_disagreement_at_maxlen(op, run, member):
+def test_walk_with_every_disagreement_at_maxlen(op, seed, run, member):
     # maxlen is the length of the flipped DFA's shortest disagreeing word,
-    # so every disagreement is a leaf, checked from its grandparent's key
+    # so every disagreement is a leaf, checked from its grandparent's key,
+    # whatever the numbering of the pipeline DFA's states
     left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
-    final, _ = run_pipeline(op, left, right)
+    final = _renumbered(run_pipeline(op, left, right)[0], seed)
     flipped = _flipped(final)
     oracle = SemanticOracle(op, left, right)
     maxlen = next(len(w) for w in _shortlex(right.alphabet, 8)
