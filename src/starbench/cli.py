@@ -2,7 +2,7 @@
 
 Verbs: witness, complexity, bound, verify, oracle, conjecture, monoid.
 Exit codes: 0 when everything matched or was skipped, 1 on any ABOVE-BOUND
-cell or oracle disagreement, 2 on usage errors.
+cell or oracle disagreement, 2 on usage errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -116,12 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # `--words all` prints exact word counts, thousands of digits long at
-    # a long --maxlen, past the int-to-str cap of newer Pythons
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # `--words all` prints exact word counts of any size, past the int-to-str
+    # cap of newer Pythons; the caller's cap is put back on return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _dispatch(args)
     except ValueError as e:  # bounds.UnknownOperation among them
@@ -130,6 +131,12 @@ def main(argv: list[str] | None = None) -> int:
     except SubsetCapExceeded as e:  # a skip, as in a skipped cell
         print(e.note, file=sys.stderr)
         return 0
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -280,14 +280,12 @@ def _bfs_numbering(d: Dfa) -> Dfa:
     return d if order == list(range(d.size)) else _renumbered(d, order, index)
 
 
-def _moore_rounds(
-    trans: list[list[int]], final: list[bool], labels: Iterable[Hashable] | None = None
-) -> Sequence[int]:
+def _moore_rounds(trans: list[list[int]], labels: Iterable[Hashable]) -> Sequence[int]:
     """Moore's rounds at C speed, run to their fixed point.
 
-    The first partition is by `labels`, one per state, if given (they
-    must refine finality and only tell apart inequivalent states), else
-    by finality. A round gives each state the signature (its block, its
+    The rounds start from the one partition by `labels`, one per state:
+    finality, or labels that refine it and only tell apart inequivalent
+    states. A round gives each state the signature (its block, its
     successors' blocks) and names each new block by its least state, the
     first to claim the signature, so block names are always states and no
     round mints new ones. The rounds stop when one splits nothing, or as
@@ -306,10 +304,10 @@ def _moore_rounds(
     O(k(s + 64)). Keys that leave most states alone, as on the large
     cells, drop them before the first round.
     """
-    n = len(final)
+    n = len(trans[0])
     active = range(n)
     ids: dict = {}
-    block_of = list(map(ids.setdefault, final if labels is None else labels, active))
+    block_of = list(map(ids.setdefault, labels, active))
     nblocks = inside = len(ids)  # blocks in all, blocks of the active states
     signed, cols = block_of, trans  # the active states' blocks and columns
     while nblocks < n:
@@ -355,9 +353,9 @@ def minimize(d: Dfa | SubsetDfa) -> Dfa:
         if limit >= _KEY_BITS_MIN:
             labels = d._keys(limit)
         d = d.dfa
-    trans = [d.delta[x] for x in d.alphabet]
-    block_of = _moore_rounds(
-        trans, list(map(d.finals.__contains__, range(d.size))), labels)
+    # finality, lazily, where no keys are drawn
+    labels = labels or map(d.finals.__contains__, range(d.size))
+    block_of = _moore_rounds([d.delta[x] for x in d.alphabet], labels)
     names = list(compress(block_of, map(eq, block_of, range(d.size))))
     if len(names) == d.size:
         return d

@@ -355,6 +355,8 @@ def _oracle(
     seeded random words, or on every word up to maxlen when count is None."""
     if count is not None and count < 1:
         raise ValueError(f"the word count must be at least 1, got {count}")
+    if count is not None and not isinstance(seed, int):
+        raise ValueError(f"sampled words need an int seed, got {seed!r}")
     _check_maxlen(maxlen)
     left, right = _operands_for(op, m, n)
     final, _ = run_pipeline(op, left, right)

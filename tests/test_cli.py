@@ -235,18 +235,32 @@ def test_oracle_prints_counts_of_any_size(capsys, monkeypatch):
     monkeypatch.setattr(verify, "exhaustive_oracle",
                         lambda op, m, n, maxlen: verify.OracleReport(
                             op, m, n, words, maxlen, None, 0))
+    # main lifts the cap for its own run and puts the caller's back (3.10
+    # has no cap, where the getter is missing)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    try:
-        code, out, err = run_cli(capsys, "oracle", "reversal", "--n", "3",
-                                 "--words", "all", "--maxlen", "9100")
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    code, out, err = run_cli(capsys, "oracle", "reversal", "--n", "3",
+                             "--words", "all", "--maxlen", "9100")
     digits = "1" + "0" * 5000
     assert code == 0
     assert err == f"checking all {digits} words up to length 9100\n"
     assert out == (f"op=reversal m=- n=3 words={digits} maxlen=9100 seed=- "
                    "disagreements=0\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_running_out_of_memory_exits_2(capsys, monkeypatch):
+    # exit 1 is kept for ABOVE-BOUND cells and disagreements; a walk that
+    # runs out of memory is named on stderr, with no traceback
+    from starbench.oracle import SemanticOracle
+
+    def exhaust(self, final, maxlen):
+        raise MemoryError
+
+    monkeypatch.setattr(SemanticOracle, "compare_all", exhaust)
+    code, out, err = run_cli(capsys, "oracle", "K*∪L*", "--m", "3", "--n", "3",
+                             "--words", "all", "--maxlen", "5")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: out of memory"
 
 
 def test_oracle_skips_a_bound_over_the_cap(capsys):

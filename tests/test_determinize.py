@@ -1,5 +1,6 @@
 import collections
 import importlib
+import inspect
 import itertools
 import operator
 import random
@@ -13,6 +14,7 @@ from starbench.core import Dfa, EpsNfa
 from starbench.minimize import (
     DEFAULT_SUBSET_CAP,
     SubsetCapExceeded,
+    SubsetDfa,
     determinize,
     minimal_dfa,
     minimize,
@@ -63,11 +65,12 @@ def _moore_blocks(trans, final):
 
 
 def minimize_by(monkeypatch, refine, d):
-    """minimize(d) with `refine`, which starts from finality, in place of
-    the restricted Moore rounds."""
+    """minimize(d) with `refine`, which starts from the labels minimize
+    gives it (finality, for a plain DFA), in place of the restricted Moore
+    rounds."""
     with monkeypatch.context() as patch:
         patch.setattr(MINIMIZE, "_moore_rounds",
-                      lambda trans, final, labels=None: refine(trans, final))
+                      lambda trans, labels: refine(trans, list(labels)))
         return minimize(d)
 
 
@@ -264,10 +267,11 @@ def test_table_cells_refine_in_few_rounds(monkeypatch):
     refine = MINIMIZE._moore_rounds
     seen = []
 
-    def counted(trans, final, labels=None):
-        start = final if labels is None else list(labels)
-        seen.append((len(final), _moore_refinement(trans, start)[1], labels is not None))
-        return refine(trans, final, start)
+    def counted(trans, labels):
+        keyed = inspect.isgenerator(labels)
+        start = list(labels)
+        seen.append((len(start), _moore_refinement(trans, start)[1], keyed))
+        return refine(trans, start)
 
     monkeypatch.setattr(MINIMIZE, "_moore_rounds", counted)
     for op, entry in TABLE.items():
@@ -775,7 +779,7 @@ def _assert_keys_seed_minimize(dfa, keys):
     assert len(set(zip(blocks, keys))) == len(set(blocks))
     assert [bool(key & 1) for key in keys] == final
     refine = MINIMIZE._moore_rounds
-    assert refine(trans, final, iter(keys)) == refine(trans, final)
+    assert refine(trans, iter(keys)) == refine(trans, final)
 
 
 def test_subset_keys_seed_moore_within_nerode_blocks():
@@ -805,15 +809,41 @@ def test_subset_keys_are_drawn_inside_minimize(monkeypatch, witness):
     refine = MINIMIZE._moore_rounds
     drawn = []
 
-    def rounds(trans, final, labels=None):
-        drawn.append((labels is not None, len(walks)))
-        return refine(trans, final, labels)
+    def rounds(trans, labels):
+        # keys come from the generator _keys; finality is a map
+        drawn.append((inspect.isgenerator(labels), len(walks)))
+        return refine(trans, labels)
 
     monkeypatch.setattr(MINIMIZE, "_moore_rounds", rounds)
     assert minimize(small) == minimize(small.dfa)
     assert minimize(sd) == minimize(sd.dfa)
     assert drawn == [(False, 0), (False, 0), (True, 0), (False, 1)]
     assert walks == [4 * (sd.dfa.size // 16)]
+
+
+class _CountingFinals(frozenset):
+    """A set of final states that counts its membership lookups."""
+
+    lookups = 0
+
+    def __contains__(self, s):
+        self.lookups += 1
+        return super().__contains__(s)
+
+
+def test_keyed_minimize_looks_up_no_finality():
+    # a keyed refinement starts from the keys alone, so minimize builds no
+    # list of finality flags: star n=9 (384 states) and K*∪L* (5,5) (530
+    # states) are keyed and minimal, so each is returned as it is
+    for op, m, n, size in (("star", None, 9, 384), ("K*∪L*", 5, 5, 530)):
+        built = _construction(op, m, n)
+        finals = _CountingFinals(built.dfa.finals)
+        dfa = replace(built.dfa, finals=finals)
+        built = (replace(built, dfa=dfa) if isinstance(built, SubsetDfa)
+                 else built._replace(dfa=dfa))
+        assert dfa.size == size
+        assert minimize(built) is dfa
+        assert finals.lookups == 0
 
 
 def test_subset_keys_of_kstar_l_are_its_nerode_classes():
@@ -853,7 +883,7 @@ def test_keys_follow_a_renumbering_of_the_states(witness):
     trans = [shuffled.delta[x] for x in shuffled.alphabet]
     final = [s in shuffled.finals for s in range(shuffled.size)]
     refine = MINIMIZE._moore_rounds
-    assert refine(trans, final, relabelled) == refine(trans, final)
+    assert refine(trans, relabelled) == refine(trans, final)
 
 
 class _CountingColumn(list):
@@ -883,7 +913,7 @@ def _assert_restricted_rounds(d, keys):
     (rebuilds, whole-column scans)."""
     final = [s in d.finals for s in range(d.size)]
     trans = [_CountingColumn(d.delta[x]) for x in d.alphabet]
-    blocks = MINIMIZE._moore_rounds(trans, final, iter(keys))
+    blocks = MINIMIZE._moore_rounds(trans, iter(keys))
     assert blocks == _moore_blocks([d.delta[x] for x in d.alphabet], final)
     sharing = collections.Counter(keys)
     shared = {s for s, key in enumerate(keys) if sharing[key] > 1}

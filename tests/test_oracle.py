@@ -139,6 +139,14 @@ def test_membership_oracle_report_fields():
     assert report.seed == 7
 
 
+def test_sampled_oracle_refuses_a_seed_that_is_not_an_int():
+    # a sampled report's seed draws its words again; None in a report
+    # stands for exhaustive enumeration
+    for seed in (None, 1.5, "7"):
+        with pytest.raises(ValueError, match=f"int seed, got {seed!r}"):
+            membership_oracle("star", None, 3, 5, 4, seed)
+
+
 def test_membership_oracle_is_seed_deterministic():
     a = membership_oracle("KL*", 3, 4, count=100, maxlen=9, seed=42)
     b = membership_oracle("KL*", 3, 4, count=100, maxlen=9, seed=42)
