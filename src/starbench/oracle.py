@@ -10,12 +10,13 @@ and product memberships are reach masks over positions, each extended by
 at most one bit per letter. Each shape's semantics is written once, as a
 source fragment over both operands' final columns, and a node is one flat
 tuple: the membership, both operands' masks, the reach masks. A table of
-source rows, one per letter, fills both compiled folds: the exhaustive
-walk's step per letter, compiled with the oracle, and the loop that folds
-a sampled word, compiled when sampled words are first checked. A letter
-is still O(|Q|) big-int operations. The exhaustive walk shares every
-prefix's work with all its extensions, and prefixes of one length that
-reach the same node and pipeline state share it with each other too.
+source rows, one per letter, fills every compiled fold: the exhaustive
+walk's step per letter, compiled with the oracle, its member-only call
+for the last length, which makes every letter's membership and no node,
+and the loop that folds a sampled word; the last two are compiled when
+first used. A letter is still O(|Q|) big-int operations. The exhaustive
+walk shares every prefix's work with all its extensions, and prefixes of
+one length that reach the same node and pipeline state share it too.
 Disagreement with the pipeline is data, never tolerated.
 """
 
@@ -133,6 +134,15 @@ _WALK = """def walk(word):
     return {member}
 """
 
+# bit li of `members` is steps[li]'s membership; a source each parses small
+_MEMBERS = ("""def member({columns}a, b, bit):
+    {update}
+    return {member}
+""", """def members(node, bit):
+    _, {names}a, b = node
+    return {calls}
+""")
+
 
 def _listed(sources: Iterable[str]) -> str:
     """sources as the items of a tuple or a target list: each then ", "."""
@@ -149,14 +159,14 @@ class SemanticOracle:
     """Word membership for one operation over materialized operand DFAs:
     steps[li], letter li's compiled step, folded along a word from `start`
     ends in a node whose first field says whether the word is a member;
-    `walk`, once `compare` has compiled it, folds a whole word and returns
-    that field alone.
+    `walk` folds a whole word and returns that field alone, and `members`
+    sets bit li when steps[li] would make a member, each compiled on use.
 
     The operands are the actual DFAs fed to the pipeline (already
     complemented/restricted where the recipe says so), so oracle and
     pipeline answer the exact same question by different routes; a
     missing or surplus left operand, or a second alphabet, is refused. The
-    shape's fragment in _FRAGMENTS is inline in both compiled folds, and
+    shape's fragment in _FRAGMENTS is inline in the steps and `walk`, and
     the start node is its step on the empty prefix's columns from the
     reach masks before position 0, with `bit` 1.
     """
@@ -207,7 +217,13 @@ class SemanticOracle:
             names=names, columns=columns, values=_listed(empty[:c]),
             letters=branches, update=update.replace("\n", "\n        "),
             member=member)
+        calls = " | ".join(f"member({_listed(row[:c])}a, b, bit) << {li}"
+                           for li, row in enumerate(letters))
+        self._members_sources = [source.format(
+            columns=columns, update=update.replace("\n", "\n    "),
+            member=member, names=names, calls=calls) for source in _MEMBERS]
         self.walk: Callable[[Indices], int] | None = None
+        self.members: Callable[[Node, int], int] | None = None
 
     def compare(self, final: Dfa, words: Iterable[Indices]) -> Result:
         """(words, disagreements, first disagreeing word) of the pipeline
@@ -245,9 +261,17 @@ class SemanticOracle:
         merges its keys' children into the next, up to length maxlen - 2;
         the last two lengths are checked from each key of the last merged
         one and never stored, so only a shorter word replaces the
-        example."""
+        example. Length maxlen takes one `members` call per key of length
+        maxlen - 1, compared with `ahead`, the finality one letter on."""
+        if self.members is None:
+            for source in self._members_sources:
+                exec(source, self._scope)
+            self.members = self._scope.pop("members")
+        members = self.members
         rows = [final.delta[x] for x in self.alphabet]
         is_final = tuple(s in final.finals for s in range(final.size))
+        ahead = [sum(is_final[row[s]] << li for li, row in enumerate(rows))
+                 for s in range(final.size)]
         letters = list(enumerate(zip(self.steps, rows)))
         size = len(rows)
         checked = disagreements = 0
@@ -278,11 +302,12 @@ class SemanticOracle:
                                 example = word + (li,)
                         if depth + 1 < maxlen:
                             checked += count * size
-                            for lj, (last, last_row) in letters:
-                                if last(child, bit << 1)[0] != is_final[last_row[t]]:
-                                    disagreements += count
-                                    if example is None:
-                                        example = word + (li, lj)
+                            wrong = members(child, bit << 1) ^ ahead[t]
+                            if wrong:
+                                disagreements += count * wrong.bit_count()
+                                if example is None:
+                                    example = word + (
+                                        li, (wrong & -wrong).bit_length() - 1)
             level = below
         if example is not None:
             example = tuple(self.alphabet[i] for i in example)

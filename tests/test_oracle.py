@@ -391,9 +391,11 @@ def test_nodes_are_one_flat_tuple_of_ints(op):
 
 
 def test_building_an_oracle_and_walking_its_words_stays_small():
-    # the whole-word fold is compiled by compare alone, and each letter's
-    # step from its own source. On Python 3.11 this peaks at 54 KB; with
-    # the fold compiled as well it peaks at 111 KB
+    # the whole-word fold is compiled by compare alone, each letter's step
+    # from its own source, and compare_all's member-only call from two,
+    # the fragment's and the call's. On Python 3.11 this peaks at 54 KB;
+    # with the fold compiled as well it peaks at 111 KB, and with the
+    # member-only call from one source at 69 KB
     left, right = _operands_for("K*⊕L*", 4, 5)
     final, _ = run_pipeline("K*⊕L*", left, right)
     tracemalloc.start()
@@ -451,19 +453,28 @@ def _renumbered(dfa, seed):
                                                           dfa.size))
 
 
+def _compiled_members(oracle):
+    """oracle's member-only function, which its first compare_all compiles;
+    a walk up to length 0 checks the empty word alone."""
+    oracle.compare_all(_trie_dfa(oracle.alphabet, 0, [True]), 0)
+    return oracle.members
+
+
 def _counted(oracle):
-    """oracle with its steps wrapped to count their calls, and the count:
-    a list whose only item is the number of steps taken so far."""
-    steps = [0]
+    """oracle with its steps and its member-only function wrapped to count
+    their calls, and the counts: a list of the number of steps taken so
+    far and the number of member-only calls."""
+    calls = [0, 0]
 
-    def counted(real_step):
-        def step(node, bit):
-            steps[0] += 1
-            return real_step(node, bit)
-        return step
+    def counted(real, i):
+        def call(node, bit):
+            calls[i] += 1
+            return real(node, bit)
+        return call
 
-    oracle.steps = [counted(step) for step in oracle.steps]
-    return steps
+    oracle.members = counted(_compiled_members(oracle), 1)
+    oracle.steps = [counted(step, 0) for step in oracle.steps]
+    return calls
 
 
 @pytest.mark.parametrize("seed", [1, 50, 1024, 1 << 30])
@@ -530,6 +541,43 @@ def test_walk_with_every_disagreement_at_maxlen(op, seed, run, member):
                                                    wrong[0])
 
 
+@pytest.mark.parametrize("op", list(TABLE))
+def test_member_only_calls_agree_with_the_steps(op):
+    # bit li of the member-only result is the membership that letter li's
+    # step makes, on every node reached up to length 5: every shape's
+    # fragment, combine's columns and reversal's bool column among them
+    left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
+    oracle = SemanticOracle(op, left, right)
+    members = _compiled_members(oracle)
+    nodes = {oracle.start}
+    for length in range(6):
+        bit = 2 << length
+        below = set()
+        for node in nodes:
+            children = [step(node, bit) for step in oracle.steps]
+            assert members(node, bit) == sum(
+                bool(child[0]) << li for li, child in enumerate(children)), (
+                    length, node)
+            below.update(children)
+        nodes = below
+
+
+def test_last_length_takes_one_member_only_call_per_key():
+    # K*∪L* (3,3) at maxlen 8: length 6, the last merged one, holds 1,203
+    # keys, and each of their |Σ| children at length 7 is checked one
+    # letter on by one member-only call; a step per word of length 8, as
+    # the walk once took, makes 26,004 steps
+    left, right = _operands_for("K*∪L*", 3, 3)
+    final, _ = run_pipeline("K*∪L*", left, right)
+    oracle = SemanticOracle("K*∪L*", left, right)
+    calls = _counted(oracle)
+    letters = len(right.alphabet)
+    assert oracle.compare_all(final, 8) == (
+        sum(letters**k for k in range(9)), 0, None)
+    assert calls[1] == 1203 * letters
+    assert calls[0] <= 6756, calls
+
+
 def test_walk_deeper_than_the_recursion_limit():
     # reversal's node is a tuple of |Q| bools, so a length holds at most
     # 2^|Q| keys: a walk far deeper than the interpreter's recursion limit
@@ -591,13 +639,15 @@ def _choice_words(alphabet, count, maxlen, seed):
         yield tuple(rng.choice(alphabet) for _ in range(rng.randint(0, maxlen)))
 
 
-@pytest.mark.parametrize("maxlen", [0, 1, 64])
+@pytest.mark.parametrize("maxlen", [0, 1, 12, 64])
 @pytest.mark.parametrize("size", range(1, 7))
 def test_sampled_words_are_the_words_rng_choice_draws(size, maxlen):
+    # README promises the words of random.Random(seed): randint(0, maxlen)
+    # for the length, then choice per letter
     from starbench import verify
 
     alphabet = tuple("abcdef"[:size])
-    for seed in range(5):
+    for seed in (*range(5), 20240, 1 << 40):
         assert (list(verify._sampled_words(alphabet, 50, maxlen, seed))
                 == list(_choice_words(alphabet, 50, maxlen, seed))), seed
 
