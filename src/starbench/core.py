@@ -1,4 +1,4 @@
-"""Core value types: complete DFAs, epsilon-NFAs, and DFA text output.
+"""Core value types: complete DFAs, epsilon-NFAs, DFA text output; kernels.
 
 Everything here is immutable after construction and safe to share between
 workers. A DFA letter is a single printable symbol; its action on the state
@@ -9,7 +9,11 @@ act left to right: the first letter is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterable, Iterator, Sequence
+
+# a kernel's read of index[target], by flat form: -1 slots of a list, or a dict
+INDEX_READS = {True: "index[target]", False: "index.get(target, -1)"}
 
 
 def _check_state(n: int, s: int, what: str) -> None:
@@ -184,6 +188,16 @@ def transpose(row: Sequence[int], size: int) -> tuple[int, ...]:
         for t in bits(targets):
             back[t] |= 1 << s
     return tuple(back)
+
+
+@cache
+def kernel(source: Callable[..., str], *shape) -> Callable:
+    """The function `kernel` that source(*shape) defines, compiled on the
+    first call with this source and shape and cached: a shape names a
+    loop's form, such as its letter count, never its input's size."""
+    scope: dict = {}
+    exec(compile(source(*shape), source.__name__, "exec"), scope)
+    return scope["kernel"]
 
 
 def write_dfa(d: Dfa) -> str:

@@ -10,12 +10,13 @@ per-subset successor computation and the partition refinement.
 The subset construction reads successors from chunk tables of at most
 2^13 entries, so over an NFA of n states a subset costs max(2, ceil(n/13))
 lookups whatever its size, and keeps only the bit mask of each subset,
-packed at a fixed width into one bytes value;
-`SubsetDfa.label` decodes one when asked. A subset's number is found in
-a list of 2^n slots when 2^n is at most the walk's limit (n <= 20 at the
-default cap), 8 bytes per possible subset, and in a dict otherwise. The
-SubsetDfa also keeps its NFA, so it draws the keys below itself, as an
-ops.ProductDfa does.
+packed at a fixed width into one bytes value; `SubsetDfa.label` decodes
+one when asked. Its loop is compiled once per letter count, chunk count
+and index form, with the lookups and letters unrolled: a subset's number
+is read by subscript from a list of 2^n slots when 2^n is at most the
+walk's limit (n <= 20 at the default cap), 8 bytes per possible subset,
+and by get from a dict otherwise. The SubsetDfa also keeps its NFA, so it
+draws the keys below itself, as an ops.ProductDfa does.
 
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import eq, ne, or_
 
-from .core import Dfa, EpsNfa, bits, image, transpose
+from .core import INDEX_READS, Dfa, EpsNfa, bits, image, kernel, transpose
 
 DEFAULT_SUBSET_CAP = 2_000_000
 # minimize draws one reverse word per _STATES_PER_KEY_BIT states of a
@@ -169,6 +170,37 @@ def _successor_words(nfa: EpsNfa, closure: list[int]) -> list[int]:
     return succ
 
 
+_WALK = """def kernel(order, index, packed, limit, nbytes, full, wmask, {names}):
+    append = order.append
+    for mask in order:  # grows as new subsets are discovered
+        packed += mask.to_bytes(nbytes, "little")
+        moves = {moves}
+{letters}"""
+_WALK_LETTER = """        target = moves{shift} & full
+        ti = {read}
+        if ti < 0:
+            ti = index[target] = len(order)
+            append(target)
+            if ti >= limit:
+                return
+        a{li}(ti)
+"""
+
+
+def _walk_source(letters: int, chunks: int, flat: bool) -> str:
+    """The walk's loop over `chunks` chunk tables t0.. at shifts s1.. and
+    `letters` letters, letter li at shift h_li (h0 = 0) with column append
+    a_li, unrolled, reading the index in its `flat` form."""
+    names = [f"t{c}" for c in range(chunks)] + [f"s{c}" for c in range(1, chunks)]
+    names += [f"h{li}" for li in range(1, letters)] + [f"a{li}" for li in range(letters)]
+    moves = " | ".join(["t0[mask & wmask]"] + [
+        f"t{c}[mask >> s{c} & wmask]" for c in range(1, chunks - 1)]
+        + [f"t{chunks - 1}[mask >> s{chunks - 1}]"])
+    return _WALK.format(names=", ".join(names), moves=moves, letters="".join(
+        _WALK_LETTER.format(shift=f" >> h{li}" if li else "", read=INDEX_READS[flat], li=li)
+        for li in range(letters)))
+
+
 def _subset_walk(
     nfa: EpsNfa, limit: int
 ) -> tuple[list[int], list[list[int]], bytearray]:
@@ -179,12 +211,10 @@ def _subset_walk(
 
     It stops as soon as it discovers subset number `limit` (from 0), which
     it appends last, so a walk that stopped holds more than `limit` masks.
-    A subset's number is read from `index`, None while undiscovered: a
-    list of one slot per possible subset when there are at most `limit`
-    of them, 8 bytes each, so at most 8·limit bytes, and a dict
-    otherwise. One loop reads both through `find`, the list's
-    __getitem__ or the dict's get, as subscripting a dict subclass with
-    __missing__ would make every dict-form walk slower.
+    A subset's number is read from `index`, -1 while undiscovered: by
+    subscript from a list of one slot per possible subset when there are
+    at most `limit` of them, 8 bytes each, so at most 8·limit bytes, and
+    by get from a dict otherwise.
 
     Successors come from chunk tables (the "Four Russians" method of
     Arlazarov, Dinic, Kronrod and Faradzev, 1970): a subset's moves on all
@@ -192,48 +222,28 @@ def _subset_walk(
     and each letter's successor mask is then a shifted slice of that word.
     The mask is cut into the fewest equal chunks of at most 13 bits, so no
     table holds over 2^13 entries, and never fewer than two, as one table
-    of 2^n entries costs a small walk more to build than it saves. Up to
-    26 NFA states that is two lookups and no loop.
+    of 2^n entries costs a small walk more to build than it saves. The
+    loop is `_walk_source` compiled once per shape, its tables, shifts and
+    column appends passed in as locals.
     """
     n = nfa.size
     closure = nfa.closure()
     width = -(-n // max(2, -(-n // 13)))
-    wmask = (1 << width) - 1
     tables = _chunk_tables(_successor_words(nfa, closure), width)
-    # at n = 1 the one table serves both lookups
-    lo, top, high = tables[0], tables[-1], (len(tables) - 1) * width
-    middle = [(tab, c * width) for c, tab in enumerate(tables[1:-1], 1)]
+    if n == 1:  # the second chunk of a one-state mask is empty
+        tables.append([0])
     start = image(closure, nfa.initials)
-
-    nbytes = (n + 7) // 8
     full = (1 << n) - 1
-    if full < limit:
-        index = [None] * (full + 1)
-        find = index.__getitem__
-    else:
-        index = {}
-        find = index.get
+    flat = full < limit
+    index = [-1] * (full + 1) if flat else {}
     index[start] = 0
     order = [start]
     columns: list[list[int]] = [[] for _ in nfa.alphabet]
-    letters = [(li * n, column) for li, column in enumerate(columns)]
-    packed = bytearray()  # the masks of `order`, nbytes each
-    for mask in order:  # grows as new subsets are discovered
-        packed += mask.to_bytes(nbytes, "little")
-        moves = lo[mask & wmask] | top[mask >> high]
-        if middle:  # past 26 states; cheaper than an empty loop below that
-            for tab, shift in middle:
-                moves |= tab[mask >> shift & wmask]
-        for shift, column in letters:
-            target = moves >> shift & full
-            ti = find(target)
-            if ti is None:
-                ti = len(order)
-                order.append(target)
-                if ti >= limit:
-                    return order, columns, packed
-                index[target] = ti
-            column.append(ti)
+    packed = bytearray()  # the masks of `order`, (n + 7) // 8 bytes each
+    walk = kernel(_walk_source, len(columns), len(tables), flat)
+    walk(order, index, packed, limit, (n + 7) // 8, full, (1 << width) - 1,
+         *tables, *range(width, len(tables) * width, width),
+         *range(n, len(columns) * n, n), *(column.append for column in columns))
     return order, columns, packed
 
 

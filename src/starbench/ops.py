@@ -14,7 +14,7 @@ from itertools import compress, count
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
-from .core import Dfa, EpsNfa, image
+from .core import INDEX_READS, Dfa, EpsNfa, image, kernel
 
 
 class BooleanOp(Enum):
@@ -182,9 +182,35 @@ def _pair_walk(left: Dfa, right: Dfa, limit: int) -> list[list[int]]:
             if pair not in seen:
                 seen.add(pair)
                 pairs.append(pair)
-    # a state's digits, the last word's first, are its bits in base 2
-    return [[int(bytes(digits), 2) for digits in zip(*vectors)][:-1]
-            for vectors in zip(*reversed(pairs[:limit]))]
+    # state s's digits in its operand's vectors joined, the last word's
+    # first, are every (size + 1)th from s: its bits in base 2
+    joined = map(b"".join, zip(*reversed(pairs[:limit])))
+    return [[int(vectors[s::d.size + 1], 2) for s in range(d.size)]
+            for d, vectors in zip((left, right), joined)]
+
+
+_PRODUCT = """def kernel(lefts, rights, index, n2, {names}):
+    left, right = lefts.append, rights.append
+    for p, q in zip(lefts, rights):  # grow as new pairs are discovered
+{letters}"""
+_PRODUCT_LETTER = """        target = l{li}[p] + r{li}[q]
+        ti = {read}
+        if ti < 0:
+            ti = index[target] = len(lefts)
+            left(target // n2)
+            right(target % n2)
+        a{li}(ti)
+"""
+_DENSE_PAIRS = 2_000_000  # index slots of product_dfa's list form: 16 MB
+
+
+def _product_source(letters: int, flat: bool) -> str:
+    """The pair search's loop over `letters` letters, letter li's rows
+    l_li and r_li and column append a_li, unrolled, reading the index in
+    its `flat` form."""
+    names = ", ".join(f"l{li}, r{li}, a{li}" for li in range(letters))
+    return _PRODUCT.format(names=names, letters="".join(
+        _PRODUCT_LETTER.format(li=li, read=INDEX_READS[flat]) for li in range(letters)))
 
 
 def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
@@ -192,29 +218,24 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
 
     Pairs are discovered by BFS from the initial pair in alphabet order, so
     unreachable pairs never materialize and the numbering is the canonical
-    one `minimize` expects of a construction result. Each letter's column
-    is appended as its pairs are expanded. The search keys pair (p, q) by
-    the int p·|Q2| + q, cheaper to hash than a tuple, and `pairs` gets its
-    operand states when it is found.
+    one `minimize` expects of a construction result. The search, compiled
+    once per letter count and index form, keys pair (p, q) by the int
+    p·|Q2| + q, appends each letter's column as it expands a pair, and
+    reads a pair's number by subscript from a list of n1·n2 slots, as
+    registry products reach nearly all their pairs, or past _DENSE_PAIRS
+    by get from a dict, so large sparse operands take no n1·n2 slots.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
     alphabet, n2 = d1.alphabet, d2.size
     columns: list[list[int]] = [[] for _ in alphabet]
-    letters = [([p * n2 for p in d1.delta[x]], d2.delta[x], column)
-               for x, column in zip(alphabet, columns)]
-
-    index = {d1.initial * n2 + d2.initial: 0}
+    flat = d1.size * n2 <= _DENSE_PAIRS
+    index = [-1] * (d1.size * n2) if flat else {}
+    index[d1.initial * n2 + d2.initial] = 0
     lefts, rights = array("I", [d1.initial]), array("I", [d2.initial])
-    for p, q in zip(lefts, rights):  # grow as new pairs are discovered
-        for t1, t2, column in letters:
-            target = t1[p] + t2[q]
-            ti = index.get(target)
-            if ti is None:
-                ti = index[target] = len(index)
-                lefts.append(target // n2)
-                rights.append(target % n2)
-            column.append(ti)
+    kernel(_product_source, len(alphabet), flat)(lefts, rights, index, n2, *(
+        item for x, column in zip(alphabet, columns)
+        for item in ([p * n2 for p in d1.delta[x]], d2.delta[x], column.append)))
 
     delta = {x: tuple(col) for x, col in zip(alphabet, columns)}
     finals = frozenset(compress(count(), map(

@@ -31,6 +31,7 @@ from starbench.ops import (
 from starbench.witnesses import WitnessSpec, build
 
 
+CORE = importlib.import_module("starbench.core")
 MINIMIZE = importlib.import_module("starbench.minimize")
 OPS = importlib.import_module("starbench.ops")
 
@@ -93,6 +94,14 @@ def random_nfa(rng, size, alphabet=("a", "b")):
     finals = sum(1 << q for q in range(size) if rng.random() < 0.3)
     return EpsNfa(size, alphabet, {x: tuple(row) for x, row in moves.items()},
                   epsilon, initials, finals)
+
+
+def with_alphabets(sizes):
+    """(size, alphabet) cases: each size over two letters under its own id,
+    then over 1 and 3 to 6 letters, a compiled kernel shape each."""
+    return ([pytest.param(size, ("a", "b"), id=str(size)) for size in sizes]
+            + [pytest.param(size, tuple("abcdef"[:k]), id=f"{size}-{k}letters")
+               for k in (1, 3, 4, 5, 6) for size in sizes])
 
 
 def _chain_nfa():
@@ -500,14 +509,14 @@ def _assert_same_determinization(nfa, cap=DEFAULT_SUBSET_CAP):
     return True
 
 
-@pytest.mark.parametrize(
-    "size", [1, 2, 7, 8, 9, 13, 14, 16, 17, 26, 27, 40, 70])
-def test_determinize_matches_reference_on_random_nfas(size):
+@pytest.mark.parametrize("size, alphabet", with_alphabets(
+    [1, 2, 7, 8, 9, 13, 14, 16, 17, 26, 27, 40, 70]))
+def test_determinize_matches_reference_on_random_nfas(size, alphabet):
     # the sizes straddle the chunk widths, the two-lookup walk's last size
     # (26), the packed bytes and the 64-bit word
-    rng = random.Random(size)
+    rng = random.Random(size if len(alphabet) == 2 else f"{size}-{len(alphabet)}")
     for _ in range(8):
-        _assert_same_determinization(random_nfa(rng, size), cap=400)
+        _assert_same_determinization(random_nfa(rng, size, alphabet), cap=400)
 
 
 @pytest.mark.parametrize("size", [13, 14, 26, 27, 40, 70])
@@ -530,14 +539,14 @@ def test_subset_walk_tables_stay_within_2_to_the_13(monkeypatch, size):
     assert len(tables) == 2 if size <= 26 else len(tables) > 2
 
 
-@pytest.mark.parametrize("size", range(1, 13))
-def test_flat_and_dict_subset_index_agree(size):
+@pytest.mark.parametrize("size, alphabet", with_alphabets(range(1, 13)))
+def test_flat_and_dict_subset_index_agree(size, alphabet):
     # cap 2^n indexes the subsets by a list of 2^n slots and cap 2^n - 1
     # by a dict; each gives the reference's DFA and labels, and where both
     # finish their results are field-identical
-    rng = random.Random(1000 + size)
+    rng = random.Random(1000 + size if len(alphabet) == 2 else f"{size}-{len(alphabet)}")
     for _ in range(6):
-        nfa = random_nfa(rng, size)
+        nfa = random_nfa(rng, size, alphabet)
         assert _assert_same_determinization(nfa, cap=2 ** size)
         if _assert_same_determinization(nfa, cap=2 ** size - 1):
             assert determinize(nfa, 2 ** size - 1) == determinize(nfa, 2 ** size)
@@ -566,8 +575,10 @@ def test_subset_cap_off_by_one_on_each_index_form(witness, n):
 def test_subset_index_memory_follows_the_limit(size, limit):
     # the walk holds 8 bytes per possible subset only when 2^n <= limit,
     # so never more than 8 * limit: at limit 50 a 27-state walk keeps a
-    # dict, where a list of 2^27 slots would take 1 GiB
+    # dict, where a list of 2^27 slots would take 1 GiB. The walk's
+    # kernel is compiled inside the traced region
     nfa = random_nfa(random.Random(size), size)
+    CORE.kernel.cache_clear()
     tracemalloc.start()
     try:
         MINIMIZE._subset_walk(nfa, limit)
@@ -1098,14 +1109,18 @@ def _reference_product(d1, d2, op):
     return Dfa(len(order), d1.alphabet, delta, 0, finals), order
 
 
-def test_product_matches_a_tuple_pair_search():
+def test_product_matches_a_tuple_pair_search(monkeypatch):
     # the product keys its search by int pair codes; its DFA and pairs are
-    # those of a search over tuples, on operands of unequal sizes too
+    # those of a search over tuples, on operands of unequal sizes too, over
+    # 1 to 6 letters, with the pairs indexed by a list of n1·n2 slots and,
+    # past a threshold of 0, by a dict
     rng = random.Random(24)
-    for _ in range(40):
-        k = random_dfa(rng, rng.randint(1, 30), ("a", "b", "c"))
-        l = random_dfa(rng, rng.randint(1, 30), ("a", "b", "c"))
-        for op in BooleanOp:
+    for trial in range(40 + 6 * 5):
+        alphabet = ("a", "b", "c") if trial < 40 else tuple("abcdef"[:trial % 6 + 1])
+        k = random_dfa(rng, rng.randint(1, 30), alphabet)
+        l = random_dfa(rng, rng.randint(1, 30), alphabet)
+        for op, dense_pairs in itertools.product(BooleanOp, (OPS._DENSE_PAIRS, 0)):
+            monkeypatch.setattr(OPS, "_DENSE_PAIRS", dense_pairs)
             prod = product_dfa(k, l, op)
             dfa, order = _reference_product(k, l, op)
             assert prod.dfa == dfa
@@ -1139,6 +1154,41 @@ def _registry_constructions(sizes, cap):
             yield determinize(built, cap) if isinstance(built, EpsNfa) else built
         except SubsetCapExceeded:
             continue
+
+
+def test_kernel_cache_holds_one_kernel_per_shape(monkeypatch):
+    # every registry construction at m, n = 3..5, keys drawn, then random
+    # NFAs of 27 and 40 states, whose walks read three and four chunk
+    # tables, compile one kernel per shape: (letters, index form, chunk
+    # count) for a walk and (letters, index form) for a product, never
+    # one per NFA size or per call
+    walks, products, compiled = set(), set(), []
+    walk, product = MINIMIZE._subset_walk, OPS.product_dfa
+
+    def recorded(nfa, limit):
+        walks.add((len(nfa.alphabet), 2 ** nfa.size <= limit, max(2, -(-nfa.size // 13))))
+        return walk(nfa, limit)
+
+    def recorded_product(d1, d2, op):
+        products.add((len(d1.alphabet), d1.size * d2.size <= OPS._DENSE_PAIRS))
+        return product(d1, d2, op)
+
+    def counted(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(MINIMIZE, "_subset_walk", recorded)
+    monkeypatch.setattr(importlib.import_module("starbench.verify"), "product_dfa",
+                        recorded_product)
+    CORE.kernel.cache_clear()
+    monkeypatch.setattr(CORE, "compile", counted, raising=False)
+    for built in _registry_constructions((3, 4, 5), cap=20_000):
+        minimize(built)
+    rng = random.Random(27)
+    for size in (27, 40):
+        MINIMIZE._subset_walk(random_nfa(rng, size), 400)
+    assert {chunks for _, _, chunks in walks} == {2, 3, 4}
+    assert len(compiled) == CORE.kernel.cache_info().currsize <= len(walks) + len(products)
 
 
 def test_block_name_ranks_are_the_quotients_bfs_numbering():
