@@ -46,7 +46,10 @@ class BoundEntry:
     adding m and n; a unary operation has no left witness. `shape`
     selects the construction and the oracle semantics; `boolean` is the
     BooleanOp value the operation embeds, if any. `formula` is compiled
-    from `formula_text`, its only spelling.
+    from `formula_text`, its only spelling. `restrict_right` and
+    `complement_right` make the right witness the paper's operand: the
+    `star` witness restricted to `ab`, `(K\\L)*`'s JO6L complemented. An
+    entry names its operands but never builds them; `verify` does.
     """
 
     op: str

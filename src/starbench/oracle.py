@@ -262,7 +262,12 @@ class SemanticOracle:
         the last two lengths are checked from each key of the last merged
         one and never stored, so only a shorter word replaces the
         example. Length maxlen takes one `members` call per key of length
-        maxlen - 1, compared with `ahead`, the finality one letter on."""
+        maxlen - 1, compared with `ahead`, the finality one letter on.
+
+        A length holds at most one key per distinct (node, state), so once
+        the lengths stop growing the walk grows linearly with maxlen. It
+        holds one merged length and the next, and keeps no stack and makes
+        no recursive call, so maxlen is not bounded by the recursion limit."""
         if self.members is None:
             for source in self._members_sources:
                 exec(source, self._scope)

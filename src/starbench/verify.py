@@ -163,14 +163,16 @@ def verify_cell(
     try:
         final, sd = run_pipeline(op, *_operands_for(op, m, n, cap), cap)
     except SubsetCapExceeded as e:
-        final, skip = None, e
+        # the note alone: the exception's traceback holds this frame, so
+        # keeping it would keep the walk's masks and index until a full gc
+        final, skip = None, e.note
     millis = int((time.perf_counter() - start) * 1000)
     expected = None if entry.formula is None else bounds.evaluate(op, m, n)
     names = entry.witness_names(m, n)
     if final is None:
         return VerificationCell(
             entry.op, entry.status, cell_m, n, expected, None, "skipped",
-            millis, names, note=skip.note,
+            millis, names, note=skip,
         )
     measured = final.size
     note = ""

@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import count
 
 import pytest
 
@@ -27,6 +28,56 @@ def relabel_states(d, perm):
         delta[x] = tuple(img)
     return Dfa(d.size, d.alphabet, delta, perm[d.initial],
                frozenset(perm[f] for f in d.finals))
+
+
+def moore_refinement(trans, labels):
+    """Moore's quadratic refinement from the partition by `labels`, over
+    every state each round: the reference that minimize's restricted
+    rounds are checked against.
+
+    Each round renames every state by its block and its successors' blocks,
+    each block named by its least state, until no block splits or every
+    block is a singleton. Returns the blocks and the rounds: those that
+    split a block, and one that splits nothing unless all are singletons.
+    """
+    ids = {}
+    block_of = list(map(ids.setdefault, labels, count()))
+    nblocks, rounds = len(ids), 0
+    while nblocks < len(block_of):
+        rounds += 1
+        successors = (map(block_of.__getitem__, col) for col in trans)
+        ids = {}
+        block_of = list(map(ids.setdefault, zip(block_of, *successors), count()))
+        if len(ids) == nblocks:
+            break
+        nblocks = len(ids)
+    return block_of, rounds
+
+
+def compiled_members(oracle):
+    """oracle's member-only function, which its first compare_all compiles;
+    a walk up to length 0 checks the empty word alone."""
+    sink = Dfa(1, oracle.alphabet, {x: (0,) for x in oracle.alphabet}, 0,
+               frozenset())
+    oracle.compare_all(sink, 0)
+    return oracle.members
+
+
+def counted_calls(oracle):
+    """oracle with its steps and its member-only function wrapped to count
+    their calls, and the counts: a list of the number of steps taken so
+    far and the number of member-only calls."""
+    calls = [0, 0]
+
+    def counted(real, i):
+        def call(node, bit):
+            calls[i] += 1
+            return real(node, bit)
+        return call
+
+    oracle.members = counted(compiled_members(oracle), 1)
+    oracle.steps = [counted(step, 0) for step in oracle.steps]
+    return calls
 
 
 @pytest.fixture

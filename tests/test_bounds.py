@@ -123,7 +123,7 @@ def test_formulas_are_integers():
                 assert isinstance(entry.formula(m, n), int)
 
 
-def test_recipe_witness_pairs():
+def test_registry_witness_pairs():
     left, right = lookup("K⊕L*").witnesses(4, 5)
     assert left == WitnessSpec("U", 4)
     assert right == WitnessSpec("U", 5, tuple("bac"))
@@ -162,6 +162,7 @@ def test_recipe_witness_pairs():
     assert lookup("star").restrict_right == ("a", "b")
 
     r = lookup("L*\\K").witnesses(4, 5)
+    assert r == (WitnessSpec("U", 4), WitnessSpec("U", 5, tuple("bac")))
     assert TABLE["L*\\K"].shape == "lstar_circ_k"  # the starred side is the left product factor
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_dfa, relabel_states
+from conftest import moore_refinement, random_dfa, relabel_states
 from starbench.core import Dfa, EpsNfa
 from starbench.minimize import (
     DEFAULT_SUBSET_CAP,
@@ -36,33 +36,9 @@ MINIMIZE = importlib.import_module("starbench.minimize")
 OPS = importlib.import_module("starbench.ops")
 
 
-def _moore_refinement(trans, labels):
-    """Moore's quadratic refinement from the partition by `labels`, over
-    every state each round: the reference that minimize's restricted
-    rounds are checked against.
-
-    Each round renames every state by its block and its successors' blocks,
-    each block named by its least state, until no block splits or every
-    block is a singleton. Returns the blocks and the rounds: those that
-    split a block, and one that splits nothing unless all are singletons.
-    """
-    ids = {}
-    block_of = list(map(ids.setdefault, labels, itertools.count()))
-    nblocks, rounds = len(ids), 0
-    while nblocks < len(block_of):
-        rounds += 1
-        successors = (map(block_of.__getitem__, col) for col in trans)
-        ids = {}
-        block_of = list(map(ids.setdefault, zip(block_of, *successors), itertools.count()))
-        if len(ids) == nblocks:
-            break
-        nblocks = len(ids)
-    return block_of, rounds
-
-
 def _moore_blocks(trans, final):
     """The reference blocks from finality."""
-    return _moore_refinement(trans, final)[0]
+    return moore_refinement(trans, final)[0]
 
 
 def minimize_by(monkeypatch, refine, d):
@@ -279,7 +255,7 @@ def test_table_cells_refine_in_few_rounds(monkeypatch):
     def counted(trans, labels):
         keyed = inspect.isgenerator(labels)
         start = list(labels)
-        seen.append((len(start), _moore_refinement(trans, start)[1], keyed))
+        seen.append((len(start), moore_refinement(trans, start)[1], keyed))
         return refine(trans, start)
 
     monkeypatch.setattr(MINIMIZE, "_moore_rounds", counted)
@@ -969,7 +945,7 @@ def test_restricted_rounds_match_moore_from_keys():
                 for f, b in zip(final, nerode)]
         rebuilds.append(_assert_restricted_rounds(d, keys)[0])
         if tails[0]:
-            deep.append(_moore_refinement(trans, keys)[1] - 2 * d.size.bit_length())
+            deep.append(moore_refinement(trans, keys)[1] - 2 * d.size.bit_length())
     assert max(rebuilds[:30]) >= 2
     # every long tail runs the rounds past the old cap, and some rebuild
     # the active list more than once

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from conftest import relabel_states
+from conftest import compiled_members, counted_calls, relabel_states
 from starbench.bounds import TABLE
 from starbench.core import Dfa
 from starbench.minimize import DEFAULT_SUBSET_CAP, minimal_dfa, minimize
@@ -453,30 +453,6 @@ def _renumbered(dfa, seed):
                                                           dfa.size))
 
 
-def _compiled_members(oracle):
-    """oracle's member-only function, which its first compare_all compiles;
-    a walk up to length 0 checks the empty word alone."""
-    oracle.compare_all(_trie_dfa(oracle.alphabet, 0, [True]), 0)
-    return oracle.members
-
-
-def _counted(oracle):
-    """oracle with its steps and its member-only function wrapped to count
-    their calls, and the counts: a list of the number of steps taken so
-    far and the number of member-only calls."""
-    calls = [0, 0]
-
-    def counted(real, i):
-        def call(node, bit):
-            calls[i] += 1
-            return real(node, bit)
-        return call
-
-    oracle.members = counted(_compiled_members(oracle), 1)
-    oracle.steps = [counted(step, 0) for step in oracle.steps]
-    return calls
-
-
 @pytest.mark.parametrize("seed", [1, 50, 1024, 1 << 30])
 @pytest.mark.parametrize("op", ["K*∪L*", "(KL)*", "K∪L*", "star"])
 def test_merged_walk_matches_a_per_word_loop(op, seed, run, member):
@@ -490,7 +466,7 @@ def test_merged_walk_matches_a_per_word_loop(op, seed, run, member):
     oracle = SemanticOracle(op, left, right)
     words = _shortlex(right.alphabet, 7)
     members = [member(oracle, w) for w in words]
-    steps = _counted(oracle)
+    steps = counted_calls(oracle)
     for dfa in (final, _flipped(final)):
         for maxlen in range(8):
             wrong = [w for w, member in zip(words, members)
@@ -548,7 +524,7 @@ def test_member_only_calls_agree_with_the_steps(op):
     # fragment, combine's columns and reversal's bool column among them
     left, right = _operands_for(op, None if TABLE[op].arity == 1 else 3, 3)
     oracle = SemanticOracle(op, left, right)
-    members = _compiled_members(oracle)
+    members = compiled_members(oracle)
     nodes = {oracle.start}
     for length in range(6):
         bit = 2 << length
@@ -570,7 +546,7 @@ def test_last_length_takes_one_member_only_call_per_key():
     left, right = _operands_for("K*∪L*", 3, 3)
     final, _ = run_pipeline("K*∪L*", left, right)
     oracle = SemanticOracle("K*∪L*", left, right)
-    calls = _counted(oracle)
+    calls = counted_calls(oracle)
     letters = len(right.alphabet)
     assert oracle.compare_all(final, 8) == (
         sum(letters**k for k in range(9)), 0, None)
@@ -595,7 +571,7 @@ def test_walk_is_linear_in_maxlen_when_lengths_hold_many_keys():
     left, right = _operands_for("reversal", None, 9)
     final, _ = run_pipeline("reversal", left, right)
     oracle = SemanticOracle("reversal", left, right)
-    steps = _counted(oracle)
+    steps = counted_calls(oracle)
     letters = len(right.alphabet)
     assert oracle.compare_all(final, 40) == (
         (letters**41 - 1) // (letters - 1), 0, None)

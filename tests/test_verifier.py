@@ -1,6 +1,8 @@
 import concurrent.futures
+import gc
 import json
 import os
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -33,6 +35,27 @@ def test_verify_cell_matches(op, m, n, measured):
     assert cell.expected == measured
     assert cell.verdict == "match"
     assert cell.status == TABLE[op].status
+
+
+def test_cap_skipped_cell_frees_its_walk():
+    # a skipped cell keeps only the note: a kept SubsetCapExceeded would
+    # tie its traceback's frames, and the walk's 20,001 masks and index in
+    # them, into a cycle that only a full collection frees. The walk's
+    # kernel is compiled first, outside the trace
+    verify_cell("KxL-s", 4, 4, 100)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cell = verify_cell("KxL-s", 4, 4, 20000)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert cell.note == "skipped: cap (20001 > 20000 subsets)"
+    assert held < 64 * 1024, held
 
 
 def test_verify_cell_carries_witness_names():
