@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-# a kernel's read of index[target], by flat form: -1 slots of a list, or a dict
-INDEX_READS = {True: "index[target]", False: "index.get(target, -1)"}
-
 
 def _check_state(n: int, s: int, what: str) -> None:
     if not 0 <= s < n:

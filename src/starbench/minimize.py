@@ -7,16 +7,13 @@ used as bit vectors; the NFAs here stay small (tens of states) while the
 subset frontier can reach hundreds of thousands, so the hot path is the
 per-subset successor computation and the partition refinement.
 
-The subset construction reads successors from chunk tables of at most
-2^13 entries, so over an NFA of n states a subset costs max(2, ceil(n/13))
+The subset construction, `_subset_walk`, reads successors from chunk
+tables, so over an NFA of n states a subset costs max(2, ceil(n/13))
 lookups whatever its size, and keeps only the bit mask of each subset,
 packed at a fixed width into one bytes value; `SubsetDfa.label` decodes
-one when asked. Its loop is compiled once per letter count, chunk count
-and index form, with the lookups and letters unrolled: a subset's number
-is read by subscript from a list of 2^n slots when 2^n is at most the
-walk's limit (n <= 20 at the default cap), 8 bytes per possible subset,
-and by get from a dict otherwise. The SubsetDfa also keeps its NFA, so it
-draws the keys below itself, as an ops.ProductDfa does.
+one when asked. It indexes subsets by a list or, past its limit, a dict,
+where ops.product_dfa takes the list alone. The SubsetDfa also keeps its
+NFA, so it draws the keys below itself, as an ops.ProductDfa does.
 
 Partition refinement runs Moore's rounds (Moore 1956), each one entirely at
 C speed: a state's signature is its block and its successors' blocks, and a
@@ -55,7 +52,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import eq, ne, or_
 
-from .core import INDEX_READS, Dfa, EpsNfa, bits, image, kernel, transpose
+from .core import Dfa, EpsNfa, bits, image, kernel, transpose
 
 DEFAULT_SUBSET_CAP = 2_000_000
 # minimize draws one reverse word per _STATES_PER_KEY_BIT states of a
@@ -190,14 +187,15 @@ _WALK_LETTER = """        target = moves{shift} & full
 def _walk_source(letters: int, chunks: int, flat: bool) -> str:
     """The walk's loop over `chunks` chunk tables t0.. at shifts s1.. and
     `letters` letters, letter li at shift h_li (h0 = 0) with column append
-    a_li, unrolled, reading the index in its `flat` form."""
+    a_li, unrolled, reading the index as a list if `flat`, else a dict."""
+    read = "index[target]" if flat else "index.get(target, -1)"
     names = [f"t{c}" for c in range(chunks)] + [f"s{c}" for c in range(1, chunks)]
     names += [f"h{li}" for li in range(1, letters)] + [f"a{li}" for li in range(letters)]
     moves = " | ".join(["t0[mask & wmask]"] + [
         f"t{c}[mask >> s{c} & wmask]" for c in range(1, chunks - 1)]
         + [f"t{chunks - 1}[mask >> s{chunks - 1}]"])
     return _WALK.format(names=", ".join(names), moves=moves, letters="".join(
-        _WALK_LETTER.format(shift=f" >> h{li}" if li else "", read=INDEX_READS[flat], li=li)
+        _WALK_LETTER.format(shift=f" >> h{li}" if li else "", read=read, li=li)
         for li in range(letters)))
 
 
@@ -213,8 +211,9 @@ def _subset_walk(
     it appends last, so a walk that stopped holds more than `limit` masks.
     A subset's number is read from `index`, -1 while undiscovered: by
     subscript from a list of one slot per possible subset when there are
-    at most `limit` of them, 8 bytes each, so at most 8·limit bytes, and
-    by get from a dict otherwise.
+    at most `limit` of them (n <= 20 at the default cap), so at most
+    8·limit bytes, and by get from a dict otherwise, where 2^n slots would
+    outgrow the limit.
 
     Successors come from chunk tables (the "Four Russians" method of
     Arlazarov, Dinic, Kronrod and Faradzev, 1970): a subset's moves on all
@@ -223,8 +222,9 @@ def _subset_walk(
     The mask is cut into the fewest equal chunks of at most 13 bits, so no
     table holds over 2^13 entries, and never fewer than two, as one table
     of 2^n entries costs a small walk more to build than it saves. The
-    loop is `_walk_source` compiled once per shape, its tables, shifts and
-    column appends passed in as locals.
+    loop is `_walk_source` compiled once per letter count, chunk count and
+    index form, lookups and letters unrolled, its tables, shifts and column
+    appends passed in as locals.
     """
     n = nfa.size
     closure = nfa.closure()

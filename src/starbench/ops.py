@@ -1,8 +1,9 @@
 """Language operations as automaton constructions.
 
 Star and concatenation are wired with epsilon edges on EpsNfa mask rows;
-boolean operations go through the reachable direct product of two DFAs,
-a ProductDfa that draws its own refinement keys. Inputs stay unmodified.
+boolean operations go through a ProductDfa, the reachable direct product
+of two DFAs searched over one list of n1·n2 pair slots, which draws its own
+refinement keys. Inputs stay unmodified.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import compress, count
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
-from .core import INDEX_READS, Dfa, EpsNfa, image, kernel
+from .core import Dfa, EpsNfa, image, kernel
 
 
 class BooleanOp(Enum):
@@ -194,23 +195,21 @@ _PRODUCT = """def kernel(lefts, rights, index, n2, {names}):
     for p, q in zip(lefts, rights):  # grow as new pairs are discovered
 {letters}"""
 _PRODUCT_LETTER = """        target = l{li}[p] + r{li}[q]
-        ti = {read}
+        ti = index[target]
         if ti < 0:
             ti = index[target] = len(lefts)
             left(target // n2)
             right(target % n2)
         a{li}(ti)
 """
-_DENSE_PAIRS = 2_000_000  # index slots of product_dfa's list form: 16 MB
 
 
-def _product_source(letters: int, flat: bool) -> str:
+def _product_source(letters: int) -> str:
     """The pair search's loop over `letters` letters, letter li's rows
-    l_li and r_li and column append a_li, unrolled, reading the index in
-    its `flat` form."""
+    l_li and r_li and column append a_li, unrolled."""
     names = ", ".join(f"l{li}, r{li}, a{li}" for li in range(letters))
     return _PRODUCT.format(names=names, letters="".join(
-        _PRODUCT_LETTER.format(li=li, read=INDEX_READS[flat]) for li in range(letters)))
+        _PRODUCT_LETTER.format(li=li) for li in range(letters)))
 
 
 def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
@@ -219,21 +218,21 @@ def product_dfa(d1: Dfa, d2: Dfa, op: BooleanOp) -> ProductDfa:
     Pairs are discovered by BFS from the initial pair in alphabet order, so
     unreachable pairs never materialize and the numbering is the canonical
     one `minimize` expects of a construction result. The search, compiled
-    once per letter count and index form, keys pair (p, q) by the int
-    p·|Q2| + q, appends each letter's column as it expands a pair, and
-    reads a pair's number by subscript from a list of n1·n2 slots, as
-    registry products reach nearly all their pairs, or past _DENSE_PAIRS
-    by get from a dict, so large sparse operands take no n1·n2 slots.
+    once per letter count, keys pair (p, q) by the int p·|Q2| + q, appends
+    each letter's column as it expands a pair, and reads a pair's number
+    by subscript from a list of n1·n2 slots, -1 while undiscovered. A
+    registry product reaches most of them and has at most its cap-checked
+    bound plus n1 + n2 - 2, so about 8 bytes per bounded state at any cap;
+    two huge sparse operands still get all n1·n2 slots.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
     alphabet, n2 = d1.alphabet, d2.size
     columns: list[list[int]] = [[] for _ in alphabet]
-    flat = d1.size * n2 <= _DENSE_PAIRS
-    index = [-1] * (d1.size * n2) if flat else {}
+    index = [-1] * (d1.size * n2)
     index[d1.initial * n2 + d2.initial] = 0
     lefts, rights = array("I", [d1.initial]), array("I", [d2.initial])
-    kernel(_product_source, len(alphabet), flat)(lefts, rights, index, n2, *(
+    kernel(_product_source, len(alphabet))(lefts, rights, index, n2, *(
         item for x, column in zip(alphabet, columns)
         for item in ([p * n2 for p in d1.delta[x]], d2.delta[x], column.append)))
 

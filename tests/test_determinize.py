@@ -1085,18 +1085,16 @@ def _reference_product(d1, d2, op):
     return Dfa(len(order), d1.alphabet, delta, 0, finals), order
 
 
-def test_product_matches_a_tuple_pair_search(monkeypatch):
+def test_product_matches_a_tuple_pair_search():
     # the product keys its search by int pair codes; its DFA and pairs are
     # those of a search over tuples, on operands of unequal sizes too, over
-    # 1 to 6 letters, with the pairs indexed by a list of n1·n2 slots and,
-    # past a threshold of 0, by a dict
+    # 1 to 6 letters
     rng = random.Random(24)
     for trial in range(40 + 6 * 5):
         alphabet = ("a", "b", "c") if trial < 40 else tuple("abcdef"[:trial % 6 + 1])
         k = random_dfa(rng, rng.randint(1, 30), alphabet)
         l = random_dfa(rng, rng.randint(1, 30), alphabet)
-        for op, dense_pairs in itertools.product(BooleanOp, (OPS._DENSE_PAIRS, 0)):
-            monkeypatch.setattr(OPS, "_DENSE_PAIRS", dense_pairs)
+        for op in BooleanOp:
             prod = product_dfa(k, l, op)
             dfa, order = _reference_product(k, l, op)
             assert prod.dfa == dfa
@@ -1136,7 +1134,7 @@ def test_kernel_cache_holds_one_kernel_per_shape(monkeypatch):
     # every registry construction at m, n = 3..5, keys drawn, then random
     # NFAs of 27 and 40 states, whose walks read three and four chunk
     # tables, compile one kernel per shape: (letters, index form, chunk
-    # count) for a walk and (letters, index form) for a product, never
+    # count) for a walk and the letter count alone for a product, never
     # one per NFA size or per call
     walks, products, compiled = set(), set(), []
     walk, product = MINIMIZE._subset_walk, OPS.product_dfa
@@ -1146,7 +1144,7 @@ def test_kernel_cache_holds_one_kernel_per_shape(monkeypatch):
         return walk(nfa, limit)
 
     def recorded_product(d1, d2, op):
-        products.add((len(d1.alphabet), d1.size * d2.size <= OPS._DENSE_PAIRS))
+        products.add(len(d1.alphabet))
         return product(d1, d2, op)
 
     def counted(*args):
@@ -1165,6 +1163,25 @@ def test_kernel_cache_holds_one_kernel_per_shape(monkeypatch):
         MINIMIZE._subset_walk(random_nfa(rng, size), 400)
     assert {chunks for _, _, chunks in walks} == {2, 3, 4}
     assert len(compiled) == CORE.kernel.cache_info().currsize <= len(walks) + len(products)
+    assert sum(name == "_product_source" for _, name, _ in compiled) == len(products)
+
+
+def test_registry_products_reach_most_of_their_pairs(monkeypatch):
+    # product_dfa indexes pairs by a list of n1·n2 slots, not a dict, as
+    # every registry product reaches most of them: at m, n = 3..6 the
+    # fewest are K*∪L* and K*∩L* at (3,3), 26 of 36
+    reached = []
+    product = OPS.product_dfa
+
+    def recorded(d1, d2, op):
+        prod = product(d1, d2, op)
+        reached.append(prod.dfa.size / (d1.size * d2.size))
+        return prod
+
+    monkeypatch.setattr(importlib.import_module("starbench.verify"), "product_dfa", recorded)
+    for _ in _registry_built((3, 4, 5, 6)):
+        pass
+    assert len(reached) > 100 and min(reached) >= 0.5
 
 
 def test_block_name_ranks_are_the_quotients_bfs_numbering():

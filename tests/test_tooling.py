@@ -249,7 +249,7 @@ def test_readme_command_examples_print_what_they_say(capsys):
     examples = [re.fullmatch(r"starbench (.*?)\s+#.*: (\S+)", line)
                 for line in block.splitlines()]
     examples = [(shlex.split(e[1]), e[2]) for e in examples if e]
-    assert [value for _, value in examples] == ["281", "281", "24"]
+    assert [value for _, value in examples] == ["281", "269", "281", "24"]
     for argv, value in examples:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == value + "\n", argv
